@@ -16,8 +16,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from runtumble.estimator import (BootstrapMonitor, GronwallMonitor, TermTracker,
                                  dispersion_decay_fit)
 from runtumble.exponents import (ExponentQuadruple, admissible_region, region_csv_rows,
@@ -248,7 +246,7 @@ def run_simulate(config_path):
     rows = []
 
     def record():
-        row = [sim.t, total_mass(sim.f), float(sim.f.values.min()), float(sim.f.values.max())]
+        row = [sim.t, total_mass(sim.f), *sim.f.extrema()]
         for ptok, qtok, p, q in norm_list:
             row.append(mixed_norm(sim.f, NormSpec(p=p, q=q)))
         rows.append(row)

@@ -9,15 +9,15 @@ every recorded step thereafter.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from runtumble.fields import split_short_long
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField, total_mass
+from runtumble.grid import DistributionField
 from runtumble.interp import velocity_offset_stack
-from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm, time_norm
+from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
 
 INF = math.inf
@@ -88,17 +88,13 @@ def dispersion_inequality_check(h: DistributionField, p, q, k_align=1, slack=0.0
     t = grid.alignment_time(k_align)
     d = grid.dim
 
-    shifted = np.zeros_like(h.values)
-    idx_all = (slice(None),) * d
-    for j in range(grid.n_vnodes):
-        vidx = tuple(ax[j] for ax in grid.vindex)
-        cells = t * grid.vnodes[j] / grid.dx
-        cells_int = np.rint(cells).astype(int)
-        if not np.allclose(cells, cells_int, atol=1e-9):
-            raise ValueError("not an exact-shift time for this grid")
-        shifted[idx_all + vidx] = np.roll(h.values[idx_all + vidx], tuple(cells_int),
-                                          axis=tuple(range(d)))
-    moved = DistributionField(grid, shifted, t=t)
+    cells = t * grid.vnodes / grid.dx
+    cells_int = np.rint(cells).astype(int)
+    if not np.allclose(cells, cells_int, atol=1e-9):
+        raise ValueError("not an exact-shift time for this grid")
+    shifted = np.stack([np.roll(h.nodes[j], tuple(cells_int[j]), axis=tuple(range(d)))
+                        for j in range(grid.n_vnodes)])
+    moved = DistributionField.from_nodes(grid, shifted, t=t)
     lhs = mixed_norm(moved, NormSpec(p=p, q=q))
     rhs = t ** (-decay_rate(d, p, q)) * mixed_norm(h, NormSpec(p=q, q=p))
     return {"t": t, "lhs": lhs, "rhs": rhs,
@@ -197,7 +193,8 @@ class GronwallMonitor:
             raise ValueError("Gronwall certificate is for hyp2 kernels with beta=1")
         if sim.f0_descriptor is None:
             raise ValueError("needs closed-form initial data for C0(t)")
-        self.sim = sim
+        self.dt = sim.grid.spec.dt
+        self.mass0 = sim.mass0
         self._record(sim)
 
     def _record(self, sim):
@@ -213,8 +210,7 @@ class GronwallMonitor:
         """I_n = sum over past intervals of the singular weight times ||rho||_p."""
         if n == 0:
             return 0.0
-        dt = self.sim.grid.spec.dt
-        w = singular_weights(self.lam, dt, n)
+        w = singular_weights(self.lam, self.dt, n)
         vals = np.array([0.5 * (self.records[n - k][1] + self.records[n - k + 1][1])
                          for k in range(1, n + 1)])
         return float(np.sum(w * vals))
@@ -237,7 +233,7 @@ class GronwallMonitor:
         lhs = np.array([r[1] for r in self.records])
         c0 = np.array([r[2] for r in self.records])
         I = np.array([self.history_integral(n) for n in range(n_total + 1)])
-        M = self.sim.mass0
+        M = self.mass0
         W = M * t ** (1.0 - self.lam) / (1.0 - self.lam)
         excess = lhs - c0
 
@@ -293,7 +289,7 @@ class TermTracker:
     def start(self, sim):
         if sim.beta != 0 or sim.grid.dim != 3 or sim.kernel.family != "hyp1":
             raise ValueError("term tracker is for d=3, beta=0, hyp1 runs")
-        self.sim = sim
+        self.grid = sim.grid
         self.mass = sim.mass0
         self._store(sim)
 
@@ -302,12 +298,11 @@ class TermTracker:
         s_short, _ = split_short_long(sim.rho, order=0)
         g_short, _ = split_short_long(sim.rho, order=1)
         S = sim.fields["S"].values
-        fm = sim.f.compact()
         w = grid.hv**3
         shifted_S = velocity_offset_stack(S, grid.vnodes, 1.0, grid.dx)
-        H = w * np.sum(shifted_S * fm, axis=-1)
+        H = w * np.sum(shifted_S * sim.f.nodes, axis=0)
         self.history.append((sim.rho.values.copy(), s_short.values, g_short.values, H))
-        self.fnorm.append(compact_mixed_norm(fm, grid, self.p, self.q))
+        self.fnorm.append(compact_mixed_norm(sim.f.compact(), grid, self.p, self.q))
 
     def after_step(self, sim):
         self._store(sim)
@@ -316,11 +311,10 @@ class TermTracker:
             self.evaluations.append(self._evaluate(n))
 
     def _evaluate(self, n):
-        grid = self.sim.grid
+        grid = self.grid
         dt = grid.spec.dt
-        K = grid.n_vnodes
         vn = grid.vnodes
-        f1 = np.zeros(grid.x_shape + (K,))
+        f1 = np.zeros((grid.n_vnodes,) + grid.x_shape)
         f2 = np.zeros_like(f1)
         f3 = np.zeros_like(f1)
         # midpoint-in-s quadrature of the history integrals
@@ -329,13 +323,14 @@ class TermTracker:
             rho, s_short, g_short, H = self.history[n - 1 - m]
             # per-node offsets x + v_j on the field factors, then the
             # transport shift x - s v_j on the products
-            w1 = velocity_offset_stack(s_short, vn, -1.0, grid.dx) * rho[..., None]
-            w3 = velocity_offset_stack(g_short, vn, -1.0, grid.dx) * rho[..., None]
+            w1 = velocity_offset_stack(s_short, vn, -1.0, grid.dx) * rho
+            w3 = velocity_offset_stack(g_short, vn, -1.0, grid.dx) * rho
             f1 += dt * velocity_offset_stack(w1, vn, s_mid, grid.dx)
             f3 += dt * velocity_offset_stack(w3, vn, s_mid, grid.dx)
             f2 += dt * velocity_offset_stack(H, vn, s_mid, grid.dx)
 
-        norms = [compact_mixed_norm(f, grid, self.p, self.q) for f in (f1, f2, f3)]
+        norms = [compact_mixed_norm(np.moveaxis(f, 0, -1), grid, self.p, self.q)
+                 for f in (f1, f2, f3)]
         fn = np.array(self.fnorm[: n + 1])
         w_shift = singular_weights(self.lam, dt, n, shift=1.0)
         w_plain = singular_weights(self.lam, dt, n)
@@ -395,7 +390,7 @@ class BootstrapMonitor:
     def start(self, sim):
         if sim.beta != 1 or sim.grid.dim != 3 or sim.kernel.family != "hyp3":
             raise ValueError("bootstrap monitor is for d=3, beta=1, hyp3 runs")
-        self.sim = sim
+        self.dt = sim.grid.spec.dt
         self.fnorm.append(compact_mixed_norm(sim.f.compact(), sim.grid, self.p, self.q))
 
     def after_step(self, sim):
@@ -403,9 +398,8 @@ class BootstrapMonitor:
 
     def series(self):
         """Running X(T_n) over the recorded steps."""
-        dt = self.sim.grid.spec.dt
         powr = np.asarray(self.fnorm) ** self.r
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (powr[1:] + powr[:-1]) * dt)])
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (powr[1:] + powr[:-1]) * self.dt)])
         return cum ** (1.0 / self.r)
 
     def report(self, stability_window=0.25, tol=0.02):

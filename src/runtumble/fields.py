@@ -11,7 +11,7 @@ parts a-priori bounded by the mass.
 import numpy as np
 from scipy.integrate import quad
 
-from runtumble.grid import PhaseGrid, SpatialField
+from runtumble.grid import SpatialField
 from runtumble.norms import spatial_norm
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}

@@ -6,6 +6,11 @@ masked to the ball or shell {r_min <= |v| <= r_max}. Cell-centered velocity
 nodes with uniform weights make the d=1 shell measure exact when the radii
 align with cell edges, and keep the masked quadrature a controlled O(h)
 approximation of |V| otherwise.
+
+A distribution function is held node-first: one contiguous (K,) + x_shape
+array over the K masked velocity nodes, so a node's spatial block is a
+plain slice and velocity sums reduce over the leading axis. The dense
+x_shape + v_shape array is only built on request.
 """
 
 from dataclasses import dataclass, field
@@ -127,46 +132,65 @@ def build_grid(spec: GridSpec) -> PhaseGrid:
                      vmask=vmask, vweights=vweights, vnodes=vnodes, vindex=vindex)
 
 
-@dataclass
 class DistributionField:
-    """Nonnegative cell density f(x, v) on the phase grid at one time."""
+    """Nonnegative cell density f(x, v) on the phase grid at one time.
 
-    grid: PhaseGrid
-    values: np.ndarray  # shape grid.x_shape + grid.v_shape
-    t: float = 0.0
+    The state is node-first: `nodes` has shape (K,) + x_shape, one
+    contiguous spatial block per masked velocity node, in the order of
+    grid.vnodes. Values outside V are not stored. The constructor takes a
+    dense x_shape + v_shape array and rejects nonzero values outside V;
+    `from_nodes` wraps a node array without copying it.
+    """
+
+    def __init__(self, grid: PhaseGrid, values, t=0.0):
+        values = np.asarray(values, dtype=float)
+        expected = grid.x_shape + grid.v_shape
+        if values.shape != expected:
+            raise ValueError(f"field shape {values.shape} != grid shape {expected}")
+        if np.any(values[..., ~grid.vmask] != 0.0):
+            raise ValueError("values at masked velocity nodes must be exactly zero")
+        self.grid = grid
+        self.nodes = np.ascontiguousarray(np.moveaxis(values[(Ellipsis,) + grid.vindex], -1, 0))
+        self.t = t
+
+    @classmethod
+    def from_nodes(cls, grid: PhaseGrid, nodes, t=0.0):
+        """Field holding `nodes`, shape (K,) + x_shape, as its state (no copy)."""
+        f = cls.__new__(cls)
+        f.grid, f.nodes, f.t = grid, nodes, t
+        return f
 
     def validate(self):
-        expected = self.grid.x_shape + self.grid.v_shape
-        if self.values.shape != expected:
-            raise ValueError(f"field shape {self.values.shape} != grid shape {expected}")
+        expected = (self.grid.n_vnodes,) + self.grid.x_shape
+        if self.nodes.shape != expected:
+            raise ValueError(f"node array shape {self.nodes.shape} != {expected}")
         if self.t < 0:
             raise ValueError("timestamp must be nonnegative")
-        if np.any(self.values < 0):
+        if np.any(self.nodes < 0):
             raise ValueError("distribution values must be nonnegative")
-        outside = self.values[..., ~self.grid.vmask]
-        if outside.size and np.any(outside != 0.0):
-            raise ValueError("values at masked velocity nodes must be exactly zero")
 
-    def masked(self):
-        """Copy with values outside V zeroed (idempotent)."""
-        d = self.grid.dim
-        shape = (1,) * d + self.grid.v_shape
-        vals = self.values * self.grid.vmask.reshape(shape)
-        return DistributionField(self.grid, vals, self.t)
+    @property
+    def values(self):
+        """Dense x_shape + v_shape copy, zero outside V (built on each access)."""
+        dense = np.zeros(self.grid.x_shape + self.grid.v_shape)
+        dense[(Ellipsis,) + self.grid.vindex] = self.compact()
+        return dense
 
     def compact(self):
-        """Values gathered at masked velocity nodes, shape x_shape + (K,)."""
-        d = self.grid.dim
-        idx = (slice(None),) * d + self.grid.vindex
-        return self.values[idx]
+        """Values at the masked velocity nodes, shape x_shape + (K,): a view of the state."""
+        return np.moveaxis(self.nodes, 0, -1)
+
+    def extrema(self):
+        """(min, max) of the dense values, counting the zeros outside V."""
+        lo, hi = float(self.nodes.min()), float(self.nodes.max())
+        if self.grid.n_vnodes < self.grid.vmask.size:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+        return lo, hi
 
 
 def field_from_compact(grid, compact, t=0.0):
-    """Inverse of DistributionField.compact."""
-    vals = np.zeros(grid.x_shape + grid.v_shape)
-    idx = (slice(None),) * grid.dim + grid.vindex
-    vals[idx] = compact
-    return DistributionField(grid, vals, t)
+    """Field from values at the masked velocity nodes, shape x_shape + (K,)."""
+    return DistributionField.from_nodes(grid, np.ascontiguousarray(np.moveaxis(compact, -1, 0)), t)
 
 
 @dataclass
@@ -179,10 +203,8 @@ class SpatialField:
 
 
 def density(f: DistributionField) -> SpatialField:
-    """Velocity integral rho(x) = sum_j w_j f(x, v_j)."""
-    d = f.grid.dim
-    rho = np.tensordot(f.values, f.grid.vweights, axes=(tuple(range(d, 2 * d)), tuple(range(d))))
-    return SpatialField(f.grid, rho, tag="rho")
+    """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node weight w."""
+    return SpatialField(f.grid, f.grid.hv ** f.grid.dim * f.nodes.sum(axis=0), tag="rho")
 
 
 def total_mass(f: DistributionField) -> float:

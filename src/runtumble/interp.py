@@ -5,6 +5,9 @@ constant displacement along one axis (the semi-Lagrangian workhorse; a
 shift by an integer number of cells is exact), and single-point evaluation
 at arbitrary coordinates. Monotonization clamps the cubic value to the
 range of the two bracketing nodes, which preserves positivity.
+
+Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
+DistributionField's state: position axis a of a stack is array axis a + 1.
 """
 
 import numpy as np
@@ -66,35 +69,48 @@ def shift_spatial(values, disp, dx, limit=True):
     return out
 
 
-def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
-    """Per-node shifted copies out[..., j](x) = values(x - factor * v_j).
+def _block(idx):
+    """A slice for a contiguous run of row indices (a view), else the indices."""
+    if idx[-1] - idx[0] + 1 == len(idx):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
 
-    values: spatial array x_shape, or x_shape + (K,) for per-node inputs.
-    Nodes are processed in a node-first layout and grouped by distinct
-    velocity component per axis, so each axis costs one set of rolls per
-    distinct component (at most nv) on contiguous blocks.
+
+def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
+    """Per-node shifted copies out[j](x) = values(x - factor * v_j), node-first.
+
+    values: a spatial array x_shape, or a node-first array (K,) + x_shape.
+    Returns a new (K,) + x_shape array. Each node gets the axis shifts of
+    shift_spatial in the same order, so the result is bit-identical to
+    shifting node by node. Shifts are shared: after axis a the stack holds
+    one row per distinct (row, v_a) pair, so a spatial input is shifted
+    once per distinct prefix (v_0, ..., v_a) rather than once per node,
+    and each axis costs one batched call per distinct component.
     """
     K, d = vnodes.shape
     if values.ndim == d:
-        arr = np.broadcast_to(values, (K,) + values.shape).copy()
-    elif values.ndim == d + 1 and values.shape[-1] == K:
-        arr = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+        rows, owner = values[None], np.zeros(K, dtype=int)
+    elif values.ndim == d + 1 and values.shape[0] == K:
+        rows, owner = values, np.arange(K)
     else:
-        raise ValueError("values must be x_shape or x_shape + (K,)")
+        raise ValueError("values must be x_shape or (K,) + x_shape")
     for a in range(d):
-        comps = factor * vnodes[:, a]
-        for val in np.unique(comps):
-            if val == 0.0:
-                continue
-            js = np.nonzero(comps == val)[0]
-            # nodes are mask-ordered, so groups are contiguous runs on the
-            # leading axes; a slice avoids the fancy-index copy where it can
-            if js[-1] - js[0] + 1 == len(js):
-                sel = slice(js[0], js[-1] + 1)
-            else:
-                sel = js
-            arr[sel] = axis_shift(arr[sel], val, dx, axis=a + 1, limit=limit)
-    return np.moveaxis(arr, 0, -1)
+        comps, col = np.unique(vnodes[:, a], return_inverse=True)
+        # rows of the next stack: distinct (current row, component) pairs
+        keys, owner = np.unique(owner * len(comps) + col, return_inverse=True)
+        parent, comp = np.divmod(keys, len(comps))
+        # rows that map one to one onto the next stack are shifted in place,
+        # once they are a copy of the input
+        inplace = len(keys) == len(rows) and rows is not values
+        shifted = rows if inplace else np.empty((len(keys),) + rows.shape[1:])
+        for c in np.unique(comp):
+            sel = np.nonzero(comp == c)[0]
+            src = rows[_block(parent[sel])]
+            disp = factor * comps[c]
+            shifted[_block(sel)] = src if disp == 0.0 else \
+                axis_shift(src, disp, dx, axis=a + 1, limit=limit)
+        rows = shifted
+    return rows if np.array_equal(owner, np.arange(K)) else rows[owner]
 
 
 def interp_point(values, x0, dx, points, limit=True):

@@ -6,13 +6,16 @@ construction. Every family decomposes as T(x, v, v') = A(x, v) + B(x, v'),
 which the scattering update exploits: gains and losses reduce to velocity
 averages of A and B, and mass neutrality is an algebraic identity of the
 discrete update, pointwise in x.
+
+Components are built node-first, (K,) + x_shape like the state of
+DistributionField, and handed out as x_shape + (K,) views of that array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, field_from_compact
+from runtumble.grid import DistributionField, PhaseGrid, density
 from runtumble.interp import interp_point, velocity_offset_stack
 from runtumble.norms import spatial_norm
 
@@ -86,23 +89,41 @@ def _hyp2_weight(fields):
     return w
 
 
+class PositivityError(ValueError):
+    """The scattering dt violates the positivity threshold dt * sup rate < 1."""
+
+
 def _offset_stack(values, grid, sign, eps):
-    """Stack values(x + sign*eps*v_j) over the masked velocity nodes -> x_shape + (K,)."""
+    """Stack values(x + sign*eps*v_j) over the masked velocity nodes -> (K,) + x_shape."""
     return velocity_offset_stack(values, grid.vnodes, -sign * eps, grid.dx)
+
+
+def _node_first(components):
+    """(A, B) as node-first (K,) + x_shape views."""
+    return tuple(np.moveaxis(c, -1, 0) for c in components)
+
+
+def _loss_rate(A, B, grid):
+    """sum_j' w_j' T(x, v_j', v) from node-first components, shape (K,) + x_shape."""
+    rate = grid.velocity_measure * B
+    rate += grid.hv ** grid.dim * A.sum(axis=0)
+    return rate
 
 
 def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
     """The split T(x, v, v') = A(x, v) + B(x, v') on the grid.
 
-    Returns (A, B); each is either a scalar or an array x_shape + (K,) over
-    masked velocity nodes (A indexed by v, B by v').
+    Returns (A, B), each an x_shape + (K,) array over the masked velocity
+    nodes (A indexed by v, B by v'): a transposed view of a node-first
+    array, or a read-only broadcast of a constant.
     """
     spec.validate()
     _check_fields(spec, fields)
     C, eps = spec.coefficient, spec.epsilon
+    shape = (grid.n_vnodes,) + grid.x_shape
 
     if spec.family == "constant":
-        A, B = C, 0.0
+        A, B = np.broadcast_to(float(C), shape), np.broadcast_to(0.0, shape)
     elif spec.family == "hyp1":
         S = fields["S"].values
         gmag = _grad_magnitude(fields)
@@ -110,14 +131,14 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
         B = C * _offset_stack(S, grid, -1, eps)
     elif spec.family == "hyp2":
         A = C * (1.0 + _offset_stack(_hyp2_weight(fields), grid, +1, eps))
-        B = 0.0
+        B = np.broadcast_to(0.0, shape)
     else:  # hyp3
         s1, s2, s3, s4 = spec.signs
         a1, a2, a3, a4 = spec.active
         Sabs = np.abs(fields["S"].values) if (a1 or a2) else None
         gmag = _grad_magnitude(fields) if (a3 or a4) else None
-        A = np.zeros(grid.x_shape + (grid.n_vnodes,))
-        B = np.zeros(grid.x_shape + (grid.n_vnodes,))
+        A = np.zeros(shape)
+        B = np.zeros(shape)
         if a1:
             A += _offset_stack(Sabs, grid, s1, eps)
         if a3:
@@ -130,14 +151,17 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
         B = C * B
 
     if spec.saturation is not None:
-        half = spec.saturation / 2.0
-        A = np.minimum(A, half) if isinstance(A, np.ndarray) else min(A, half)
-        B = np.minimum(B, half) if isinstance(B, np.ndarray) else min(B, half)
-    return A, B
+        A = np.minimum(A, spec.saturation / 2.0)
+        B = np.minimum(B, spec.saturation / 2.0)
+    return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
 
 def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> float:
-    """Pointwise kernel value T(x, v, v') with periodic cubic offset sampling."""
+    """Pointwise kernel value T(x, v, v') with periodic cubic offset sampling.
+
+    Saturation clamps the v-part and the v'-part at saturation/2 each, as
+    kernel_components does, so T equals A + B at the grid nodes.
+    """
     spec.validate()
     _check_fields(spec, fields)
     C, eps = spec.coefficient, spec.epsilon
@@ -149,85 +173,68 @@ def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> floa
     def at(values, point):
         return interp_point(values, x0, dx, point)
 
+    # the v-part a and the v'-part b of T = A(x, v) + B(x, v')
     if spec.family == "constant":
-        val = C
+        a, b = C, 0.0
     elif spec.family == "hyp1":
         S = fields["S"].values
-        gmag = _grad_magnitude(fields)
-        val = C * (1.0 + at(S, x + eps * v) + at(S, x - eps * vp) + at(gmag, x + eps * v))
+        a = C * (1.0 + at(S, x + eps * v) + at(_grad_magnitude(fields), x + eps * v))
+        b = C * at(S, x - eps * vp)
     elif spec.family == "hyp2":
-        val = C * (1.0 + at(_hyp2_weight(fields), x + eps * v))
+        a, b = C * (1.0 + at(_hyp2_weight(fields), x + eps * v)), 0.0
     else:
         s = spec.signs
-        a = spec.active
-        val = 0.0
-        if a[0]:
-            val += at(np.abs(fields["S"].values), x + s[0] * eps * v)
-        if a[1]:
-            val += at(np.abs(fields["S"].values), x + s[1] * eps * vp)
-        if a[2]:
-            val += at(_grad_magnitude(fields), x + s[2] * eps * v)
-        if a[3]:
-            val += at(_grad_magnitude(fields), x + s[3] * eps * vp)
-        val = C * val
+        on = spec.active
+        a = b = 0.0
+        if on[0]:
+            a += at(np.abs(fields["S"].values), x + s[0] * eps * v)
+        if on[1]:
+            b += at(np.abs(fields["S"].values), x + s[1] * eps * vp)
+        if on[2]:
+            a += at(_grad_magnitude(fields), x + s[2] * eps * v)
+        if on[3]:
+            b += at(_grad_magnitude(fields), x + s[3] * eps * vp)
+        a, b = C * a, C * b
     if spec.saturation is not None:
-        val = min(val, spec.saturation)
-    return float(val)
+        a = min(a, spec.saturation / 2.0)
+        b = min(b, spec.saturation / 2.0)
+    return float(a + b)
 
 
-def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid, components=None):
+def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid):
     """Total tumbling rate out of each node: sum_j' w_j' T(x, v_j', v), shape x_shape + (K,)."""
-    A, B = kernel_components(spec, fields, grid) if components is None else components
-    w = grid.hv ** grid.dim
-    wsum = grid.velocity_measure
-    if isinstance(A, np.ndarray):
-        SA = w * A.sum(axis=-1)
-    else:
-        SA = np.full(grid.x_shape, wsum * A)
-    if isinstance(B, np.ndarray):
-        return SA[..., None] + wsum * B
-    return SA[..., None] + wsum * B * np.ones(grid.x_shape + (1,))
+    A, B = _node_first(kernel_components(spec, fields, grid))
+    return np.moveaxis(_loss_rate(A, B, grid), 0, -1)
 
 
 def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float) -> DistributionField:
     """Explicit scattering update f + dt * (gain - loss).
 
     gain(x, v) = sum_j' w_j' T(x, v, v_j') f(x, v_j'), loss(x, v) =
-    f(x, v) * sum_j' w_j' T(x, v_j', v). Rejects dt above the positivity
-    threshold dt * sup loss_rate < 1; under the guard the update preserves
-    nonnegativity, and x-integrated gain equals x-integrated loss by the
-    (v, v') swap antisymmetry of the discrete sums.
+    f(x, v) * sum_j' w_j' T(x, v_j', v). Raises PositivityError for dt
+    above the positivity threshold dt * sup loss_rate < 1; under the guard
+    the update preserves nonnegativity, and x-integrated gain equals
+    x-integrated loss by the (v, v') swap antisymmetry of the discrete sums.
     """
     grid = f.grid
-    A, B = kernel_components(spec, fields, grid)
-    w = grid.hv ** grid.dim
-    wsum = grid.velocity_measure
-
-    fm = f.compact()
-    rho = w * fm.sum(axis=-1)
-
-    if isinstance(A, np.ndarray):
-        gain = A * rho[..., None]
-        SA = w * A.sum(axis=-1)
-    else:
-        gain = A * rho[..., None] * np.ones((1,) * grid.dim + (grid.n_vnodes,))
-        SA = wsum * A * np.ones(grid.x_shape)
-    if isinstance(B, np.ndarray):
-        gain = gain + (w * np.sum(B * fm, axis=-1))[..., None]
-        rate = SA[..., None] + wsum * B
-    else:
-        gain = gain + (B * rho)[..., None]
-        rate = SA[..., None] + wsum * B
-
-    max_rate = float(np.max(rate)) if np.size(rate) else 0.0
+    A, B = _node_first(kernel_components(spec, fields, grid))
+    rate = _loss_rate(A, B, grid)
+    max_rate = float(rate.max())
     if dt * max_rate >= 1.0:
-        raise ValueError(
+        raise PositivityError(
             f"scattering dt={dt} violates the positivity threshold: "
             f"dt * sup rate = {dt * max_rate:.3e} >= 1")
 
-    new = fm * (1.0 - dt * rate) + dt * gain
-    out = field_from_compact(grid, new, t=f.t)
-    return out
+    fm = f.nodes
+    gain = A * density(f).values
+    gain += grid.hv ** grid.dim * np.einsum("k...,k...->...", B, fm)
+    # new = fm * (1 - dt * rate) + dt * gain, in place on the full-size temporaries
+    new = np.multiply(rate, dt, out=rate)
+    np.subtract(1.0, new, out=new)
+    new *= fm
+    gain *= dt
+    new += gain
+    return DistributionField.from_nodes(grid, new, t=f.t)
 
 
 def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> float:
@@ -243,20 +250,17 @@ def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> 
 
     if not (ge(p1, p2) and ge(p1, p3)):
         raise ValueError(f"need p1 >= p2 and p1 >= p3, got ({p1}, {p2}, {p3})")
-    A, B = kernel_components(spec, fields, grid)
     K = grid.n_vnodes
-    nx = int(np.prod(grid.x_shape))
-    Af = (A.reshape(nx, K) if isinstance(A, np.ndarray) else np.full((nx, K), float(A)))
-    Bf = (B.reshape(nx, K) if isinstance(B, np.ndarray) else np.full((nx, K), float(B)))
+    A, B = (c.reshape(K, -1) for c in _node_first(kernel_components(spec, fields, grid)))
     w = grid.hv ** grid.dim
 
-    mid = np.zeros(nx)
+    mid = np.zeros(A.shape[1])
     for j in range(K):
-        T = np.abs(Af[:, j][:, None] + Bf)
+        T = np.abs(A[j] + B)  # T[j', x] = |A(x, v_j) + B(x, v_j')|
         if p3 == inf:
-            inner = T.max(axis=1)
+            inner = T.max(axis=0)
         else:
-            inner = (w * np.sum(T**p3, axis=1)) ** (1.0 / p3)
+            inner = (w * np.sum(T**p3, axis=0)) ** (1.0 / p3)
         if p2 == inf:
             mid = np.maximum(mid, inner)
         else:

@@ -32,19 +32,7 @@ class NormSpec:
 def mixed_norm(f: DistributionField, spec: NormSpec) -> float:
     """|| ||f(x, .)||_{L^q_v} ||_{L^p_x} with grid quadrature weights."""
     spec.validate()
-    return mixed_norm_values(f.values, f.grid, spec.p, spec.q)
-
-
-def mixed_norm_values(values, grid, p, q) -> float:
-    """Mixed norm of a raw rank-2d array on the grid (x outer, v inner)."""
-    d = grid.dim
-    vaxes = tuple(range(d, 2 * d))
-    absvals = np.abs(values)
-    if q == INF:
-        inner = absvals.max(axis=vaxes)
-    else:
-        inner = np.tensordot(absvals**q, grid.vweights, axes=(vaxes, tuple(range(d)))) ** (1.0 / q)
-    return spatial_norm(inner, grid, p)
+    return compact_mixed_norm(f.compact(), f.grid, spec.p, spec.q)
 
 
 def spatial_norm(values, grid, p) -> float:

@@ -15,8 +15,8 @@ to a run without.
 import numpy as np
 
 from runtumble.fields import newtonian_potential, solve_field
-from runtumble.grid import DistributionField, PhaseGrid, SpatialField, boundary_shell_mass, density, total_mass
-from runtumble.kernels import KernelSpec, loss_rate, scattering_apply
+from runtumble.grid import PhaseGrid, SpatialField, boundary_shell_mass, density, total_mass
+from runtumble.kernels import KernelSpec, PositivityError, loss_rate, scattering_apply
 from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
 
@@ -48,6 +48,13 @@ class Simulation:
         if beta == 0 and grid.dim != 3:
             raise ValueError("beta=0 runs are supported for d=3 only "
                              "(the Newtonian kernel is dimension-specific)")
+        # the spectral solve (beta=1) gives any derivative; the Newtonian
+        # potential (beta=0) gives S and its gradient only
+        provided = {"S", "grad", "hess"} if beta == 1 else {"S", "grad"}
+        missing = kernel.required_fields() - provided
+        if missing:
+            raise ValueError(f"kernel family {kernel.family!r} needs fields {sorted(missing)}, "
+                             f"which the beta={beta} field solve does not provide")
         self.grid = grid
         self.kernel = kernel
         self.beta = beta
@@ -87,7 +94,7 @@ class Simulation:
         fields = self._solve_fields_for(rho)
         try:
             f = scattering_apply(f, self.kernel, fields, dt)
-        except ValueError as exc:
+        except PositivityError as exc:
             raise GuardAbort(str(exc), self.t) from exc
         f = transport_step(f, dt / 2.0)
         f.t = self.t + dt
@@ -101,10 +108,8 @@ class Simulation:
             mon.after_step(self)
 
     def _solve_fields_for(self, rho):
-        want = {"S", "grad"}
-        if self.kernel.family == "hyp2":
-            want.add("hess")
         if self.beta == 1:
+            want = {"S", "grad"} | self.kernel.required_fields()
             return solve_field(rho, beta=1, want=tuple(want))
         out = {"S": newtonian_potential(rho, order=0)}
         out["grad"] = _spectral_gradient(out["S"])

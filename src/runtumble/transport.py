@@ -4,14 +4,16 @@ semi-Lagrangian step used inside the split scheme.
 The free equation d_t f + v . grad_x f = 0 has solution f(t,x,v) =
 f0(x - t v, v), which we exploit twice: closed-form initial data are
 sampled exactly at the shifted points, and the per-step update shifts each
-velocity slab by dt * v with monotonized cubic interpolation.
+velocity slab by dt * v with monotonized cubic interpolation. Both work on
+the node-first state of DistributionField, (K,) + x_shape, and never build
+the dense array.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, field_from_compact
+from runtumble.grid import DistributionField, PhaseGrid
 from runtumble.interp import velocity_offset_stack
 
 
@@ -61,41 +63,29 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
 
     Both descriptor kinds factorize over position axes, so the per-node
     spatial factor is an outer product of one-dimensional profiles; only
-    the distinct velocity components along each axis need evaluating.
+    the distinct velocity components along each axis need evaluating. The
+    result is written straight into the node-first state.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    d = grid.dim
+    if f0.kind not in ("gaussian", "cube"):
+        raise ValueError(f"descriptor kind {f0.kind!r} is not point-evaluable")
+    d, K, nx = grid.dim, grid.n_vnodes, grid.spec.nx
     L = grid.spec.box_half_length
-    hvals = f0.eval_v(grid.vnodes)
     center = f0.center if f0.center else (0.0,) * d
 
-    # per-axis 1-d profiles at each distinct shifted coordinate set
-    factors = []   # factors[a][key] -> 1-d array over x nodes
-    keys = []      # keys[a][j] -> key of node j's component on axis a
+    # g[j] = product over axes of node j's 1-d profile, multiplied in axis order
+    g = np.ones((K,) + (1,) * d)
     for a in range(d):
-        comp = grid.vnodes[:, a]
-        table = {}
-        for val in np.unique(comp):
-            xa = np.mod(grid.x - t * val - center[a] + L, 2.0 * L) - L
-            if f0.kind == "gaussian":
-                table[val] = np.exp(-(xa**2) / (2.0 * f0.width**2))
-            elif f0.kind == "cube":
-                table[val] = (np.abs(xa) <= f0.width).astype(float)
-            else:
-                raise ValueError(f"descriptor kind {f0.kind!r} is not point-evaluable")
-        factors.append(table)
-        keys.append(comp)
-
-    vals = np.zeros(grid.x_shape + grid.v_shape)
-    idx_all = (slice(None),) * d
-    for j in range(grid.n_vnodes):
-        gj = factors[0][keys[0][j]]
-        for a in range(1, d):
-            gj = np.multiply.outer(gj, factors[a][keys[a][j]])
-        vidx = tuple(ax[j] for ax in grid.vindex)
-        vals[idx_all + vidx] = f0.amplitude * hvals[j] * gj
-    return DistributionField(grid, vals, t=float(t))
+        comps, col = np.unique(grid.vnodes[:, a], return_inverse=True)
+        xa = np.mod(grid.x - t * comps[:, None] - center[a] + L, 2.0 * L) - L
+        if f0.kind == "gaussian":
+            profile = np.exp(-(xa**2) / (2.0 * f0.width**2))
+        else:
+            profile = (np.abs(xa) <= f0.width).astype(float)
+        g = g * profile[col].reshape((K,) + (1,) * a + (nx,) + (1,) * (d - a - 1))
+    amp = f0.amplitude * f0.eval_v(grid.vnodes)
+    return DistributionField.from_nodes(grid, amp.reshape((K,) + (1,) * d) * g, t=float(t))
 
 
 def transport_step(f: DistributionField, dt: float) -> DistributionField:
@@ -110,12 +100,11 @@ def transport_step(f: DistributionField, dt: float) -> DistributionField:
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = f.grid
-    fm = f.compact()
-    spatial = tuple(range(grid.dim))
-    before = fm.sum(axis=spatial)
-    out = velocity_offset_stack(fm, grid.vnodes, dt, grid.dx)
+    spatial = tuple(range(1, grid.dim + 1))
+    before = f.nodes.sum(axis=spatial)
+    out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx)
     np.clip(out, 0.0, None, out=out)
     after = out.sum(axis=spatial)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
-    out *= scale
-    return field_from_compact(grid, out, t=f.t + dt)
+    out *= scale.reshape((-1,) + (1,) * grid.dim)
+    return DistributionField.from_nodes(grid, out, t=f.t + dt)

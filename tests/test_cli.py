@@ -81,6 +81,10 @@ def test_simulate_rejects_bad_config_exit_code(tmp_path):
     # p < q mixed norm is a config error
     bad = BASE_CONFIG.replace("norms = 2,1; inf,1", "norms = 1,2")
     assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
+    # hyp2 needs the Hessian, which the beta=0 Newtonian solve does not give
+    bad = BASE_CONFIG.replace("dimension = 1", "dimension = 3").replace("nx = 64", "nx = 8") \
+        .replace("nv = 8", "nv = 4") + "beta = 0\n" + f"output_dir = {tmp_path / 'b0'}\n"
+    assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
 
 
 def test_simulate_guard_abort_exit_code(tmp_path):

@@ -61,23 +61,35 @@ def test_compact_roundtrip():
     vals = rng.random(grid.x_shape + grid.v_shape) * grid.vmask
     f = DistributionField(grid, vals)
     f.validate()
-    back = field_from_compact(grid, f.compact())
+    assert np.array_equal(f.values, vals)
+    # compact() is a view of the node-first state, not a copy
+    assert f.compact().shape == grid.x_shape + (grid.n_vnodes,)
+    assert np.shares_memory(f.compact(), f.nodes)
+    back = field_from_compact(grid, np.ascontiguousarray(f.compact()))
     assert np.array_equal(back.values, f.values)
+    assert f.extrema() == (float(vals.min()), float(vals.max()))
 
 
 def test_field_validation():
     grid = make_grid(dim=1, nx=8, nv=4)
     good = DistributionField(grid, np.ones(grid.x_shape + grid.v_shape))
-    good.masked().validate()
+    good.validate()
     with pytest.raises(ValueError):
         DistributionField(grid, -np.ones(grid.x_shape + grid.v_shape)).validate()
     with pytest.raises(ValueError):
         DistributionField(grid, np.ones((4,) + grid.v_shape)).validate()
+    # a nonzero value outside V is rejected at construction
+    grid2 = make_grid(dim=2, nx=8, nv=4)
+    vals = np.ones(grid2.x_shape + grid2.v_shape) * grid2.vmask
+    DistributionField(grid2, vals).validate()
+    vals[3, 5][~grid2.vmask] = 1e-300
+    with pytest.raises(ValueError):
+        DistributionField(grid2, vals)
 
 
 def test_density_and_mass_of_uniform_data():
     grid = make_grid(dim=2, nx=8, nv=8)
-    f = DistributionField(grid, np.ones(grid.x_shape + grid.v_shape)).masked()
+    f = DistributionField(grid, np.ones(grid.x_shape + grid.v_shape) * grid.vmask)
     rho = density(f)
     assert np.allclose(rho.values, grid.velocity_measure)
     # total mass = |box| * |V| for f = 1 on the support
@@ -89,8 +101,8 @@ def test_boundary_shell_mass_sees_only_the_rim():
     grid = make_grid(dim=1, nx=16, nv=4)
     vals = np.zeros(grid.x_shape + grid.v_shape)
     vals[8, :] = 1.0  # interior cell
-    f = DistributionField(grid, vals).masked()
+    f = DistributionField(grid, vals)
     assert boundary_shell_mass(f, width_cells=2) == 0.0
     vals[0, :] = 1.0  # rim cell
-    f = DistributionField(grid, vals).masked()
+    f = DistributionField(grid, vals)
     assert boundary_shell_mass(f, width_cells=2) > 0.0

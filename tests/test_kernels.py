@@ -97,6 +97,24 @@ def test_evaluate_kernel_matches_components_at_nodes():
                                           grid.vnodes[j], grid.vnodes[jp])
                     assert val == pytest.approx(T[i, j, jp], abs=1e-12)
 
+    # saturation clamps the v-part and the v'-part at saturation/2 each, in
+    # both: with |S| above 1 and only the first hyp3 term on, T tops out at 0.5
+    grid = build_grid(GridSpec(dim=1, box_half_length=4.0, nx=32, nv=2))
+    rho = SpatialField(grid, 5.0 * np.exp(-grid.x**2))
+    fields = solve_field(rho, beta=1, want=("S", "grad"))
+    spec = KernelSpec(family="hyp3", coefficient=1.0, epsilon=0.0,
+                      active=(True, False, False, False), saturation=1.0)
+    assert np.abs(fields["S"].values).max() > 1.0
+    A, B = kernel_components(spec, fields, grid)
+    T = _dense_matrix(A, B, grid)
+    assert T.max() == 0.5
+    for i in range(grid.spec.nx):
+        for j in range(grid.n_vnodes):
+            for jp in range(grid.n_vnodes):
+                val = evaluate_kernel(spec, fields, grid, [grid.x[i]],
+                                      grid.vnodes[j], grid.vnodes[jp])
+                assert val == pytest.approx(T[i, j, jp], abs=1e-12)
+
 
 def test_saturation_caps_kernel():
     grid, fields, f, _ = make_scene(seed=6)

@@ -15,12 +15,12 @@ def make_grid(dim=1, L=4.0, nx=32, nv=8):
 
 
 def separable_field(grid, gx, hv):
-    """f(x, v) = gx(x) * hv(|v| nodes), masked."""
+    """f(x, v) = gx(x) * hv(|v| nodes), zero outside V."""
     g = gx(*grid.x_mesh())
     h = np.zeros(grid.v_shape)
     h[grid.vindex] = hv(grid.vnodes)
     vals = np.multiply.outer(g, h)
-    return DistributionField(grid, vals).masked(), g, h
+    return DistributionField(grid, vals), g, h
 
 
 def test_norm_spec_validation():

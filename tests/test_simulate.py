@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from runtumble.estimator import BootstrapMonitor, GronwallMonitor, TermTracker
 from runtumble.grid import GridSpec, build_grid, total_mass
 from runtumble.kernels import KernelSpec
 from runtumble.simulate import GuardAbort, Simulation
@@ -26,6 +30,9 @@ def test_mass_conserved_over_run():
 def test_beta0_restricted_to_d3():
     with pytest.raises(ValueError):
         make_sim(dim=2, beta=0)
+    # hyp2 needs the Hessian, which the beta=0 field solve does not provide
+    with pytest.raises(ValueError, match="hess"):
+        make_sim(dim=3, L=4.0, nx=8, nv=4, family="hyp2", beta=0)
     sim = make_sim(dim=3, L=4.0, nx=16, nv=4, family="hyp1", C=0.2, beta=0,
                    amplitude=0.3, width=0.6)
     # the Newtonian chemoattractant stays nonnegative for nonnegative rho
@@ -84,3 +91,28 @@ def test_deterministic_reruns_bitwise():
     a.run(8)
     b.run(8)
     assert np.array_equal(a.f.values, b.f.values)
+
+
+@pytest.mark.parametrize("monitor", ["gronwall", "terms", "bootstrap"])
+def test_finished_run_is_freed_without_the_cycle_collector(monitor):
+    # monitors keep no reference to their Simulation, so dropping the last
+    # reference frees the run and its arrays at once
+    if monitor == "gronwall":
+        sim, mon = make_sim(nx=16, nv=4), GronwallMonitor(p=1.5)
+    elif monitor == "terms":
+        sim = make_sim(dim=3, L=4.0, nx=8, nv=4, family="hyp1", C=0.2, beta=0,
+                       amplitude=0.3, width=0.6)
+        mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0)
+    else:
+        sim = make_sim(dim=3, L=4.0, nx=8, nv=4, family="hyp3", amplitude=0.1, width=0.6)
+        mon = BootstrapMonitor(a=1.5)
+    gc.collect()
+    gc.disable()
+    try:
+        sim.attach(mon)
+        sim.run(2)
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()

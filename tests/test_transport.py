@@ -53,24 +53,31 @@ def test_shift_spatial_two_axes():
 
 
 def test_velocity_offset_stack_matches_per_node_shifts():
-    grid = make_grid(dim=2, nx=16, nv=4)
+    # a spatial input shares the shifts of common velocity prefixes, yet each
+    # node gets exactly the axis shifts of shift_spatial, in the same order
     rng = np.random.default_rng(2)
-    a = rng.random(grid.x_shape)
-    factor = 0.173
-    out = velocity_offset_stack(a, grid.vnodes, factor, grid.dx)
-    for j in range(grid.n_vnodes):
-        ref = shift_spatial(a, factor * grid.vnodes[j], grid.dx)
-        assert np.allclose(out[..., j], ref, atol=1e-14)
+    for dim, nx, nv in ((2, 16, 4), (3, 8, 4)):
+        grid = make_grid(dim=dim, nx=nx, nv=nv)
+        a = rng.random(grid.x_shape)
+        for factor in (0.173, -1.0):
+            out = velocity_offset_stack(a, grid.vnodes, factor, grid.dx)
+            assert out.shape == (grid.n_vnodes,) + grid.x_shape
+            for j in range(grid.n_vnodes):
+                ref = shift_spatial(a, factor * grid.vnodes[j], grid.dx)
+                assert np.array_equal(out[j], ref)
 
 
 def test_velocity_offset_stack_per_node_input():
-    grid = make_grid(dim=1, nx=16, nv=4)
     rng = np.random.default_rng(3)
-    a = rng.random(grid.x_shape + (grid.n_vnodes,))
-    out = velocity_offset_stack(a, grid.vnodes, 0.31, grid.dx)
-    for j in range(grid.n_vnodes):
-        ref = axis_shift(a[..., j], 0.31 * grid.vnodes[j, 0], grid.dx)
-        assert np.allclose(out[..., j], ref, atol=1e-14)
+    for dim, nx, nv in ((2, 16, 4), (1, 16, 4)):
+        grid = make_grid(dim=dim, nx=nx, nv=nv)
+        a = rng.random((grid.n_vnodes,) + grid.x_shape)
+        before = a.copy()
+        out = velocity_offset_stack(a, grid.vnodes, 0.31, grid.dx)
+        assert np.array_equal(a, before)  # the input is not shifted in place
+        for j in range(grid.n_vnodes):
+            ref = shift_spatial(a[j], 0.31 * grid.vnodes[j], grid.dx)
+            assert np.array_equal(out[j], ref)
     with pytest.raises(ValueError):
         velocity_offset_stack(rng.random((16, 3)), grid.vnodes, 0.1, grid.dx)
 
