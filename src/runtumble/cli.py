@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from runtumble.estimator import (BootstrapMonitor, GronwallMonitor, TermTracker,
                                  dispersion_decay_fit)
-from runtumble.exponents import (ExponentQuadruple, admissible_region, region_csv_rows,
-                                 solve_numerology, strichartz_admissible)
+from runtumble.exponents import (ExponentQuadruple, admissible_region, solve_numerology,
+                                 strichartz_admissible)
 from runtumble.freeflow import GaussianBallData
-from runtumble.grid import GridSpec, build_grid, total_mass
+from runtumble.grid import GridSpec, build_grid, field_mass
 from runtumble.kernels import KernelSpec
 from runtumble.norms import NormSpec, mixed_norm
 from runtumble.simulate import GuardAbort, Simulation
@@ -62,7 +62,6 @@ _SCHEMA = {
     "monitors": str,
     "snapshot_every": int,
     "output_dir": str,
-    "rng_seed": int,
 }
 
 _DEFAULTS = {
@@ -81,7 +80,6 @@ _DEFAULTS = {
     "monitors": "",
     "snapshot_every": 0,
     "output_dir": ".",
-    "rng_seed": 0,
 }
 
 _MONITOR_NAMES = ("gronwall_thm2", "term_tracker_thm1", "bootstrap_thm3")
@@ -246,7 +244,7 @@ def run_simulate(config_path):
     rows = []
 
     def record():
-        row = [sim.t, total_mass(sim.f), *sim.f.extrema()]
+        row = [sim.t, field_mass(sim.rho), *sim.f.extrema()]
         for ptok, qtok, p, q in norm_list:
             row.append(mixed_norm(sim.f, NormSpec(p=p, q=q)))
         rows.append(row)
@@ -327,9 +325,9 @@ def run_exponents_solve(args):
 
 
 def run_exponents_region(args):
-    _, _, mask = admissible_region(step=args.step)
+    qs, ps, mask = admissible_region(step=args.step)
     header = ["q_prime", "p_prime", "in_region"]
-    rows = [(q, p, flag) for q, p, flag in region_csv_rows(step=args.step)]
+    rows = [(q, p, int(mask[i, j])) for i, q in enumerate(qs) for j, p in enumerate(ps)]
     write_csv(args.output, header, rows)
     n_in = int(mask.sum())
     print(f"wrote {args.output}: {n_in} of {mask.size} points inside")

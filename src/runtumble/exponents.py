@@ -222,11 +222,3 @@ def admissible_region(q_prime_max=8.0, p_prime_max=5.0, step=0.05):
     ps = np.arange(1.0, p_prime_max + step / 2, step)
     mask = region_member(qs[:, None], ps[None, :])
     return qs, ps, mask
-
-
-def region_csv_rows(q_prime_max=8.0, p_prime_max=5.0, step=0.05):
-    """Yield (q', p', in_region) rows for CSV export."""
-    qs, ps, mask = admissible_region(q_prime_max, p_prime_max, step)
-    for i, qv in enumerate(qs):
-        for j, pv in enumerate(ps):
-            yield qv, pv, int(mask[i, j])

@@ -58,17 +58,16 @@ def solve_field(rho: SpatialField, beta, want=("S",), project_mean=True) -> dict
     s_hat = rho_hat / denom
     out = {}
     if "S" in want:
-        out["S"] = SpatialField(grid, np.fft.ifftn(s_hat).real, tag="S")
+        out["S"] = SpatialField(grid, np.fft.ifftn(s_hat).real)
     if "grad" in want:
         out["grad"] = [
-            SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * s_hat).real, tag=f"gradS_{a}")
+            SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * s_hat).real)
             for a in range(grid.dim)
         ]
     if "hess" in want:
         out["hess"] = [
             [
-                SpatialField(grid, np.fft.ifftn(-kmesh[a] * kmesh[b] * s_hat).real,
-                             tag=f"hessS_{a}{b}")
+                SpatialField(grid, np.fft.ifftn(-kmesh[a] * kmesh[b] * s_hat).real)
                 for b in range(grid.dim)
             ]
             for a in range(grid.dim)
@@ -129,8 +128,7 @@ def newtonian_potential(rho: SpatialField, order=0) -> SpatialField:
     """Convolution of rho with the full tabulated kernel 1/(4 pi |x|^(1+order)), d=3."""
     _check_split_box(rho.grid)
     ker = _newton_kernel(rho.grid, order, "full")
-    tag = "S" if order == 0 else "gradS_mag"
-    return SpatialField(rho.grid, _convolve(rho.values, ker, rho.grid), tag=tag)
+    return SpatialField(rho.grid, _convolve(rho.values, ker, rho.grid))
 
 
 def split_short_long(rho: SpatialField, order=0):
@@ -147,8 +145,7 @@ def split_short_long(rho: SpatialField, order=0):
     for part in ("short", "long"):
         ker = _newton_kernel(grid, order, part)
         vals = np.fft.ifftn(rho_hat * np.fft.fftn(ker)).real * grid.x_weight
-        tag = ("S_short" if part == "short" else "S_long") if order == 0 else f"gradS_{part}"
-        parts.append(SpatialField(grid, vals, tag=tag))
+        parts.append(SpatialField(grid, vals))
     return tuple(parts)
 
 

@@ -199,25 +199,31 @@ class SpatialField:
 
     grid: PhaseGrid
     values: np.ndarray
-    tag: str = "rho"
 
 
 def density(f: DistributionField) -> SpatialField:
     """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node weight w."""
-    return SpatialField(f.grid, f.grid.hv ** f.grid.dim * f.nodes.sum(axis=0), tag="rho")
+    return SpatialField(f.grid, f.grid.hv ** f.grid.dim * f.nodes.sum(axis=0))
+
+
+def field_mass(rho: SpatialField) -> float:
+    """M = sum_i wx_i rho(x_i), the mass of a density."""
+    return float(rho.grid.x_weight * rho.values.sum())
+
+
+def shell_mass(rho: SpatialField, width_cells=2) -> float:
+    """Mass of a density in the outermost width_cells position cells of each side."""
+    nx = rho.grid.spec.nx
+    inner = np.zeros_like(rho.values, dtype=bool)
+    inner[(slice(width_cells, nx - width_cells),) * rho.grid.dim] = True
+    return float(rho.grid.x_weight * rho.values[~inner].sum())
 
 
 def total_mass(f: DistributionField) -> float:
     """M = sum_ij wx_i w_j f(x_i, v_j)."""
-    return float(f.grid.x_weight * density(f).values.sum())
+    return field_mass(density(f))
 
 
 def boundary_shell_mass(f: DistributionField, width_cells=2) -> float:
     """Mass carried by the outermost position cells (wrap-detection monitor)."""
-    rho = density(f).values
-    d = f.grid.dim
-    nx = f.grid.spec.nx
-    inner = np.zeros_like(rho, dtype=bool)
-    core = (slice(width_cells, nx - width_cells),) * d
-    inner[core] = True
-    return float(f.grid.x_weight * rho[~inner].sum())
+    return shell_mass(density(f), width_cells)

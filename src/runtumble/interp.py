@@ -6,11 +6,25 @@ shift by an integer number of cells is exact), and single-point evaluation
 at arbitrary coordinates. Monotonization clamps the cubic value to the
 range of the two bracketing nodes, which preserves positivity.
 
+Whole-array shifts work block by block, in blocks of about _BLOCK elements
+taken along an axis other than the shifted one, so that a block's
+wrap-padded copy and its work buffers stay in cache; the arithmetic is
+done in place in those buffers, and the result is bit-identical to the
+unblocked formula. axis_shift writes into a caller's array when given
+`out=`, and `out` may be the input itself: a block is copied out before
+its part of `out` is written, and it reads no other block.
+
 Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
 DistributionField's state: position axis a of a stack is array axis a + 1.
+velocity_offset_stack shifts straight into its stack wherever the rows of a
+batched shift form a contiguous run.
 """
 
+import math
+
 import numpy as np
+
+_BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 
 
 def _cubic_weights(u):
@@ -22,37 +36,91 @@ def _cubic_weights(u):
     return wm1, w0, w1, w2
 
 
-def axis_shift(a, disp, dx, axis=0, limit=True):
+def _wrap_pad(src, dst, start, axis):
+    """dst[..., j, ...] = src[..., (start + j) % n, ...] along axis, by slice copies."""
+    n = src.shape[axis]
+    lead = (slice(None),) * axis
+    j = 0
+    while j < dst.shape[axis]:
+        length = min(n - start, dst.shape[axis] - j)
+        dst[lead + (slice(j, j + length),)] = src[lead + (slice(start, start + length),)]
+        j += length
+        start = 0
+
+
+def axis_shift(a, disp, dx, axis=0, limit=True, out=None):
     """Values of a periodic field shifted along one axis: out(x) = a(x - disp).
 
     a is sampled on a uniform periodic grid of spacing dx along `axis`.
     When disp/dx is an integer the result is an exact roll. With
     limit=True the cubic value is clamped to the local bracketing range.
+
+    The result is written to `out` when given, else to a new array, and
+    returned. `out` may be `a` itself (or a view of exactly its elements),
+    which shifts in place; any other `out` must not overlap `a`. The array
+    is processed in blocks of about _BLOCK elements along another axis, so
+    that a block's wrap-padded copy and two work buffers stay in cache.
+    Each block is copied out of `a` before its part of `out` is written,
+    and a block reads only its own part of `a`, which is what makes the
+    in-place shift safe.
+
+    The result is bit-identical to the unblocked formula: the cubic is
+    ((wm1*below + w0*base) + w1*upper) + w2*above, and the limiter is a
+    maximum with min(base, upper) then a minimum with max(base, upper),
+    which gives np.clip's values, signed zeros included.
     """
     s = disp / dx
     m = int(np.floor(s))
     u = 1.0 - (s - m)  # local coordinate on the stencil anchored at node i - m - 1
 
     if s == m:
-        return np.roll(a, m, axis=axis)
+        if out is None:
+            return np.roll(a, m, axis=axis)
+        out[...] = np.roll(a, m, axis=axis)
+        return out
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, u))
 
-    # single wrap-padded gather; the four stencil nodes are then slices
     n = a.shape[axis]
-    idx = np.mod(np.arange(n + 3) - (m + 2), n)
-    P = np.take(a, idx, axis=axis)
-
-    def seg(j):
-        sl = [slice(None)] * a.ndim
-        sl[axis] = slice(j, j + n)
-        return P[tuple(sl)]
-
-    below, base, upper, above = seg(0), seg(1), seg(2), seg(3)
+    start = -(m + 2) % n  # padded row j holds row (j - m - 2) mod n
+    lead = (slice(None),) * axis
+    blocks = [(Ellipsis,)]
+    bshape = list(a.shape)
+    others = [b for b in range(a.ndim) if b != axis and a.shape[b] > 1]
+    if others:  # blocks along the outermost other axis with more than one index
+        b = others[0]
+        step = max(1, _BLOCK * a.shape[b] // a.size)
+        blocks = [(slice(None),) * b + (slice(lo, lo + step),) for lo in range(0, a.shape[b], step)]
+        bshape[b] = min(step, a.shape[b])
+    bshape[axis] = n + 3
+    pbuf, rbuf, tbuf = (np.empty(math.prod(bshape), dtype=out.dtype) for _ in range(3))
     wm1, w0, w1, w2 = _cubic_weights(u)
-    out = wm1 * below + w0 * base + w1 * upper + w2 * above
-    if limit:
-        lo = np.minimum(base, upper)
-        hi = np.maximum(base, upper)
-        out = np.clip(out, lo, hi)
+
+    for blk in blocks:
+        src, dst = a[blk], out[blk]
+        pshape = src.shape[:axis] + (n + 3,) + src.shape[axis + 1:]
+        size = math.prod(pshape)
+        row = math.prod(pshape[axis + 1:])  # elements per index of `axis`
+
+        def rows(buf):
+            return buf[:size].reshape(pshape)[lead + (slice(0, n),)]
+
+        _wrap_pad(src, pbuf[:size].reshape(pshape), start, axis)
+        # the four stencil nodes are flat slices of the padded block, one row
+        # apart; the three extra rows of each padded line compute unused values
+        span = size - 3 * row
+        below, base, upper, above = (pbuf[j * row:j * row + span] for j in range(4))
+        r, tmp = rbuf[:span], tbuf[:span]
+        np.multiply(below, wm1, out=r)
+        r += np.multiply(base, w0, out=tmp)
+        r += np.multiply(upper, w1, out=tmp)
+        r += np.multiply(above, w2, out=tmp)
+        if limit:
+            np.maximum(r, np.minimum(base, upper, out=tmp), out=r)
+            np.maximum(base, upper, out=tmp)
+            np.minimum(rows(rbuf), rows(tbuf), out=dst)
+        else:
+            dst[...] = rows(rbuf)
     return out
 
 
@@ -100,15 +168,19 @@ def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
         keys, owner = np.unique(owner * len(comps) + col, return_inverse=True)
         parent, comp = np.divmod(keys, len(comps))
         # rows that map one to one onto the next stack are shifted in place,
-        # once they are a copy of the input
-        inplace = len(keys) == len(rows) and rows is not values
+        # once they are a copy of the input (from the second axis on)
+        inplace = a > 0 and len(keys) == len(rows)
         shifted = rows if inplace else np.empty((len(keys),) + rows.shape[1:])
         for c in np.unique(comp):
-            sel = np.nonzero(comp == c)[0]
+            sel = _block(np.nonzero(comp == c)[0])
             src = rows[_block(parent[sel])]
             disp = factor * comps[c]
-            shifted[_block(sel)] = src if disp == 0.0 else \
-                axis_shift(src, disp, dx, axis=a + 1, limit=limit)
+            if disp == 0.0:
+                shifted[sel] = src
+            elif isinstance(sel, slice):  # a view: shift straight into it
+                axis_shift(src, disp, dx, axis=a + 1, limit=limit, out=shifted[sel])
+            else:
+                shifted[sel] = axis_shift(src, disp, dx, axis=a + 1, limit=limit)
         rows = shifted
     return rows if np.array_equal(owner, np.arange(K)) else rows[owner]
 

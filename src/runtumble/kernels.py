@@ -207,7 +207,8 @@ def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid):
     return np.moveaxis(_loss_rate(A, B, grid), 0, -1)
 
 
-def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float) -> DistributionField:
+def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
+                     rho=None) -> DistributionField:
     """Explicit scattering update f + dt * (gain - loss).
 
     gain(x, v) = sum_j' w_j' T(x, v, v_j') f(x, v_j'), loss(x, v) =
@@ -215,6 +216,7 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float) 
     above the positivity threshold dt * sup loss_rate < 1; under the guard
     the update preserves nonnegativity, and x-integrated gain equals
     x-integrated loss by the (v, v') swap antisymmetry of the discrete sums.
+    rho, when given, must be density(f), so that it is not computed again.
     """
     grid = f.grid
     A, B = _node_first(kernel_components(spec, fields, grid))
@@ -226,7 +228,7 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float) 
             f"dt * sup rate = {dt * max_rate:.3e} >= 1")
 
     fm = f.nodes
-    gain = A * density(f).values
+    gain = A * (density(f) if rho is None else rho).values
     gain += grid.hv ** grid.dim * np.einsum("k...,k...->...", B, fm)
     # new = fm * (1 - dt * rate) + dt * gain, in place on the full-size temporaries
     new = np.multiply(rate, dt, out=rate)

@@ -15,7 +15,7 @@ to a run without.
 import numpy as np
 
 from runtumble.fields import newtonian_potential, solve_field
-from runtumble.grid import PhaseGrid, SpatialField, boundary_shell_mass, density, total_mass
+from runtumble.grid import PhaseGrid, SpatialField, density, field_mass, shell_mass
 from runtumble.kernels import KernelSpec, PositivityError, loss_rate, scattering_apply
 from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
@@ -33,7 +33,7 @@ def _spectral_gradient(field: SpatialField):
     d = grid.dim
     kmesh = np.meshgrid(*([grid.k] * d), indexing="ij")
     f_hat = np.fft.fftn(field.values)
-    return [SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * f_hat).real, tag=f"gradS_{a}")
+    return [SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * f_hat).real)
             for a in range(d)]
 
 
@@ -68,8 +68,8 @@ class Simulation:
         self.f.validate()
         self.t = 0.0
         self.step_count = 0
-        self.mass0 = total_mass(self.f)
         self.rho = density(self.f)
+        self.mass0 = field_mass(self.rho)
         self.fields = self._solve_fields_for(self.rho)
         self.monitors = []
 
@@ -80,7 +80,7 @@ class Simulation:
     def _check_wrap(self):
         if self.mass0 <= 0:
             return
-        shell = boundary_shell_mass(self.f, self.wrap_width)
+        shell = shell_mass(self.rho, self.wrap_width)
         if shell > self.wrap_tol * self.mass0:
             raise GuardAbort(
                 f"support reached the box boundary at t={self.t:.6g} "
@@ -90,10 +90,9 @@ class Simulation:
         dt = self.grid.spec.dt
         f = transport_step(self.f, dt / 2.0)
         rho = density(f)
-        self.rho = rho
         fields = self._solve_fields_for(rho)
         try:
-            f = scattering_apply(f, self.kernel, fields, dt)
+            f = scattering_apply(f, self.kernel, fields, dt, rho=rho)
         except PositivityError as exc:
             raise GuardAbort(str(exc), self.t) from exc
         f = transport_step(f, dt / 2.0)

@@ -43,6 +43,66 @@ def test_axis_shift_limiter_preserves_range():
     assert out.max() <= a.max() + 1e-15
 
 
+def _reference_axis_shift(a, disp, dx, axis=0, limit=True):
+    """The unblocked shift, frozen as a reference: a wrap-padded gather, the
+    cubic summed left to right from fresh temporaries, then np.clip."""
+    s = disp / dx
+    m = int(np.floor(s))
+    u = 1.0 - (s - m)
+    if s == m:
+        return np.roll(a, m, axis=axis)
+    n = a.shape[axis]
+    P = np.take(a, np.mod(np.arange(n + 3) - (m + 2), n), axis=axis)
+    below, base, upper, above = (np.take(P, np.arange(j, j + n), axis=axis) for j in range(4))
+    wm1 = -u * (u - 1.0) * (u - 2.0) / 6.0
+    w0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
+    w1 = -u * (u + 1.0) * (u - 2.0) / 2.0
+    w2 = u * (u + 1.0) * (u - 1.0) / 6.0
+    out = wm1 * below + w0 * base + w1 * upper + w2 * above
+    if limit:
+        out = np.clip(out, np.minimum(base, upper), np.maximum(base, upper))
+    return out
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _shift_inputs():
+    rng = np.random.default_rng(4)
+    shapes = [(37,), (24, 19), (9, 10, 11), (5, 12, 12), (3, 8, 8, 8),
+              (7, 100, 96)]  # the last covers several blocks and a partial one
+    for shape in shapes:
+        a = rng.random(shape)
+        # a corner of zeros of either sign, where the limiter's ties must
+        # give the signed zeros that np.clip gives
+        corner = tuple(slice(0, 6) for _ in shape)
+        a[corner] = np.where(rng.random(a[corner].shape) < 0.5, 0.0, -0.0)
+        yield a
+    yield rng.random((12, 7, 9)).T  # not contiguous
+
+
+@pytest.mark.parametrize("limit", [True, False])
+def test_axis_shift_bit_identical_to_unblocked_formula(limit):
+    dx = 0.5
+    for a in _shift_inputs():
+        for axis in range(a.ndim):
+            for cells in (0.3, -0.3, 2.7, -3.45, 2.0, -1.0):
+                disp = cells * dx
+                ref = _reference_axis_shift(a, disp, dx, axis=axis, limit=limit)
+                before = a.copy()
+                assert _same_bits(axis_shift(a, disp, dx, axis=axis, limit=limit), ref)
+                o = np.empty_like(ref)
+                assert axis_shift(a, disp, dx, axis=axis, limit=limit, out=o) is o
+                assert _same_bits(o, ref)
+                assert _same_bits(a, before)
+                # out is the input: each block is gathered before it is written
+                aliased = a.copy()
+                assert axis_shift(aliased, disp, dx, axis=axis, limit=limit,
+                                  out=aliased) is aliased
+                assert _same_bits(aliased, ref)
+
+
 def test_shift_spatial_two_axes():
     grid = make_grid(dim=2, nx=32)
     X, Y = grid.x_mesh()
