@@ -10,7 +10,8 @@ approximation of |V| otherwise.
 A distribution function is held node-first: one contiguous (K,) + x_shape
 array over the K masked velocity nodes, so a node's spatial block is a
 plain slice and velocity sums reduce over the leading axis. The dense
-x_shape + v_shape array is only built on request.
+x_shape + v_shape array is only built on request. Where the lattice is
+exactly symmetric, PhaseGrid.vreflect pairs each node v with its mirror -v.
 """
 
 from dataclasses import dataclass, field
@@ -68,6 +69,7 @@ class PhaseGrid:
     vweights: np.ndarray   # (nv,)*d quadrature weights, zero outside V
     vnodes: np.ndarray = field(repr=False, default=None)  # (K, d) masked node coordinates
     vindex: tuple = field(repr=False, default=None)       # advanced index of masked nodes
+    vreflect: slice = field(repr=False, default=None)     # r with vnodes[r] == -vnodes, or None
 
     @property
     def dim(self):
@@ -128,8 +130,14 @@ def build_grid(spec: GridSpec) -> PhaseGrid:
     vindex = np.nonzero(vmask)
     vnodes = np.stack([mesh[a][vindex] for a in range(d)], axis=1)
 
-    return PhaseGrid(spec=spec, x=x, dx=dx, k=k, v=v, hv=hv,
-                     vmask=vmask, vweights=vweights, vnodes=vnodes, vindex=vindex)
+    # v -> -v reverses the C order of the masked nodes whenever it maps V onto
+    # itself, and it is exact only when every cell center is the exact
+    # negative of its mirror (r_max = 0.3 with nv = 4 misses by one ulp)
+    reverse = slice(None, None, -1)
+    vreflect = reverse if np.array_equal(vnodes[reverse], -vnodes) else None
+
+    return PhaseGrid(spec=spec, x=x, dx=dx, k=k, v=v, hv=hv, vmask=vmask, vweights=vweights,
+                     vnodes=vnodes, vindex=vindex, vreflect=vreflect)
 
 
 class DistributionField:

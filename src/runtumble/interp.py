@@ -57,12 +57,14 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None):
 
     The result is written to `out` when given, else to a new array, and
     returned. `out` may be `a` itself (or a view of exactly its elements),
-    which shifts in place; any other `out` must not overlap `a`. The array
-    is processed in blocks of about _BLOCK elements along another axis, so
-    that a block's wrap-padded copy and two work buffers stay in cache.
-    Each block is copied out of `a` before its part of `out` is written,
-    and a block reads only its own part of `a`, which is what makes the
-    in-place shift safe.
+    which shifts in place; any other `out` must not overlap `a`. A
+    whole-cell shift copies the two rolled slices of `a` straight into an
+    `out` that shares no memory with `a`, and rolls into a temporary first
+    otherwise. Other shifts are processed in blocks of about _BLOCK
+    elements along another axis, so that a block's wrap-padded copy and
+    two work buffers stay in cache. Each block is copied out of `a` before
+    its part of `out` is written, and a block reads only its own part of
+    `a`, which is what makes the in-place shift safe.
 
     The result is bit-identical to the unblocked formula: the cubic is
     ((wm1*below + w0*base) + w1*upper) + w2*above, and the limiter is a
@@ -76,7 +78,14 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None):
     if s == m:
         if out is None:
             return np.roll(a, m, axis=axis)
-        out[...] = np.roll(a, m, axis=axis)
+        if np.may_share_memory(a, out):
+            out[...] = np.roll(a, m, axis=axis)
+            return out
+        # the two rolled slices, straight into out
+        n, k = a.shape[axis], m % a.shape[axis]
+        lead = (slice(None),) * axis
+        out[lead + (slice(k, n),)] = a[lead + (slice(0, n - k),)]
+        out[lead + (slice(0, k),)] = a[lead + (slice(n - k, n),)]
         return out
     if out is None:
         out = np.empty(a.shape, dtype=np.result_type(a, u))

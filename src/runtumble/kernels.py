@@ -9,6 +9,12 @@ discrete update, pointwise in x.
 
 Components are built node-first, (K,) + x_shape like the state of
 DistributionField, and handed out as x_shape + (K,) views of that array.
+hyp3 builds each (input, sign) offset stack once. On a grid whose velocity
+nodes pair exactly with their mirrors -v (PhaseGrid.vreflect, the reversal
+of the node order), the stack at the opposite sign is that stack reversed,
+and when B's terms mirror A's (the default signs) B is A[vreflect], a
+reversed read-only view of A; both are bit-identical to building the
+stacks again.
 """
 
 from dataclasses import dataclass
@@ -115,45 +121,78 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
 
     Returns (A, B), each an x_shape + (K,) array over the masked velocity
     nodes (A indexed by v, B by v'): a transposed view of a node-first
-    array, or a read-only broadcast of a constant.
+    array, or a read-only broadcast of a constant. When hyp3's B mirrors A,
+    B is a view of A and both are read-only.
     """
     spec.validate()
     _check_fields(spec, fields)
     C, eps = spec.coefficient, spec.epsilon
     shape = (grid.n_vnodes,) + grid.x_shape
 
-    if spec.family == "constant":
-        A, B = np.broadcast_to(float(C), shape), np.broadcast_to(0.0, shape)
-    elif spec.family == "hyp1":
-        S = fields["S"].values
-        gmag = _grad_magnitude(fields)
-        A = C * (1.0 + _offset_stack(S + gmag, grid, +1, eps))
-        B = C * _offset_stack(S, grid, -1, eps)
-    elif spec.family == "hyp2":
-        A = C * (1.0 + _offset_stack(_hyp2_weight(fields), grid, +1, eps))
-        B = np.broadcast_to(0.0, shape)
-    else:  # hyp3
-        s1, s2, s3, s4 = spec.signs
-        a1, a2, a3, a4 = spec.active
-        Sabs = np.abs(fields["S"].values) if (a1 or a2) else None
-        gmag = _grad_magnitude(fields) if (a3 or a4) else None
-        A = np.zeros(shape)
-        B = np.zeros(shape)
-        if a1:
-            A += _offset_stack(Sabs, grid, s1, eps)
-        if a3:
-            A += _offset_stack(gmag, grid, s3, eps)
-        if a2:
-            B += _offset_stack(Sabs, grid, s2, eps)
-        if a4:
-            B += _offset_stack(gmag, grid, s4, eps)
-        A = C * A
-        B = C * B
-
-    if spec.saturation is not None:
-        A = np.minimum(A, spec.saturation / 2.0)
-        B = np.minimum(B, spec.saturation / 2.0)
+    if spec.family == "hyp3":
+        A, B = _hyp3_components(spec, fields, grid)
+    else:
+        if spec.family == "constant":
+            A, B = np.broadcast_to(float(C), shape), np.broadcast_to(0.0, shape)
+        elif spec.family == "hyp1":
+            S = fields["S"].values
+            gmag = _grad_magnitude(fields)
+            A = C * (1.0 + _offset_stack(S + gmag, grid, +1, eps))
+            B = C * _offset_stack(S, grid, -1, eps)
+        else:  # hyp2
+            A = C * (1.0 + _offset_stack(_hyp2_weight(fields), grid, +1, eps))
+            B = np.broadcast_to(0.0, shape)
+        A, B = _saturate(A, spec), _saturate(B, spec)
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
+
+
+def _saturate(part, spec):
+    return part if spec.saturation is None else np.minimum(part, spec.saturation / 2.0)
+
+
+def _hyp3_components(spec, fields, grid):
+    """Node-first, saturated (A, B) of hyp3, bit for bit C * (0 + term + term) per part.
+
+    Each (input, sign) offset stack is built once. On a grid with vreflect
+    r, a term whose opposite-sign stack exists is the view [r] of it:
+    negating a displacement is exact, so stack(-sign)[j] and stack(sign)[r[j]]
+    agree bit for bit. When B's active terms mirror A's (s2 = -s1, s4 = -s3,
+    the default signs), B is A[r] itself; the coefficient and saturation
+    are elementwise, so they commute with the reordering.
+    """
+    C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
+    inputs = {}
+    if spec.active[0] or spec.active[1]:
+        inputs["S"] = np.abs(fields["S"].values)
+    if spec.active[2] or spec.active[3]:
+        inputs["grad"] = _grad_magnitude(fields)
+    names = ("S", "S", "grad", "grad")
+    a_terms = [(names[i], spec.signs[i]) for i in (0, 2) if spec.active[i]]  # offsets along v
+    b_terms = [(names[i], spec.signs[i]) for i in (1, 3) if spec.active[i]]  # offsets along v'
+    stacks = {}
+
+    def stack(name, sign):
+        if (name, sign) not in stacks:
+            if r is not None and (name, -sign) in stacks:
+                return stacks[name, -sign][r]
+            stacks[name, sign] = _offset_stack(inputs[name], grid, sign, eps)
+        return stacks[name, sign]
+
+    def part(terms):
+        # the stacks hold no -0.0 (|S| and |grad S| are >= +0, and so is a
+        # limited shift of such values), so leaving out the 0 + changes no bit
+        rows = [stack(*t) for t in terms]
+        if len(rows) < 2:
+            return C * (rows[0] if rows else np.zeros((grid.n_vnodes,) + grid.x_shape))
+        total = np.add(*rows)
+        total *= C
+        return total
+
+    A = _saturate(part(a_terms), spec)
+    if r is not None and b_terms == [(name, -sign) for name, sign in a_terms]:
+        A.flags.writeable = False  # B is a view of A
+        return A, A[r]
+    return A, _saturate(part(b_terms), spec)
 
 
 def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> float:

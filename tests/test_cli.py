@@ -96,6 +96,42 @@ def test_simulate_guard_abort_exit_code(tmp_path):
     assert (tmp_path / "g" / "timeseries.csv").exists()
 
 
+TERMS_CONFIG = """\
+dimension = 3
+box_half_length = 8
+nx = 16
+nv = 4
+dt = 0.02
+t_end = 0.1
+beta = 0
+kernel_family = hyp1
+kernel_C = 0.2
+init_kind = cube
+monitors = term_tracker_thm1
+"""
+
+
+def test_simulate_term_tracker_short_run_is_config_error(tmp_path, capsys):
+    # 5 steps, fewer than the tracker's stride of 20: rejected before stepping
+    cfg = TERMS_CONFIG + f"output_dir = {tmp_path / 's'}\n"
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "evaluates every 20 steps" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "timeseries.csv").exists()
+
+
+def test_simulate_term_tracker_abort_before_first_evaluation(tmp_path):
+    # the positivity guard trips at the first step, before any evaluation
+    cfg = TERMS_CONFIG.replace("t_end = 0.1", "t_end = 0.5").replace(
+        "kernel_C = 0.2", "kernel_C = 1000") + f"output_dir = {tmp_path / 'a'}\n"
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_GUARD
+    lines = (tmp_path / "a" / "timeseries.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[4:] == ["term_f1", "term_f2", "term_f3", "bound_shifted", "bound_plain",
+                          "cert_terms"]
+    assert len(lines) == 2  # the initial state only
+    assert lines[1].split(",")[4:] == [""] * 6
+
+
 def test_determinism_byte_identical(tmp_path):
     paths = []
     for tag in ("a", "b"):

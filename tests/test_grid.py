@@ -55,6 +55,26 @@ def test_alignment_time_gives_integer_cell_shifts():
         assert np.allclose(cells, np.rint(cells), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim, nv, shape, r_min", [
+    (1, 8, "ball", 0.0),      # the 1-D CLI scenario of the tests
+    (2, 16, "ball", 0.0),     # the 2-D hyp2 preset, 208 nodes
+    (3, 4, "ball", 0.0),      # the 3-D presets, 32 nodes
+    (2, 8, "shell", 0.5),
+])
+def test_vreflect_pairs_each_node_with_its_mirror(dim, nv, shape, r_min):
+    grid = make_grid(dim=dim, nv=nv, shape=shape, r_min=r_min)
+    r = grid.vreflect
+    assert r is not None
+    assert np.array_equal(grid.vnodes[r], -grid.vnodes)
+
+
+def test_vreflect_none_without_exact_pairing():
+    # with r_max = 0.3 the cell centers are not exact negatives of each other
+    grid = make_grid(dim=2, nv=4, r_max=0.3)
+    assert not np.array_equal(grid.v[::-1], -grid.v)
+    assert grid.vreflect is None
+
+
 def test_compact_roundtrip():
     grid = make_grid(dim=2, nx=8, nv=4)
     rng = np.random.default_rng(0)

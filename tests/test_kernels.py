@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from runtumble.fields import solve_field
 from runtumble.grid import DistributionField, GridSpec, SpatialField, build_grid, density
+from runtumble.interp import velocity_offset_stack
 from runtumble.kernels import (KernelSpec, evaluate_kernel, kernel_components,
                                kernel_mixed_norm, loss_rate, mixed_norm_bound_report,
                                scattering_apply)
@@ -114,6 +117,75 @@ def test_evaluate_kernel_matches_components_at_nodes():
                 val = evaluate_kernel(spec, fields, grid, [grid.x[i]],
                                       grid.vnodes[j], grid.vnodes[jp])
                 assert val == pytest.approx(T[i, j, jp], abs=1e-12)
+
+
+def _hyp3_reference(spec, fields, grid):
+    """hyp3 components term by term, frozen as a reference: four offset
+    stacks added into zeros, then the coefficient and the saturation."""
+    shape = (grid.n_vnodes,) + grid.x_shape
+    Sabs = np.abs(fields["S"].values)
+    gmag = np.sqrt(sum(g.values**2 for g in fields["grad"]))
+    A, B = np.zeros(shape), np.zeros(shape)
+    for i, (values, part) in enumerate(((Sabs, A), (Sabs, B), (gmag, A), (gmag, B))):
+        if spec.active[i]:
+            part += velocity_offset_stack(values, grid.vnodes, -spec.signs[i] * spec.epsilon,
+                                          grid.dx)
+    A, B = spec.coefficient * A, spec.coefficient * B
+    if spec.saturation is not None:
+        A, B = np.minimum(A, spec.saturation / 2.0), np.minimum(B, spec.saturation / 2.0)
+    return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(np.int64),
+                                                 np.ascontiguousarray(y).view(np.int64))
+
+
+def _hyp3_scene(dim, nx, r_max, seed=0):
+    grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=4, r_max=r_max))
+    rng = np.random.default_rng(seed)
+    rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
+    return grid, solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad"))
+
+
+@pytest.mark.parametrize("dim, nx, r_max", [(1, 16, 1.0), (2, 8, 1.0), (3, 8, 1.0),
+                                            (2, 8, 0.3)])  # the last has no vreflect
+def test_hyp3_components_bit_identical_to_term_by_term_formula(dim, nx, r_max):
+    grid, fields = _hyp3_scene(dim, nx, r_max, seed=dim)
+    assert (grid.vreflect is None) == (r_max == 0.3)
+    masks = [(True, True, True, True), (True, False, True, False), (False, True, False, True),
+             (True, True, False, False), (True, False, False, True), (False,) * 4]
+    for signs in itertools.product((1, -1), repeat=4):
+        for active in masks:
+            for eps, sat in ((1.3, None), (1.3, 0.02), (4.0, None)):  # eps = 4: whole cells
+                spec = KernelSpec(family="hyp3", coefficient=0.7, epsilon=eps, signs=signs,
+                                  active=active, saturation=sat)
+                got = kernel_components(spec, fields, grid)
+                ref = _hyp3_reference(spec, fields, grid)
+                assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1]), spec
+
+
+def test_hyp3_mirrored_b_is_a_view_of_a(monkeypatch):
+    # with the default signs B's terms mirror A's: two offset stacks instead
+    # of four, where the grid pairs each velocity node with its mirror
+    import runtumble.kernels as kernels
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return velocity_offset_stack(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "velocity_offset_stack", counted)
+    spec = KernelSpec(family="hyp3", coefficient=0.5)
+    for r_max, stacks in ((1.0, 2), (0.3, 4)):
+        grid, fields = _hyp3_scene(2, 8, r_max)
+        calls.clear()
+        A, B = kernel_components(spec, fields, grid)
+        assert len(calls) == stacks
+    grid, fields = _hyp3_scene(2, 8, 1.0)
+    A, B = kernel_components(spec, fields, grid)
+    assert _same_bits(B, A[..., grid.vreflect])
+    assert np.shares_memory(A, B) and not A.flags.writeable and not B.flags.writeable
 
 
 def test_saturation_caps_kernel():

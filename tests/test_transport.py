@@ -87,7 +87,8 @@ def test_axis_shift_bit_identical_to_unblocked_formula(limit):
     dx = 0.5
     for a in _shift_inputs():
         for axis in range(a.ndim):
-            for cells in (0.3, -0.3, 2.7, -3.45, 2.0, -1.0):
+            # whole cells, also beyond the axis length, and zero
+            for cells in (0.3, -0.3, 2.7, -3.45, 2.0, -1.0, 0.0, 41.0, -13.0):
                 disp = cells * dx
                 ref = _reference_axis_shift(a, disp, dx, axis=axis, limit=limit)
                 before = a.copy()
@@ -101,6 +102,15 @@ def test_axis_shift_bit_identical_to_unblocked_formula(limit):
                 assert axis_shift(aliased, disp, dx, axis=axis, limit=limit,
                                   out=aliased) is aliased
                 assert _same_bits(aliased, ref)
+                # out is another view of the input's memory
+                aliased = a.copy()
+                view = aliased[...]
+                assert axis_shift(view, disp, dx, axis=axis, limit=limit, out=aliased) is aliased
+                assert _same_bits(aliased, ref)
+                # a strided out that does not share memory with the input
+                o = np.empty(ref.shape[::-1]).T
+                assert axis_shift(a, disp, dx, axis=axis, limit=limit, out=o) is o
+                assert _same_bits(o, ref)
 
 
 def test_shift_spatial_two_axes():
