@@ -223,7 +223,9 @@ class GronwallMonitor:
         W(t) = int_0^t s^-lam ds (the mass-only part of the source) and
         I(t) the rho-history integral. Ca, Cb are fitted nonnegative on the
         calibration window and scaled so the bound holds there exactly;
-        every later step must satisfy it with the stated slack.
+        every later step must satisfy it with the stated slack. A run with
+        no completed step has an empty window: both constants are 0, and
+        only t = 0, where the bound is C0 itself, is checked.
         """
         from scipy.optimize import nnls
 
@@ -243,7 +245,7 @@ class GronwallMonitor:
         cal = slice(1, n_cal + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             need_scale = np.where(pred[cal] > 0, excess[cal] / pred[cal], 0.0)
-        scale = max(1.0, float(np.max(need_scale))) if pred[cal].max() > 0 else 1.0
+        scale = max(1.0, float(need_scale.max(initial=0.0)))  # 1 on an empty window
         coef = coef * scale
 
         rhs = c0 + (1.0 + slack) * (X @ coef)

@@ -6,18 +6,25 @@ shift by an integer number of cells is exact), and single-point evaluation
 at arbitrary coordinates. Monotonization clamps the cubic value to the
 range of the two bracketing nodes, which preserves positivity.
 
-Whole-array shifts work block by block, in blocks of about _BLOCK elements
-taken along an axis other than the shifted one, so that a block's
-wrap-padded copy and its work buffers stay in cache; the arithmetic is
-done in place in those buffers, and the result is bit-identical to the
-unblocked formula. axis_shift writes into a caller's array when given
-`out=`, and `out` may be the input itself: a block is copied out before
-its part of `out` is written, and it reads no other block.
+Whole-array shifts work block by block, in blocks of about _BLOCK elements:
+whole rows of array axis 0, or parts of one row along an axis other than
+the shifted one, so that a block's wrap-padded copy and its work buffers
+stay in cache; the arithmetic is done in place in those buffers, and the
+result is bit-identical to the unblocked formula. axis_shift writes into a
+caller's array when given `out=`, and `out` may be the input itself: a
+block is copied out before its part of `out` is written, and it reads no
+other block.
+
+axis_shift also has a per-row form: one displacement per row of array axis
+0, each row with its own integer part and cubic weights, and an optional
+`rows=` index naming the source row of each output row. The wrap-padded
+block copy does that gather, so no gathered copy of the input is made.
+`out` may be the input itself only when each row reads its own row.
 
 Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
 DistributionField's state: position axis a of a stack is array axis a + 1.
-velocity_offset_stack shifts straight into its stack wherever the rows of a
-batched shift form a contiguous run.
+velocity_offset_stack makes one per-row axis_shift call per position axis
+for the whole stack.
 """
 
 import math
@@ -37,7 +44,10 @@ def _cubic_weights(u):
 
 
 def _wrap_pad(src, dst, start, axis):
-    """dst[..., j, ...] = src[..., (start + j) % n, ...] along axis, by slice copies."""
+    """dst[..., j, ...] = src[..., (start + j) % n, ...] along axis, by slice copies.
+
+    src may have one row (array axis 0) where dst has several: it is broadcast.
+    """
     n = src.shape[axis]
     lead = (slice(None),) * axis
     j = 0
@@ -48,88 +58,164 @@ def _wrap_pad(src, dst, start, axis):
         start = 0
 
 
-def axis_shift(a, disp, dx, axis=0, limit=True, out=None):
+def _pad_runs(starts, src):
+    """Runs [j, k) of rows with one pad start whose source rows are one row
+    repeated or consecutive rows: each run is padded by one set of slice copies.
+    Yields (j, k, the slice of source rows)."""
+    j = 0
+    while j < len(src):
+        k = j + 1
+        step = src[k] - src[j] if k < len(src) else 0
+        while (k < len(src) and step in (0, 1) and starts[k] == starts[j]
+               and src[k] - src[k - 1] == step):
+            k += 1
+        yield j, k, slice(src[j], src[j] + (1 if step == 0 else k - j))
+        j = k
+
+
+def _roll_row(src, dst, m, axis):
+    """dst = src rolled by m along axis: an exact whole-cell shift."""
+    n = src.shape[axis]
+    k = m % n
+    if np.may_share_memory(src, dst):  # dst is src itself
+        if k:
+            dst[...] = np.roll(src, k, axis=axis)
+        return
+    # the two rolled slices, straight into dst
+    lead = (slice(None),) * axis
+    dst[lead + (slice(k, n),)] = src[lead + (slice(0, n - k),)]
+    dst[lead + (slice(0, k),)] = src[lead + (slice(n - k, n),)]
+
+
+def _shift_rows(a, s, out, axis, limit, src):
+    """out[i] = a[src[i]] shifted by s[i] cells along axis (>= 1): the body of axis_shift."""
+    n = a.shape[axis]
+    m = np.floor(s)
+    u = 1.0 - (s - m)  # local coordinate on the stencil anchored at node i - m - 1
+    frac = np.flatnonzero(s != m)
+    whole = np.flatnonzero(s == m).tolist()
+    m = m.astype(np.int64)
+    starts = (-(m + 2) % n).tolist()  # padded line j holds line (j - m - 2) mod n
+    m, src = m.tolist(), src.tolist()
+
+    # whole-cell and zero rows: exact copies, one row at a time
+    for i in whole:
+        _roll_row(a[src[i]], out[i], m[i], axis - 1)
+    if not len(frac):
+        return
+
+    # blocks of nb consecutive rows; a row larger than _BLOCK is blocked in
+    # parts along its outermost other axis with more than one index
+    row_shape = a.shape[1:]
+    row_size = math.prod(row_shape)
+    nb = max(1, _BLOCK // row_size)
+    parts = [()]
+    bshape = list(row_shape)
+    others = [b for b in range(len(row_shape)) if b != axis - 1 and row_shape[b] > 1]
+    if others:
+        b = others[0]
+        step = max(1, _BLOCK * row_shape[b] // row_size)
+        parts = [(slice(None),) * b + (slice(lo, lo + step),) for lo in range(0, row_shape[b], step)]
+        bshape[b] = min(step, row_shape[b])
+    bshape[axis - 1] = n + 3
+    pbuf, rbuf, tbuf = (np.empty(nb * math.prod(bshape), dtype=out.dtype) for _ in range(3))
+    # in the output's precision, as a scalar weight would be
+    weights = [w.astype(out.dtype)[:, None] for w in _cubic_weights(u)]
+    lead = (slice(None),) * axis
+    blocks = []
+    for run in np.split(frac, np.flatnonzero(np.diff(frac) != 1) + 1):
+        blocks += [(int(run[lo]), int(run[min(lo + nb, len(run)) - 1]) + 1)
+                   for lo in range(0, len(run), nb)]
+
+    for i0, i1 in blocks:
+        k = i1 - i0
+        wm1, w0, w1, w2 = (w[i0:i1] for w in weights)
+        runs = list(_pad_runs(starts[i0:i1], src[i0:i1]))
+        for part in parts:
+            blk = (slice(None),) + part
+            dst = out[i0:i1][blk]
+            pshape = dst.shape[:axis] + (n + 3,) + dst.shape[axis + 1:]
+            size = math.prod(pshape)
+            P, T = size // k, math.prod(pshape[axis + 1:])  # per padded row; per line index
+
+            def lines(buf):
+                return buf[:size].reshape(pshape)[lead + (slice(0, n),)]
+
+            pad = pbuf[:size].reshape(pshape)
+            for j, jend, rows in runs:
+                _wrap_pad(a[rows][blk], pad[j:jend], starts[i0 + j], axis)
+            # in each padded row the four stencil nodes are flat slices, one
+            # line apart; the three extra lines compute unused values
+            span = P - 3 * T
+            below, base, upper, above = (pbuf[:size].reshape(k, P)[:, j * T:j * T + span]
+                                         for j in range(4))
+            r, tmp = (buf[:size].reshape(k, P)[:, :span] for buf in (rbuf, tbuf))
+            np.multiply(below, wm1, out=r)
+            r += np.multiply(base, w0, out=tmp)
+            r += np.multiply(upper, w1, out=tmp)
+            r += np.multiply(above, w2, out=tmp)
+            if limit:
+                np.maximum(r, np.minimum(base, upper, out=tmp), out=r)
+                np.maximum(base, upper, out=tmp)
+                if axis == 1:  # each row's lines are one contiguous run
+                    np.minimum(lines(rbuf), lines(tbuf), out=dst)
+                    continue
+                # strided lines: a flat minimum and one strided copy beat a
+                # strided minimum
+                np.minimum(r, tmp, out=r)
+            np.copyto(dst, lines(rbuf))
+
+
+def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None):
     """Values of a periodic field shifted along one axis: out(x) = a(x - disp).
 
     a is sampled on a uniform periodic grid of spacing dx along `axis`.
     When disp/dx is an integer the result is an exact roll. With
     limit=True the cubic value is clamped to the local bracketing range.
 
+    Per-row form: disp may be a 1-D array with one displacement per output
+    row (array axis 0; `axis` must then be >= 1), and `rows` an optional
+    index array naming the row of `a` that each output row reads (without
+    it, row i reads row i). Each row gets its own integer part and cubic
+    weights, from the same formula as a scalar disp, so row i of the result
+    is bit for bit axis_shift(a[rows[i]], disp[i], dx, axis=axis - 1).
+
     The result is written to `out` when given, else to a new array, and
     returned. `out` may be `a` itself (or a view of exactly its elements),
-    which shifts in place; any other `out` must not overlap `a`. A
-    whole-cell shift copies the two rolled slices of `a` straight into an
-    `out` that shares no memory with `a`, and rolls into a temporary first
-    otherwise. Other shifts are processed in blocks of about _BLOCK
-    elements along another axis, so that a block's wrap-padded copy and
-    two work buffers stay in cache. Each block is copied out of `a` before
-    its part of `out` is written, and a block reads only its own part of
-    `a`, which is what makes the in-place shift safe.
+    which shifts in place, provided `rows` is None or the identity; any
+    other `out` must not overlap `a`. Whole-cell and zero rows are exact
+    copies, one row at a time: the two rolled slices go straight into `out`,
+    or through a temporary when it is `a`. Other rows are processed in
+    blocks of about _BLOCK elements, whole rows or parts of one row along
+    another axis, so that a block's wrap-padded copy and two work buffers
+    stay in cache. The padded copy reads each row from its source row, one
+    set of slice copies per run of rows with the same integer part and one
+    or consecutive source rows. Each block is padded before its part of
+    `out` is written, and reads only its own part of `a` when shifting in
+    place, which is what makes the in-place shift safe.
 
     The result is bit-identical to the unblocked formula: the cubic is
     ((wm1*below + w0*base) + w1*upper) + w2*above, and the limiter is a
     maximum with min(base, upper) then a minimum with max(base, upper),
     which gives np.clip's values, signed zeros included.
     """
-    s = disp / dx
-    m = int(np.floor(s))
-    u = 1.0 - (s - m)  # local coordinate on the stencil anchored at node i - m - 1
-
-    if s == m:
+    if np.ndim(disp) == 0:  # the per-row form on a one-row view
         if out is None:
-            return np.roll(a, m, axis=axis)
-        if np.may_share_memory(a, out):
-            out[...] = np.roll(a, m, axis=axis)
-            return out
-        # the two rolled slices, straight into out
-        n, k = a.shape[axis], m % a.shape[axis]
-        lead = (slice(None),) * axis
-        out[lead + (slice(k, n),)] = a[lead + (slice(0, n - k),)]
-        out[lead + (slice(0, k),)] = a[lead + (slice(n - k, n),)]
+            out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+        _shift_rows(a[None], np.array([disp], dtype=float) / dx, out[None], axis + 1,
+                    limit, np.zeros(1, dtype=int))
         return out
+    s = np.asarray(disp, dtype=float) / dx
+    if axis < 1 or s.ndim != 1:
+        raise ValueError("per-row displacements need a 1-D disp and axis >= 1")
+    src = np.arange(len(s)) if rows is None else np.asarray(rows)
+    if len(src) != len(s):
+        raise ValueError("rows and disp must have one entry per output row")
     if out is None:
-        out = np.empty(a.shape, dtype=np.result_type(a, u))
-
-    n = a.shape[axis]
-    start = -(m + 2) % n  # padded row j holds row (j - m - 2) mod n
-    lead = (slice(None),) * axis
-    blocks = [(Ellipsis,)]
-    bshape = list(a.shape)
-    others = [b for b in range(a.ndim) if b != axis and a.shape[b] > 1]
-    if others:  # blocks along the outermost other axis with more than one index
-        b = others[0]
-        step = max(1, _BLOCK * a.shape[b] // a.size)
-        blocks = [(slice(None),) * b + (slice(lo, lo + step),) for lo in range(0, a.shape[b], step)]
-        bshape[b] = min(step, a.shape[b])
-    bshape[axis] = n + 3
-    pbuf, rbuf, tbuf = (np.empty(math.prod(bshape), dtype=out.dtype) for _ in range(3))
-    wm1, w0, w1, w2 = _cubic_weights(u)
-
-    for blk in blocks:
-        src, dst = a[blk], out[blk]
-        pshape = src.shape[:axis] + (n + 3,) + src.shape[axis + 1:]
-        size = math.prod(pshape)
-        row = math.prod(pshape[axis + 1:])  # elements per index of `axis`
-
-        def rows(buf):
-            return buf[:size].reshape(pshape)[lead + (slice(0, n),)]
-
-        _wrap_pad(src, pbuf[:size].reshape(pshape), start, axis)
-        # the four stencil nodes are flat slices of the padded block, one row
-        # apart; the three extra rows of each padded line compute unused values
-        span = size - 3 * row
-        below, base, upper, above = (pbuf[j * row:j * row + span] for j in range(4))
-        r, tmp = rbuf[:span], tbuf[:span]
-        np.multiply(below, wm1, out=r)
-        r += np.multiply(base, w0, out=tmp)
-        r += np.multiply(upper, w1, out=tmp)
-        r += np.multiply(above, w2, out=tmp)
-        if limit:
-            np.maximum(r, np.minimum(base, upper, out=tmp), out=r)
-            np.maximum(base, upper, out=tmp)
-            np.minimum(rows(rbuf), rows(tbuf), out=dst)
-        else:
-            dst[...] = rows(rbuf)
+        out = np.empty((len(s),) + a.shape[1:], dtype=np.result_type(a, 1.0))
+    elif np.may_share_memory(a, out) and not np.array_equal(src, np.arange(len(a))):
+        raise ValueError("out may be the input only when each row reads its own row")
+    _shift_rows(a, s, out, axis, limit, src)
     return out
 
 
@@ -146,13 +232,6 @@ def shift_spatial(values, disp, dx, limit=True):
     return out
 
 
-def _block(idx):
-    """A slice for a contiguous run of row indices (a view), else the indices."""
-    if idx[-1] - idx[0] + 1 == len(idx):
-        return slice(idx[0], idx[-1] + 1)
-    return idx
-
-
 def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
     """Per-node shifted copies out[j](x) = values(x - factor * v_j), node-first.
 
@@ -161,8 +240,9 @@ def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
     shift_spatial in the same order, so the result is bit-identical to
     shifting node by node. Shifts are shared: after axis a the stack holds
     one row per distinct (row, v_a) pair, so a spatial input is shifted
-    once per distinct prefix (v_0, ..., v_a) rather than once per node,
-    and each axis costs one batched call per distinct component.
+    once per distinct prefix (v_0, ..., v_a) rather than once per node.
+    Each axis is one per-row axis_shift call over the whole stack, each
+    row reading its parent row of the previous stack.
     """
     K, d = vnodes.shape
     if values.ndim == d:
@@ -179,18 +259,8 @@ def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
         # rows that map one to one onto the next stack are shifted in place,
         # once they are a copy of the input (from the second axis on)
         inplace = a > 0 and len(keys) == len(rows)
-        shifted = rows if inplace else np.empty((len(keys),) + rows.shape[1:])
-        for c in np.unique(comp):
-            sel = _block(np.nonzero(comp == c)[0])
-            src = rows[_block(parent[sel])]
-            disp = factor * comps[c]
-            if disp == 0.0:
-                shifted[sel] = src
-            elif isinstance(sel, slice):  # a view: shift straight into it
-                axis_shift(src, disp, dx, axis=a + 1, limit=limit, out=shifted[sel])
-            else:
-                shifted[sel] = axis_shift(src, disp, dx, axis=a + 1, limit=limit)
-        rows = shifted
+        rows = axis_shift(rows, factor * comps[comp], dx, axis=a + 1, limit=limit,
+                          rows=parent, out=rows if inplace else None)
     return rows if np.array_equal(owner, np.arange(K)) else rows[owner]
 
 

@@ -135,12 +135,18 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
         if spec.family == "constant":
             A, B = np.broadcast_to(float(C), shape), np.broadcast_to(0.0, shape)
         elif spec.family == "hyp1":
+            # C * (1.0 + stack) and C * stack, in place in the fresh stacks:
+            # IEEE addition and multiplication commute, so the bits are the same
             S = fields["S"].values
-            gmag = _grad_magnitude(fields)
-            A = C * (1.0 + _offset_stack(S + gmag, grid, +1, eps))
-            B = C * _offset_stack(S, grid, -1, eps)
+            A = _offset_stack(S + _grad_magnitude(fields), grid, +1, eps)
+            A += 1.0
+            A *= C
+            B = _offset_stack(S, grid, -1, eps)
+            B *= C
         else:  # hyp2
-            A = C * (1.0 + _offset_stack(_hyp2_weight(fields), grid, +1, eps))
+            A = _offset_stack(_hyp2_weight(fields), grid, +1, eps)
+            A += 1.0
+            A *= C
             B = np.broadcast_to(0.0, shape)
         A, B = _saturate(A, spec), _saturate(B, spec)
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)

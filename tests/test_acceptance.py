@@ -25,7 +25,7 @@ from runtumble.fields import (bessel_potential_norms, newtonian_potential, solve
                               split_short_long)
 from runtumble.freeflow import GaussianBallData
 from runtumble.grid import (DistributionField, GridSpec, SpatialField, build_grid,
-                            density, total_mass)
+                            density, field_mass)
 from runtumble.kernels import (KernelSpec, kernel_components, mixed_norm_bound_report,
                                scattering_apply)
 from runtumble.simulate import Simulation
@@ -46,11 +46,11 @@ def run_with_trace(sim, n_steps, monitors=()):
     """Run a simulation recording mass and minimum per step."""
     for mon in monitors:
         sim.attach(mon)
-    trace = {"mass": [sim.mass0], "min_f": [float(sim.f.values.min())]}
+    trace = {"mass": [sim.mass0], "min_f": [sim.f.extrema()[0]]}
     for _ in range(n_steps):
         sim.step()
-        trace["mass"].append(total_mass(sim.f))
-        trace["min_f"].append(float(sim.f.values.min()))
+        trace["mass"].append(field_mass(sim.rho))
+        trace["min_f"].append(sim.f.extrema()[0])
     return trace
 
 

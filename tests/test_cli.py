@@ -96,6 +96,19 @@ def test_simulate_guard_abort_exit_code(tmp_path):
     assert (tmp_path / "g" / "timeseries.csv").exists()
 
 
+def test_simulate_gronwall_abort_at_first_step(tmp_path):
+    # the wrap guard trips at the first step: the Gronwall monitor has no
+    # completed step to calibrate on, and only t = 0 is certified
+    cfg = BASE_CONFIG.replace("init_width = 0.8", "init_width = 7.9")
+    cfg += "monitors = gronwall_thm2\n" + f"output_dir = {tmp_path / 'g'}\n"
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_GUARD
+    lines = (tmp_path / "g" / "timeseries.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[-2:] == ["cert_gronwall", "bound_gronwall"]
+    assert len(lines) == 2  # the initial state only
+    assert lines[1].split(",")[-2] == "pass"
+
+
 TERMS_CONFIG = """\
 dimension = 3
 box_half_length = 8

@@ -165,6 +165,45 @@ def test_hyp3_components_bit_identical_to_term_by_term_formula(dim, nx, r_max):
                 assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1]), spec
 
 
+def _hyp12_reference(spec, fields, grid):
+    """hyp1 and hyp2 components, frozen as a reference: C * (1.0 + stack)
+    and C * stack from fresh temporaries, then the saturation."""
+    C = spec.coefficient
+
+    def stack(values, sign):
+        return velocity_offset_stack(values, grid.vnodes, -sign * spec.epsilon, grid.dx)
+
+    S = fields["S"].values
+    if spec.family == "hyp1":
+        gmag = np.sqrt(sum(g.values**2 for g in fields["grad"]))
+        A, B = C * (1.0 + stack(S + gmag, +1)), C * stack(S, -1)
+    else:
+        w = np.abs(S)
+        for g in fields["grad"]:
+            w = w + np.abs(g.values)
+        for row in fields["hess"]:
+            for h in row:
+                w = w + np.abs(h.values)
+        A, B = C * (1.0 + stack(w, +1)), np.zeros((grid.n_vnodes,) + grid.x_shape)
+    if spec.saturation is not None:
+        A, B = np.minimum(A, spec.saturation / 2.0), np.minimum(B, spec.saturation / 2.0)
+    return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
+
+
+@pytest.mark.parametrize("family", ["hyp1", "hyp2"])
+@pytest.mark.parametrize("dim, nx", [(1, 16), (2, 8), (3, 8)])
+def test_hyp1_hyp2_components_bit_identical_to_fresh_formula(family, dim, nx):
+    grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=4))
+    rng = np.random.default_rng(dim)
+    rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
+    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad", "hess"))
+    for eps, sat in ((1.3, None), (1.3, 0.02), (4.0, None)):  # eps = 4: whole cells
+        spec = KernelSpec(family=family, coefficient=0.7, epsilon=eps, saturation=sat)
+        got = kernel_components(spec, fields, grid)
+        ref = _hyp12_reference(spec, fields, grid)
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1]), spec
+
+
 def test_hyp3_mirrored_b_is_a_view_of_a(monkeypatch):
     # with the default signs B's terms mirror A's: two offset stacks instead
     # of four, where the grid pairs each velocity node with its mirror

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from runtumble.grid import DistributionField, GridSpec, build_grid, total_mass
-from runtumble.interp import axis_shift, interp_point, shift_spatial, velocity_offset_stack
+from runtumble.interp import (_BLOCK, axis_shift, interp_point, shift_spatial,
+                              velocity_offset_stack)
 from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
 
@@ -113,6 +114,55 @@ def test_axis_shift_bit_identical_to_unblocked_formula(limit):
                 assert _same_bits(o, ref)
 
 
+def _row_inputs():
+    rng = np.random.default_rng(6)
+    # node-first 2-D and 3-D stacks; (11, 64, 64) crosses a block boundary
+    # (8 rows of 4096 a block) and (3, 40, 30, 30) has rows larger than _BLOCK
+    for shape in ((11, 64, 64), (6, 9, 10, 11), (3, 40, 30, 30), (5, 37)):
+        a = rng.random(shape)
+        corner = tuple(slice(0, 6) for _ in shape)
+        a[corner] = np.where(rng.random(a[corner].shape) < 0.5, 0.0, -0.0)
+        yield a
+
+
+@pytest.mark.parametrize("limit", [True, False])
+def test_axis_shift_per_row_matches_row_by_row_formula(limit):
+    assert _BLOCK // (64 * 64) < 11 and 40 * 30 * 30 > _BLOCK
+    dx = 0.5
+    # runs of one integer part, whole cells and zeros among fractional rows
+    cells = np.array([0.3, 0.4, 0.45, -0.3, -0.2, 2.0, 0.0, 2.7, -3.45, 41.0, 0.31, -0.0, -1.0])
+    for a in _row_inputs():
+        R = a.shape[0]
+        fan = np.repeat(np.arange(R), 3)[:2 * R]  # each source row read by up to three rows
+        maps = [None, fan, np.arange(R)[::-1], np.zeros(R, dtype=int)]
+        for axis in range(1, a.ndim):
+            for rows in maps:
+                src = np.arange(R) if rows is None else rows
+                disp = dx * np.resize(cells, len(src))
+                ref = np.stack([_reference_axis_shift(a[j], disp[i], dx, axis=axis - 1, limit=limit)
+                                for i, j in enumerate(src)])
+                before = a.copy()
+                got = axis_shift(a, disp, dx, axis=axis, limit=limit, rows=rows)
+                assert _same_bits(got, ref)
+                assert _same_bits(a, before)
+                o = np.empty(ref.shape[::-1]).T  # strided, not sharing memory with a
+                assert axis_shift(a, disp, dx, axis=axis, limit=limit, rows=rows, out=o) is o
+                assert _same_bits(o, ref)
+            # the identity map in place
+            disp = dx * np.resize(cells, R)
+            ref = axis_shift(a, disp, dx, axis=axis, limit=limit)
+            aliased = a.copy()
+            assert axis_shift(aliased, disp, dx, axis=axis, limit=limit, rows=np.arange(R),
+                              out=aliased) is aliased
+            assert _same_bits(aliased, ref)
+    with pytest.raises(ValueError):
+        axis_shift(a, np.zeros(len(a)), dx, axis=0)
+    with pytest.raises(ValueError):
+        axis_shift(a, np.zeros(2), dx, axis=1, rows=np.zeros(3, dtype=int))
+    with pytest.raises(ValueError):  # rows would be read after they are written
+        axis_shift(a, np.zeros(len(a)), dx, axis=1, rows=np.zeros(len(a), dtype=int), out=a)
+
+
 def test_shift_spatial_two_axes():
     grid = make_grid(dim=2, nx=32)
     X, Y = grid.x_mesh()
@@ -150,6 +200,24 @@ def test_velocity_offset_stack_per_node_input():
             assert np.array_equal(out[j], ref)
     with pytest.raises(ValueError):
         velocity_offset_stack(rng.random((16, 3)), grid.vnodes, 0.1, grid.dx)
+
+
+@pytest.mark.parametrize("dim, L, nx, nv", [(2, 16.0, 64, 16), (3, 12.0, 32, 4)])
+def test_velocity_offset_stack_on_preset_lattices(dim, L, nx, nv):
+    # the 2-D preset's K = 208 nodes fan one spatial row out over two axes;
+    # the 3-D preset shifts 32 nodes along three
+    grid = build_grid(GridSpec(dim=dim, box_half_length=L, nx=nx, nv=nv))
+    rng = np.random.default_rng(dim)
+    spatial = rng.random(grid.x_shape)
+    spatial.reshape(-1)[:64] = np.where(rng.random(64) < 0.5, 0.0, -0.0)
+    nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
+    nodes.reshape(-1)[::97] = -0.0
+    for factor in (0.01, 0.025, -1.0, 1.0):
+        for values in (spatial, nodes):
+            out = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+            for j in range(grid.n_vnodes):
+                row = values if values.ndim == dim else values[j]
+                assert _same_bits(out[j], shift_spatial(row, factor * grid.vnodes[j], grid.dx))
 
 
 def test_interp_point_exact_at_nodes_and_smooth_accuracy():
