@@ -30,6 +30,7 @@ from runtumble.transport import SeparableData
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_GUARD = 2
+EXIT_CHECK = 3
 
 
 class ConfigError(ValueError):
@@ -345,7 +346,7 @@ def run_exponents_check(args):
     print("admissible" if ok else "not admissible")
     for key, val in sorted(diag.items()):
         print(f"  {key} = {val}")
-    return EXIT_OK if ok else EXIT_GUARD
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ def run_dispersion(config_path):
         print(f"({ptok},{qtok}): slope {fit.fitted_slope:.4f} vs {fit.theoretical_slope:.4f} "
               f"-> {'pass' if ok else 'fail'}")
     write_csv(os.path.join(outdir, "dispersion.csv"), header, rows)
-    return EXIT_OK if all_ok else EXIT_GUARD
+    return EXIT_OK if all_ok else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------

@@ -232,11 +232,13 @@ def shift_spatial(values, disp, dx, limit=True):
     return out
 
 
-def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
+def velocity_offset_stack(values, vnodes, factor, dx, limit=True, out=None):
     """Per-node shifted copies out[j](x) = values(x - factor * v_j), node-first.
 
     values: a spatial array x_shape, or a node-first array (K,) + x_shape.
-    Returns a new (K,) + x_shape array. Each node gets the axis shifts of
+    Returns a new (K,) + x_shape array, or for a node-first input `out` when
+    given, which may be `values` itself: its rows map one to one onto the
+    stack's, so every axis shifts in place. Each node gets the axis shifts of
     shift_spatial in the same order, so the result is bit-identical to
     shifting node by node. Shifts are shared: after axis a the stack holds
     one row per distinct (row, v_a) pair, so a spatial input is shifted
@@ -246,6 +248,8 @@ def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
     """
     K, d = vnodes.shape
     if values.ndim == d:
+        if out is not None:
+            raise ValueError("out needs a node-first input")
         rows, owner = values[None], np.zeros(K, dtype=int)
     elif values.ndim == d + 1 and values.shape[0] == K:
         rows, owner = values, np.arange(K)
@@ -256,11 +260,12 @@ def velocity_offset_stack(values, vnodes, factor, dx, limit=True):
         # rows of the next stack: distinct (current row, component) pairs
         keys, owner = np.unique(owner * len(comps) + col, return_inverse=True)
         parent, comp = np.divmod(keys, len(comps))
-        # rows that map one to one onto the next stack are shifted in place,
-        # once they are a copy of the input (from the second axis on)
-        inplace = a > 0 and len(keys) == len(rows)
+        # the first axis writes into `out`; from the second axis on, rows that
+        # map one to one onto the next stack are shifted in place, as they are
+        # a copy of the input by then
+        dest = out if a == 0 else rows if len(keys) == len(rows) else None
         rows = axis_shift(rows, factor * comps[comp], dx, axis=a + 1, limit=limit,
-                          rows=parent, out=rows if inplace else None)
+                          rows=parent, out=dest)
     return rows if np.array_equal(owner, np.arange(K)) else rows[owner]
 
 

@@ -15,6 +15,14 @@ of the node order), the stack at the opposite sign is that stack reversed,
 and when B's terms mirror A's (the default signs) B is A[vreflect], a
 reversed read-only view of A; both are bit-identical to building the
 stacks again.
+
+The scattering update reuses the arrays that building the components made:
+the loss rate goes into B's array (or into the offset stack that hyp3's
+mirrored A has consumed) and the gain into A's, and it writes the new state
+into a caller's array when given one, which may be the state itself. The
+kernels with no v'-part (constant, hyp2) have a loss rate that does not
+depend on v, so it is an x_shape field, and their gain needs no velocity
+sum over B.
 """
 
 from dataclasses import dataclass
@@ -53,6 +61,8 @@ class KernelSpec:
             raise ValueError("coefficient must be >= 0")
         if self.epsilon < 0:
             raise ValueError("memory scale epsilon must be >= 0")
+        if self.saturation is not None and self.saturation < 0:
+            raise ValueError("saturation must be >= 0")
         if self.family == "hyp3":
             if len(self.signs) != 4 or any(s not in (-1, 1) for s in self.signs):
                 raise ValueError("hyp3 needs four signs in {-1, +1}")
@@ -104,16 +114,58 @@ def _offset_stack(values, grid, sign, eps):
     return velocity_offset_stack(values, grid.vnodes, -sign * eps, grid.dx)
 
 
-def _node_first(components):
-    """(A, B) as node-first (K,) + x_shape views."""
-    return tuple(np.moveaxis(c, -1, 0) for c in components)
+def _loss_rate(A, B, grid, out=None):
+    """sum_j' w_j' T(x, v_j', v) from node-first components.
+
+    With no v'-part (B is None) the rate does not depend on v and is an
+    x_shape field; else it is (K,) + x_shape, written to `out` when given,
+    which may be B itself.
+    """
+    rate = grid.hv ** grid.dim * A.sum(axis=0)
+    if B is None:
+        return rate
+    full = np.multiply(B, grid.velocity_measure, out=out)
+    full += rate
+    return full
 
 
-def _loss_rate(A, B, grid):
-    """sum_j' w_j' T(x, v_j', v) from node-first components, shape (K,) + x_shape."""
-    rate = grid.velocity_measure * B
-    rate += grid.hv ** grid.dim * A.sum(axis=0)
-    return rate
+def _components(spec, fields, grid):
+    """Node-first, saturated (A, B, spare) of the split T = A(x, v) + B(x, v').
+
+    A is an array of the caller's own, or a read-only broadcast (the
+    constant kernel). B is None for the kernels with no v'-part (constant,
+    hyp2); else an array of the caller's own, or a read-only view of A
+    (hyp3's mirrored B). spare, when not None, is an array of the caller's
+    own, of the state's shape, that holds nothing needed once B has been
+    read: B's own array, or the offset stack that hyp3's mirrored A has
+    consumed.
+    """
+    spec.validate()
+    _check_fields(spec, fields)
+    if spec.family == "hyp3":
+        return _hyp3_components(spec, fields, grid)
+    C, eps = spec.coefficient, spec.epsilon
+    B = None
+    if spec.family == "constant":
+        A = np.broadcast_to(float(C), (grid.n_vnodes,) + grid.x_shape)
+    elif spec.family == "hyp1":
+        # C * (1.0 + stack) and C * stack, in place in the fresh stacks:
+        # IEEE addition and multiplication commute, so the bits are the same
+        S = fields["S"].values
+        A = _offset_stack(S + _grad_magnitude(fields), grid, +1, eps)
+        A += 1.0
+        A *= C
+        B = _offset_stack(S, grid, -1, eps)
+        B *= C
+    else:  # hyp2
+        A = _offset_stack(_hyp2_weight(fields), grid, +1, eps)
+        A += 1.0
+        A *= C
+    A = _saturate(A, spec)
+    if B is None:
+        return A, None, None
+    B = _saturate(B, spec)
+    return A, B, B
 
 
 def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
@@ -124,31 +176,11 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
     array, or a read-only broadcast of a constant. When hyp3's B mirrors A,
     B is a view of A and both are read-only.
     """
-    spec.validate()
-    _check_fields(spec, fields)
-    C, eps = spec.coefficient, spec.epsilon
-    shape = (grid.n_vnodes,) + grid.x_shape
-
-    if spec.family == "hyp3":
-        A, B = _hyp3_components(spec, fields, grid)
-    else:
-        if spec.family == "constant":
-            A, B = np.broadcast_to(float(C), shape), np.broadcast_to(0.0, shape)
-        elif spec.family == "hyp1":
-            # C * (1.0 + stack) and C * stack, in place in the fresh stacks:
-            # IEEE addition and multiplication commute, so the bits are the same
-            S = fields["S"].values
-            A = _offset_stack(S + _grad_magnitude(fields), grid, +1, eps)
-            A += 1.0
-            A *= C
-            B = _offset_stack(S, grid, -1, eps)
-            B *= C
-        else:  # hyp2
-            A = _offset_stack(_hyp2_weight(fields), grid, +1, eps)
-            A += 1.0
-            A *= C
-            B = np.broadcast_to(0.0, shape)
-        A, B = _saturate(A, spec), _saturate(B, spec)
+    A, B, _ = _components(spec, fields, grid)
+    if B is None:
+        B = _saturate(np.broadcast_to(0.0, A.shape), spec)
+    elif B.base is A:  # hyp3's mirrored B
+        A.flags.writeable = False
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
 
@@ -157,14 +189,17 @@ def _saturate(part, spec):
 
 
 def _hyp3_components(spec, fields, grid):
-    """Node-first, saturated (A, B) of hyp3, bit for bit C * (0 + term + term) per part.
+    """Node-first, saturated (A, B, spare) of hyp3, as _components returns
+    them, bit for bit C * (0 + term + term) per part.
 
     Each (input, sign) offset stack is built once. On a grid with vreflect
     r, a term whose opposite-sign stack exists is the view [r] of it:
     negating a displacement is exact, so stack(-sign)[j] and stack(sign)[r[j]]
     agree bit for bit. When B's active terms mirror A's (s2 = -s1, s4 = -s3,
-    the default signs), B is A[r] itself; the coefficient and saturation
-    are elementwise, so they commute with the reordering.
+    the default signs), B is A[r] itself, a read-only view; the coefficient
+    and saturation are elementwise, so they commute with the reordering.
+    Then no other part reads A's stacks, so A is summed and scaled in its
+    first stack, and its second stack is the spare.
     """
     C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
     inputs = {}
@@ -175,6 +210,7 @@ def _hyp3_components(spec, fields, grid):
     names = ("S", "S", "grad", "grad")
     a_terms = [(names[i], spec.signs[i]) for i in (0, 2) if spec.active[i]]  # offsets along v
     b_terms = [(names[i], spec.signs[i]) for i in (1, 3) if spec.active[i]]  # offsets along v'
+    mirrored = r is not None and b_terms == [(name, -sign) for name, sign in a_terms]
     stacks = {}
 
     def stack(name, sign):
@@ -184,21 +220,26 @@ def _hyp3_components(spec, fields, grid):
             stacks[name, sign] = _offset_stack(inputs[name], grid, sign, eps)
         return stacks[name, sign]
 
-    def part(terms):
+    def part(terms, in_place):
         # the stacks hold no -0.0 (|S| and |grad S| are >= +0, and so is a
         # limited shift of such values), so leaving out the 0 + changes no bit
         rows = [stack(*t) for t in terms]
-        if len(rows) < 2:
-            return C * (rows[0] if rows else np.zeros((grid.n_vnodes,) + grid.x_shape))
-        total = np.add(*rows)
+        if not rows:
+            return C * np.zeros((grid.n_vnodes,) + grid.x_shape)
+        into = rows[0] if in_place else None
+        if len(rows) == 1:
+            return np.multiply(rows[0], C, out=into)
+        total = np.add(*rows, out=into)
         total *= C
         return total
 
-    A = _saturate(part(a_terms), spec)
-    if r is not None and b_terms == [(name, -sign) for name, sign in a_terms]:
-        A.flags.writeable = False  # B is a view of A
-        return A, A[r]
-    return A, _saturate(part(b_terms), spec)
+    A = _saturate(part(a_terms, mirrored), spec)
+    if mirrored:
+        B = A[r]
+        B.flags.writeable = False
+        return A, B, stacks[a_terms[1]] if len(a_terms) == 2 else None
+    B = _saturate(part(b_terms, False), spec)
+    return A, B, B
 
 
 def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> float:
@@ -247,13 +288,18 @@ def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> floa
 
 
 def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid):
-    """Total tumbling rate out of each node: sum_j' w_j' T(x, v_j', v), shape x_shape + (K,)."""
-    A, B = _node_first(kernel_components(spec, fields, grid))
-    return np.moveaxis(_loss_rate(A, B, grid), 0, -1)
+    """Total tumbling rate out of each node: sum_j' w_j' T(x, v_j', v), shape x_shape + (K,).
+
+    A read-only view; for the kernels with no v'-part, a broadcast of an
+    x_shape field.
+    """
+    A, B, _ = _components(spec, fields, grid)
+    rate = np.broadcast_to(_loss_rate(A, B, grid), A.shape)
+    return np.moveaxis(rate, 0, -1)
 
 
 def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
-                     rho=None) -> DistributionField:
+                     rho=None, out=None) -> DistributionField:
     """Explicit scattering update f + dt * (gain - loss).
 
     gain(x, v) = sum_j' w_j' T(x, v, v_j') f(x, v_j'), loss(x, v) =
@@ -262,26 +308,41 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     the update preserves nonnegativity, and x-integrated gain equals
     x-integrated loss by the (v, v') swap antisymmetry of the discrete sums.
     rho, when given, must be density(f), so that it is not computed again.
+    The new state is written to `out` when given, which may be f.nodes,
+    else to a new array; nothing is written to `out` before the guard
+    passes, and f is left as it is otherwise.
+
+    The rate and the gain are formed in the arrays that building the
+    components made, and are bit-identical to fresh temporaries: where B
+    is zero, the rate vm * 0 + s is s and the gain g + w * 0 is g, because
+    s and g are >= +0.
     """
     grid = f.grid
-    A, B = _node_first(kernel_components(spec, fields, grid))
-    rate = _loss_rate(A, B, grid)
+    fm = f.nodes
+    w = grid.hv ** grid.dim
+    A, B, spare = _components(spec, fields, grid)
+    # the v'-part of the gain, read before B's array takes the rate
+    gain_b = None if B is None else w * np.einsum("k...,k...->...", B, fm)
+    rate = _loss_rate(A, B, grid, out=spare)
     max_rate = float(rate.max())
     if dt * max_rate >= 1.0:
         raise PositivityError(
             f"scattering dt={dt} violates the positivity threshold: "
             f"dt * sup rate = {dt * max_rate:.3e} >= 1")
 
-    fm = f.nodes
-    gain = A * (density(f) if rho is None else rho).values
-    gain += grid.hv ** grid.dim * np.einsum("k...,k...->...", B, fm)
-    # new = fm * (1 - dt * rate) + dt * gain, in place on the full-size temporaries
-    new = np.multiply(rate, dt, out=rate)
-    np.subtract(1.0, new, out=new)
-    new *= fm
+    rho_values = (density(f) if rho is None else rho).values
+    gain = np.multiply(A, rho_values, out=A if A.flags.writeable else None)
+    if gain_b is not None:
+        gain += gain_b
+    # out = fm * (1 - dt * rate) + dt * gain
+    np.multiply(rate, dt, out=rate)
+    np.subtract(1.0, rate, out=rate)
+    if out is None:
+        out = rate if rate.shape == fm.shape else np.empty_like(fm)
+    np.multiply(rate, fm, out=out)
     gain *= dt
-    new += gain
-    return DistributionField.from_nodes(grid, new, t=f.t)
+    out += gain
+    return DistributionField.from_nodes(grid, out, t=f.t)
 
 
 def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> float:
@@ -298,7 +359,7 @@ def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> 
     if not (ge(p1, p2) and ge(p1, p3)):
         raise ValueError(f"need p1 >= p2 and p1 >= p3, got ({p1}, {p2}, {p3})")
     K = grid.n_vnodes
-    A, B = (c.reshape(K, -1) for c in _node_first(kernel_components(spec, fields, grid)))
+    A, B = (np.moveaxis(c, -1, 0).reshape(K, -1) for c in kernel_components(spec, fields, grid))
     w = grid.hv ** grid.dim
 
     mid = np.zeros(A.shape[1])

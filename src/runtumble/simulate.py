@@ -87,15 +87,18 @@ class Simulation:
                 f"(shell mass {shell:.3e} > {self.wrap_tol:.1e} * M)", self.t)
 
     def step(self):
+        # the first half-step writes a new array, the step's only copy of the
+        # state (self.f is left as it is); scattering and the second
+        # half-step update that array in place
         dt = self.grid.spec.dt
         f = transport_step(self.f, dt / 2.0)
         rho = density(f)
         fields = self._solve_fields_for(rho)
         try:
-            f = scattering_apply(f, self.kernel, fields, dt, rho=rho)
+            f = scattering_apply(f, self.kernel, fields, dt, rho=rho, out=f.nodes)
         except PositivityError as exc:
             raise GuardAbort(str(exc), self.t) from exc
-        f = transport_step(f, dt / 2.0)
+        f = transport_step(f, dt / 2.0, out=f.nodes)
         f.t = self.t + dt
         self.f = f
         self.t += dt

@@ -88,7 +88,7 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
     return DistributionField.from_nodes(grid, amp.reshape((K,) + (1,) * d) * g, t=float(t))
 
 
-def transport_step(f: DistributionField, dt: float) -> DistributionField:
+def transport_step(f: DistributionField, dt: float, out=None) -> DistributionField:
     """Semi-Lagrangian update f_new(x, v) = Interp(f)(x - dt v, v).
 
     Periodic monotonized cubic per velocity node; exact when dt * v lands on
@@ -96,13 +96,15 @@ def transport_step(f: DistributionField, dt: float) -> DistributionField:
     The unlimited shift is a circular convolution with unit weight sum, so
     the only mass error comes from the limiter; a per-slab rescale restores
     the slab mass exactly, keeping total mass conserved to roundoff.
+    The new state is written to `out` when given, which may be f.nodes
+    (an in-place step), else to a new array; f is left as it is otherwise.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = f.grid
     spatial = tuple(range(1, grid.dim + 1))
     before = f.nodes.sum(axis=spatial)
-    out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx)
+    out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx, out=out)
     np.clip(out, 0.0, None, out=out)
     after = out.sum(axis=spatial)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from runtumble.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_OK, ConfigError, main,
+from runtumble.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, ConfigError, main,
                            parse_config, parse_exponent, parse_norm_list, parse_signs)
 
 BASE_CONFIG = """\
@@ -164,7 +164,7 @@ def test_exponents_solve_and_check(capsys):
     assert float(values["lambda"]) == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert main(["exponents", "check", "3", "9/5", "9/7", "3/2"]) == EXIT_OK
     assert "admissible" in capsys.readouterr().out
-    assert main(["exponents", "check", "3", "9/7", "9/5", "3/2"]) == EXIT_GUARD
+    assert main(["exponents", "check", "3", "9/7", "9/5", "3/2"]) == EXIT_CHECK
 
 
 def test_exponents_region(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from runtumble.fields import (bessel_potential_integrable, bessel_potential_norms,
+from scipy.special import kv
+
+from runtumble.fields import (_bessel_radial, _newton_kernel, _newton_kernel_hat,
+                              bessel_potential_integrable, bessel_potential_norms,
                               calderon_zygmund_check, gradient_bound_check,
                               newtonian_potential, solve_field, split_short_long)
 from runtumble.grid import GridSpec, SpatialField, build_grid
@@ -70,6 +73,25 @@ def test_newtonian_split_reconstruction():
     assert err <= 1e-8 * np.abs(full.values).max()
 
 
+def test_newton_kernels_transformed_once_per_grid():
+    # the cached, read-only transform gives the bits of transforming the
+    # tabulated kernel on every call
+    grid, rho = _random_rho3(seed=4)
+    rho_hat = np.fft.fftn(rho.values)
+
+    def direct(order, part):
+        ker_hat = np.fft.fftn(_newton_kernel(grid, order, part))
+        return np.fft.ifftn(rho_hat * ker_hat).real * grid.x_weight
+
+    for order in (0, 1):
+        S = newtonian_potential(rho, order=order)
+        assert np.array_equal(S.values.view(np.int64), direct(order, "full").view(np.int64))
+        for got, part in zip(split_short_long(rho, order=order), ("short", "long")):
+            assert np.array_equal(got.values.view(np.int64), direct(order, part).view(np.int64))
+    hat = _newton_kernel_hat(grid.spec, 0, "full")
+    assert _newton_kernel_hat(grid.spec, 0, "full") is hat and not hat.flags.writeable
+
+
 def test_long_range_part_bounded_by_mass():
     grid, rho = _random_rho3(seed=1)
     mass = float(grid.x_weight * rho.values.sum())
@@ -113,6 +135,28 @@ def test_bessel_norm_quadrature_converges():
         coarse = bessel_potential_norms(p, order=order, d=3, n_radial=400)
         fine = bessel_potential_norms(p, order=order, d=3, n_radial=800)
         assert abs(fine - coarse) / fine < 0.005
+
+
+def test_bessel_kernel_pointwise_closed_form():
+    # G = (pi r)^nu K_nu(r/2) / (2 pi) and |G'| = (pi r)^nu K_(nu-1)(r/2) / (4 pi),
+    # nu = (2-d)/2; for d = 1 and 3 the half-integer K are elementary
+    r = np.array([1e-5, 1e-2, 1.0])
+    e = np.exp(-r / 2.0)
+    expect = {
+        (1, 0): e / 2.0, (1, 1): e / 4.0,
+        (2, 0): kv(0.0, r / 2.0) / (2.0 * np.pi), (2, 1): kv(1.0, r / 2.0) / (4.0 * np.pi),
+        (3, 0): e / (2.0 * np.pi * r), (3, 1): e * (1.0 + 2.0 / r) / (4.0 * np.pi * r),
+    }
+    for (d, order), g in expect.items():
+        assert np.allclose(_bessel_radial(r, order, d), g, rtol=1e-12, atol=0.0), (d, order)
+
+
+def test_bessel_norm_includes_the_small_radius_tail():
+    # the gradient norm near its threshold p < 3/2 gets much of its mass
+    # from r < 1e-6; the power-law tail makes it independent of r_min
+    near = bessel_potential_norms(1.4, order=1, d=3)
+    deeper = bessel_potential_norms(1.4, order=1, d=3, n_radial=800, r_min=1e-9)
+    assert abs(near - deeper) / deeper < 1e-5
 
 
 def test_bessel_l1_norm_closed_form():

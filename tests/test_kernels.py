@@ -257,3 +257,81 @@ def test_mixed_norm_bound_report():
     assert rep["passed"] and rep["ratio"] <= 1.05
     with pytest.raises(ValueError):
         mixed_norm_bound_report(KernelSpec(family="hyp1"), fields, grid, 4.5, 1.8, 4.5)
+
+
+def _scatter_reference(f, spec, fields, dt):
+    """The scattering update from fresh temporaries, frozen as a reference:
+    rate = vm * B + w * sum A, gain = A * rho + w * sum B f, then
+    (1 - dt * rate) * f + dt * gain."""
+    grid = f.grid
+    A, B = (np.moveaxis(c, -1, 0) for c in kernel_components(spec, fields, grid))
+    w = grid.hv ** grid.dim
+    rate = grid.velocity_measure * B
+    rate = rate + w * A.sum(axis=0)
+    gain = A * density(f).values
+    gain = gain + w * np.einsum("k...,k...->...", B, f.nodes)
+    return (1.0 - rate * dt) * f.nodes + gain * dt
+
+
+_SCATTER_SPECS = [
+    KernelSpec(family="constant", coefficient=0.4),
+    KernelSpec(family="hyp1", coefficient=0.4, epsilon=1.3),
+    KernelSpec(family="hyp2", coefficient=0.4, epsilon=1.3),
+    KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3),
+    KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, active=(True, True, False, False)),
+    KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, signs=(1, 1, 1, 1)),
+    KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, signs=(1, 1, -1, 1),
+               active=(True, False, True, True)),
+    KernelSpec(family="constant", coefficient=0.4, saturation=0.5),
+    KernelSpec(family="hyp1", coefficient=0.4, epsilon=1.3, saturation=0.5),
+    KernelSpec(family="hyp2", coefficient=0.4, epsilon=1.3, saturation=0.5),
+    KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, saturation=0.02),
+]
+
+
+@pytest.mark.parametrize("dim, nx, nv, r_max", [(1, 16, 4, 1.0), (2, 8, 4, 1.0), (3, 8, 4, 1.0),
+                                                (2, 8, 4, 0.3)])  # the last has no vreflect
+def test_scattering_bit_identical_to_fresh_temporaries(dim, nx, nv, r_max):
+    # the update formed in the components' own arrays, into a new array or
+    # into the state itself, has the bits of the formula on fresh temporaries;
+    # without `out` the state is left as it is
+    grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=nv, r_max=r_max))
+    rng = np.random.default_rng(dim)
+    rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
+    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad", "hess"))
+    nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
+    f = DistributionField.from_nodes(grid, nodes, t=0.25)
+    before = nodes.copy()
+    for spec in _SCATTER_SPECS:
+        ref = _scatter_reference(f, spec, fields, 0.02)
+        fresh = scattering_apply(f, spec, fields, 0.02)
+        assert _same_bits(fresh.nodes, ref) and fresh.t == f.t, spec
+        assert _same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, nodes)
+        g = DistributionField.from_nodes(grid, nodes.copy(), t=0.25)
+        inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), out=g.nodes)
+        assert inplace.nodes is g.nodes and _same_bits(g.nodes, ref), spec
+
+
+def test_scattering_guard_runs_before_any_write():
+    grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=8)
+    before = f.nodes.copy()
+    for family in ("constant", "hyp1", "hyp2", "hyp3"):
+        spec = KernelSpec(family=family, coefficient=1e4)
+        with pytest.raises(ValueError, match="positivity"):
+            scattering_apply(f, spec, fields, 0.02, out=f.nodes)
+        assert _same_bits(f.nodes, before)
+
+
+def test_loss_rate_of_kernels_without_a_v_prime_part():
+    # for the constant and hyp2 kernels the rate does not depend on v: an
+    # x-only field, broadcast over the nodes, with the bits of vm * 0 + sum A
+    grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=9)
+    for family in ("constant", "hyp2"):
+        spec = KernelSpec(family=family, coefficient=0.6)
+        rate = loss_rate(spec, fields, grid)
+        A, B = kernel_components(spec, fields, grid)
+        expect = grid.velocity_measure * B + grid.hv ** grid.dim * A.sum(axis=-1)[..., None]
+        assert rate.shape == grid.x_shape + (grid.n_vnodes,) and rate.strides[-1] == 0
+        assert _same_bits(rate, expect)
+    with pytest.raises(ValueError, match="saturation"):
+        KernelSpec(family="hyp2", saturation=-1.0).validate()

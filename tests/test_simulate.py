@@ -1,14 +1,15 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from runtumble.estimator import BootstrapMonitor, GronwallMonitor, TermTracker
-from runtumble.grid import GridSpec, build_grid, total_mass
-from runtumble.kernels import KernelSpec
+from runtumble.grid import GridSpec, build_grid, density, total_mass
+from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.simulate import GuardAbort, Simulation
-from runtumble.transport import SeparableData
+from runtumble.transport import SeparableData, transport_step
 
 
 def make_sim(dim=2, L=8.0, nx=32, nv=8, dt=0.02, family="hyp2", C=0.5, beta=1,
@@ -72,10 +73,26 @@ def test_wrap_guard_aborts_with_valid_time():
 
 
 def test_scattering_guard_becomes_guard_abort():
-    # huge kernel coefficient violates dt * sup rate < 1
-    sim = make_sim(family="constant", C=1e4)
-    with pytest.raises(GuardAbort):
-        sim.step()
+    # huge kernel coefficient violates dt * sup rate < 1; the aborted step
+    # leaves the state, the time and the monitors as they were
+    class Probe:
+        calls = 0
+
+        def start(self, sim):
+            pass
+
+        def after_step(self, sim):
+            self.calls += 1
+
+    for family in ("constant", "hyp1", "hyp2", "hyp3"):
+        sim = make_sim(family=family, C=1e4)
+        probe = Probe()
+        sim.attach(probe)
+        f, nodes = sim.f, sim.f.nodes.copy()
+        with pytest.raises(GuardAbort):
+            sim.step()
+        assert sim.f is f and np.array_equal(f.nodes.view(np.int64), nodes.view(np.int64))
+        assert sim.t == 0.0 and sim.step_count == 0 and probe.calls == 0
 
 
 def test_max_stable_dt_is_consistent_with_guard():
@@ -116,3 +133,68 @@ def test_finished_run_is_freed_without_the_cycle_collector(monitor):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _reference_step(sim):
+    """One step of fresh arrays, composed of public calls, frozen as a reference."""
+    dt = sim.grid.spec.dt
+    f = transport_step(sim.f, dt / 2.0)
+    rho = density(f)
+    fields = sim._solve_fields_for(rho)
+    f = scattering_apply(f, sim.kernel, fields, dt, rho=rho)
+    return transport_step(f, dt / 2.0)
+
+
+_STEP_KERNELS = [
+    KernelSpec(family="constant", coefficient=0.5),
+    KernelSpec(family="hyp1", coefficient=0.3),
+    KernelSpec(family="hyp2", coefficient=0.5),
+    KernelSpec(family="hyp3", coefficient=0.5),
+    KernelSpec(family="hyp3", coefficient=0.5, signs=(1, 1, -1, -1)),
+    KernelSpec(family="hyp1", coefficient=0.3, saturation=0.4),
+    KernelSpec(family="hyp2", coefficient=0.5, saturation=0.4),
+    KernelSpec(family="hyp3", coefficient=0.5, saturation=0.05),
+]
+
+
+@pytest.mark.parametrize("dim, L, nx, nv, beta", [(1, 8.0, 32, 8, 1), (2, 8.0, 16, 8, 1),
+                                                  (3, 4.0, 8, 4, 1), (3, 4.0, 8, 4, 0)])
+def test_step_bit_identical_to_fresh_array_reference(dim, L, nx, nv, beta):
+    # the step that writes one new array and works in it has the bits of the
+    # step of fresh arrays; the previous state keeps its bytes
+    grid = build_grid(GridSpec(dim=dim, box_half_length=L, nx=nx, nv=nv, dt=0.02))
+    f0 = SeparableData(amplitude=1.0, width=0.8, kind="cube")
+    kernels = [k for k in _STEP_KERNELS if beta == 1 or "hess" not in k.required_fields()]
+    for kernel in kernels:
+        sim = Simulation(grid, f0, kernel, beta=beta)
+        for _ in range(3):
+            ref = _reference_step(sim)
+            f_prev, prev = sim.f, sim.f.nodes.copy()
+            sim.step()
+            assert np.array_equal(sim.f.nodes.view(np.int64), ref.nodes.view(np.int64)), kernel
+            assert np.array_equal(f_prev.nodes.view(np.int64), prev.view(np.int64))
+            assert not np.shares_memory(sim.f.nodes, f_prev.nodes)
+            assert sim.f.t == sim.t
+
+
+@pytest.mark.parametrize("family, dim, beta, bound", [("hyp2", 2, 1, 2.5), ("hyp3", 3, 1, 4.0),
+                                                      ("hyp1", 3, 0, 4.0)])
+def test_step_allocates_few_state_sizes(family, dim, beta, bound):
+    # on the preset grids a steady-state step holds at most `bound` state
+    # sizes of new memory at its peak: the new state, the kernel's offset
+    # stacks and the work buffers of the shifts
+    if dim == 2:
+        spec = GridSpec(dim=2, box_half_length=16.0, nx=64, nv=16, dt=0.02)
+    else:
+        spec = GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.02)
+    sim = Simulation(build_grid(spec), SeparableData(amplitude=0.5, width=1.0, kind="cube"),
+                     KernelSpec(family=family, coefficient=0.3), beta=beta)
+    sim.step()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sim.step()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * sim.f.nodes.nbytes

@@ -297,3 +297,32 @@ def test_transport_step_rejects_bad_dt():
     f = exact_free_solution(SeparableData(), grid, 0.0)
     with pytest.raises(ValueError):
         transport_step(f, -0.1)
+
+
+def test_velocity_offset_stack_and_transport_step_write_into_out():
+    # a node-first stack and a transport step written into `out`, the input
+    # itself included, are bit-identical to the fresh array; without `out`
+    # the input is left as it is
+    rng = np.random.default_rng(4)
+    for dim, nx, nv in ((1, 32, 8), (2, 16, 8), (3, 8, 4)):
+        grid = make_grid(dim=dim, nx=nx, nv=nv, dt=0.013)
+        nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
+        for factor in (0.173, -0.5, 2 * grid.dx / grid.hv):  # the last: whole cells
+            fresh = velocity_offset_stack(nodes, grid.vnodes, factor, grid.dx)
+            out = np.empty_like(nodes)
+            assert velocity_offset_stack(nodes, grid.vnodes, factor, grid.dx, out=out) is out
+            inplace = nodes.copy()
+            velocity_offset_stack(inplace, grid.vnodes, factor, grid.dx, out=inplace)
+            assert _same_bits(out, fresh) and _same_bits(inplace, fresh)
+
+        f = DistributionField.from_nodes(grid, nodes, t=0.5)
+        before = nodes.copy()
+        fresh = transport_step(f, grid.spec.dt)
+        assert _same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, f.nodes)
+        g = DistributionField.from_nodes(grid, nodes.copy(), t=0.5)
+        stepped = transport_step(g, grid.spec.dt, out=g.nodes)
+        assert stepped.nodes is g.nodes and stepped.t == fresh.t
+        assert _same_bits(stepped.nodes, fresh.nodes)
+    with pytest.raises(ValueError, match="node-first"):
+        velocity_offset_stack(rng.random(grid.x_shape), grid.vnodes, 0.1, grid.dx,
+                              out=np.empty((grid.n_vnodes,) + grid.x_shape))
