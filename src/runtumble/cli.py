@@ -11,6 +11,7 @@ guard abort.
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ from runtumble.exponents import (ExponentQuadruple, admissible_region, solve_num
 from runtumble.freeflow import GaussianBallData
 from runtumble.grid import GridSpec, build_grid, field_mass
 from runtumble.kernels import KernelSpec
-from runtumble.norms import NormSpec, mixed_norm
+from runtumble.norms import NormSpec, mixed_norm, spatial_norm
 from runtumble.simulate import GuardAbort, Simulation
 from runtumble.transport import SeparableData
 
@@ -205,18 +206,22 @@ def _make_monitors(names, cfg):
     return monitors
 
 
-def _snapshot(sim, cfg, step, outdir):
+def _snapshot_coordinates(grid):
+    """Each snapshot row's leading "x_0,...,x_(d-1)," text, in C order of the positions."""
+    cells = [_fmt(x) + "," for x in grid.x.tolist()]
+    return ["".join(row) for row in itertools.product(cells, repeat=grid.dim)]
+
+
+def _snapshot(sim, coordinates, step, outdir):
+    """Write the density at one state; `coordinates` is _snapshot_coordinates(sim.grid)."""
     grid = sim.grid
-    rho = sim.rho.values
-    mesh = grid.x_mesh()
     d = grid.dim
     path = os.path.join(outdir, f"snapshot_{step:06d}.csv")
     with open(path, "w", newline="") as fh:
         fh.write(f"# t={_fmt(sim.t)} dimension={d} nx={grid.spec.nx} field=rho\n")
         fh.write(",".join([f"x_{a}" for a in range(d)] + ["rho"]) + "\n")
-        flat = [m.ravel() for m in mesh] + [rho.ravel()]
-        for row in zip(*flat):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join(c + _fmt(r) + "\n"
+                         for c, r in zip(coordinates, sim.rho.values.ravel().tolist())))
 
 
 def run_simulate(config_path):
@@ -251,13 +256,18 @@ def run_simulate(config_path):
     def record():
         row = [sim.t, field_mass(sim.rho), *sim.f.extrema()]
         for ptok, qtok, p, q in norm_list:
-            row.append(mixed_norm(sim.f, NormSpec(p=p, q=q)))
+            # f >= 0, so an L^p_x L^1_v norm is the L^p norm of the density
+            # the step already computed, bit for bit (README, "Numerical notes")
+            row.append(spatial_norm(sim.rho.values, grid, p) if q == 1
+                       else mixed_norm(sim.f, NormSpec(p=p, q=q)))
         rows.append(row)
 
     guard_message = None
     record()
-    if cfg["snapshot_every"] > 0:
-        _snapshot(sim, cfg, 0, outdir)
+    every = cfg["snapshot_every"]
+    if every > 0:
+        coordinates = _snapshot_coordinates(grid)
+        _snapshot(sim, coordinates, 0, outdir)
     for step in range(1, n_steps + 1):
         try:
             sim.step()
@@ -265,8 +275,8 @@ def run_simulate(config_path):
             guard_message = str(exc)
             break
         record()
-        if cfg["snapshot_every"] > 0 and step % cfg["snapshot_every"] == 0:
-            _snapshot(sim, cfg, step, outdir)
+        if every > 0 and step % every == 0:
+            _snapshot(sim, coordinates, step, outdir)
 
     header = ["t", "mass", "min_f", "max_f"]
     header += [f"norm_{ptok}_{qtok}" for ptok, qtok, _, _ in norm_list]

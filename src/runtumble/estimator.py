@@ -15,7 +15,7 @@ import numpy as np
 
 from runtumble.fields import split_short_long
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField
+from runtumble.grid import DistributionField, density
 from runtumble.interp import velocity_offset_stack
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
@@ -199,8 +199,10 @@ class GronwallMonitor:
 
     def _record(self, sim):
         lhs = spatial_norm(sim.rho.values, sim.grid, self.p)
+        # the free solution is >= 0, so its L^p_x L^1_v norm is the L^p norm
+        # of its density, bit for bit (README, "Numerical notes")
         free = exact_free_solution(sim.f0_descriptor, sim.grid, sim.t)
-        c0 = mixed_norm(free, NormSpec(p=self.p, q=1))
+        c0 = spatial_norm(density(free).values, sim.grid, self.p)
         self.records.append((sim.t, lhs, c0))
 
     def after_step(self, sim):
@@ -302,7 +304,8 @@ class TermTracker:
         S = sim.fields["S"].values
         w = grid.hv**3
         shifted_S = velocity_offset_stack(S, grid.vnodes, 1.0, grid.dx)
-        H = w * np.sum(shifted_S * sim.f.nodes, axis=0)
+        shifted_S *= sim.f.nodes
+        H = w * np.sum(shifted_S, axis=0)
         self.history.append((sim.rho.values.copy(), s_short.values, g_short.values, H))
         self.fnorm.append(compact_mixed_norm(sim.f.compact(), grid, self.p, self.q))
 
@@ -315,21 +318,26 @@ class TermTracker:
     def _evaluate(self, n):
         grid = self.grid
         dt = grid.spec.dt
-        vn = grid.vnodes
+        vn, dx = grid.vnodes, grid.dx
         f1 = np.zeros((grid.n_vnodes,) + grid.x_shape)
         f2 = np.zeros_like(f1)
         f3 = np.zeros_like(f1)
-        # midpoint-in-s quadrature of the history integrals
+        # midpoint-in-s quadrature of the history integrals; each summand is
+        # formed in one stack, in place
         for m in range(n):
             s_mid = (m + 0.5) * dt
             rho, s_short, g_short, H = self.history[n - 1 - m]
             # per-node offsets x + v_j on the field factors, then the
             # transport shift x - s v_j on the products
-            w1 = velocity_offset_stack(s_short, vn, -1.0, grid.dx) * rho
-            w3 = velocity_offset_stack(g_short, vn, -1.0, grid.dx) * rho
-            f1 += dt * velocity_offset_stack(w1, vn, s_mid, grid.dx)
-            f3 += dt * velocity_offset_stack(w3, vn, s_mid, grid.dx)
-            f2 += dt * velocity_offset_stack(H, vn, s_mid, grid.dx)
+            for field, f in ((s_short, f1), (g_short, f3)):
+                w = velocity_offset_stack(field, vn, -1.0, dx)
+                w *= rho
+                velocity_offset_stack(w, vn, s_mid, dx, out=w)
+                w *= dt
+                f += w
+            w = velocity_offset_stack(H, vn, s_mid, dx)
+            w *= dt
+            f2 += w
 
         norms = [compact_mixed_norm(np.moveaxis(f, 0, -1), grid, self.p, self.q)
                  for f in (f1, f2, f3)]

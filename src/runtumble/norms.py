@@ -50,7 +50,8 @@ def compact_mixed_norm(compact, grid, p, q) -> float:
     if q == INF:
         inner = a.max(axis=-1)
     else:
-        inner = (w * np.sum(a**q, axis=-1)) ** (1.0 / q)
+        a **= q  # the same power dispatch as a**q, without a second copy
+        inner = (w * np.sum(a, axis=-1)) ** (1.0 / q)
     return spatial_norm(inner, grid, p)
 
 

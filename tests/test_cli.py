@@ -2,8 +2,14 @@ import os
 
 import pytest
 
-from runtumble.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, ConfigError, main,
-                           parse_config, parse_exponent, parse_norm_list, parse_signs)
+from runtumble.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, ConfigError, _fmt,
+                           _snapshot, _snapshot_coordinates, build_scene, main, parse_config,
+                           parse_exponent, parse_norm_list, parse_signs)
+from runtumble.grid import GridSpec, build_grid
+from runtumble.kernels import KernelSpec
+from runtumble.norms import NormSpec, mixed_norm
+from runtumble.simulate import Simulation
+from runtumble.transport import SeparableData
 
 BASE_CONFIG = """\
 # minimal screened-run scenario
@@ -154,6 +160,51 @@ def test_determinism_byte_identical(tmp_path):
     assert (paths[0] / "timeseries.csv").read_bytes() == (paths[1] / "timeseries.csv").read_bytes()
     assert (paths[0] / "snapshot_000010.csv").read_bytes() == \
         (paths[1] / "snapshot_000010.csv").read_bytes()
+
+
+def test_simulate_norm_columns_are_mixed_norms_of_the_states(tmp_path):
+    # q = 1 columns read the density, every other q the phase-space state;
+    # both must print the mixed norm of each state
+    cfg = BASE_CONFIG.replace("dimension = 1", "dimension = 2").replace("nx = 64", "nx = 32") \
+        .replace("norms = 2,1; inf,1", "norms = 2,1; 2,3/2").replace("t_end = 0.2", "t_end = 0.1")
+    path = write_config(tmp_path, cfg + f"output_dir = {tmp_path / 'n'}\n")
+    assert main(["simulate", path]) == EXIT_OK
+    lines = (tmp_path / "n" / "timeseries.csv").read_text().splitlines()
+    assert lines[0] == "t,mass,min_f,max_f,norm_2_1,norm_2_3/2"
+
+    grid, kernel, f0 = build_scene(parse_config(path))
+    sim = Simulation(grid, f0, kernel)
+    for line in lines[1:]:
+        expect = [_fmt(mixed_norm(sim.f, NormSpec(p=2.0, q=q))) for q in (1.0, 1.5)]
+        assert line.split(",")[4:] == expect
+        sim.step()
+    assert len(lines) == 7
+
+
+def _snapshot_of_rows(sim, path):
+    """The snapshot writer that formats every coordinate of every row anew."""
+    grid = sim.grid
+    d = grid.dim
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# t={_fmt(sim.t)} dimension={d} nx={grid.spec.nx} field=rho\n")
+        fh.write(",".join([f"x_{a}" for a in range(d)] + ["rho"]) + "\n")
+        flat = [m.ravel() for m in grid.x_mesh()] + [sim.rho.values.ravel()]
+        for row in zip(*flat):
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("dim, nx, nv", [(1, 64, 8), (2, 32, 8), (3, 8, 4)])
+def test_snapshot_bytes_match_row_by_row_formatting(tmp_path, dim, nx, nv):
+    # a box whose coordinates need all 17 digits
+    grid = build_grid(GridSpec(dim=dim, box_half_length=7.3, nx=nx, nv=nv, dt=0.02))
+    sim = Simulation(grid, SeparableData(width=0.8, kind="cube"),
+                     KernelSpec(family="constant", coefficient=0.5))
+    sim.step()
+    _snapshot(sim, _snapshot_coordinates(grid), 1, str(tmp_path))
+    _snapshot_of_rows(sim, tmp_path / "reference.csv")
+    got = (tmp_path / "snapshot_000001.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert got.count(b"\n") == 2 + nx**dim
 
 
 def test_exponents_solve_and_check(capsys):

@@ -9,10 +9,13 @@ from runtumble.estimator import (BootstrapMonitor, DecayFit, GronwallMonitor, Te
                                  singular_weights, strichartz_quotient)
 from runtumble.exponents import theorem3_exponents
 from runtumble.freeflow import GaussianBallData
+from runtumble.fields import split_short_long
 from runtumble.grid import DistributionField, GridSpec, build_grid
+from runtumble.interp import velocity_offset_stack
 from runtumble.kernels import KernelSpec
+from runtumble.norms import NormSpec, mixed_norm, spatial_norm
 from runtumble.simulate import Simulation
-from runtumble.transport import SeparableData
+from runtumble.transport import SeparableData, exact_free_solution
 
 INF = math.inf
 
@@ -131,3 +134,82 @@ def test_bootstrap_monitor_smoke():
     sim2 = Simulation(grid, f0, KernelSpec(family="constant"), beta=1)
     with pytest.raises(ValueError):
         sim2.attach(BootstrapMonitor(a=1.5))
+
+
+def test_q1_norms_are_density_norms_bit_for_bit():
+    # for f >= 0 the L^p_x L^1_v norm is the L^p norm of the density: the
+    # same node weight, the same node-by-node sum order, and an exact power 1,
+    # so the CLI's q = 1 columns and the Gronwall C0 may read rho instead of f
+    grid = build_grid(GridSpec(dim=2, box_half_length=8.0, nx=32, nv=8, dt=0.02))
+    f0 = SeparableData(amplitude=1.0, width=1.2, kind="cube")
+    sim = Simulation(grid, f0, KernelSpec(family="hyp2", coefficient=1.0), beta=1)
+    mon = GronwallMonitor(p=1.5)
+    sim.attach(mon)
+    sim.run(5)
+    for p in (1.0, 1.5, 2.0, INF):
+        assert spatial_norm(sim.rho.values, grid, p) == mixed_norm(sim.f, NormSpec(p=p, q=1))
+    for n in (0, 3):
+        t, _, c0 = mon.records[n]
+        assert t == pytest.approx(n * grid.spec.dt, rel=1e-12)
+        assert c0 == mixed_norm(exact_free_solution(f0, grid, t), NormSpec(p=1.5, q=1))
+
+
+def _mixed_norm_of_copies(compact, grid, p, q):
+    """compact_mixed_norm with a fresh array for |f|**q (the formula before
+    the power went in place)."""
+    a = np.abs(compact)
+    inner = (grid.hv ** grid.dim * np.sum(a**q, axis=-1)) ** (1.0 / q)
+    return spatial_norm(inner, grid, p)
+
+
+def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
+    grid = build_grid(GridSpec(dim=3, box_half_length=6.0, nx=16, nv=4, dt=0.02))
+    f0 = SeparableData(amplitude=0.5, width=1.0, kind="cube")
+    sim = Simulation(grid, f0, KernelSpec(family="hyp1", coefficient=0.2), beta=0)
+    mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0, stride=2)
+
+    class Recorder:
+        """The inputs of every stored step, copied."""
+
+        def __init__(self):
+            self.states = []
+
+        def start(self, sim):
+            self.after_step(sim)
+
+        def after_step(self, sim):
+            self.states.append((sim.f.nodes.copy(), sim.rho.values.copy(),
+                                sim.fields["S"].values.copy(),
+                                split_short_long(sim.rho, order=0)[0].values,
+                                split_short_long(sim.rho, order=1)[0].values))
+
+    rec = Recorder()
+    sim.attach(rec)
+    sim.attach(mon)
+    sim.run(4)
+
+    vn, dx, dt, w = grid.vnodes, grid.dx, grid.spec.dt, grid.hv**3
+    H = [w * np.sum(velocity_offset_stack(S, vn, 1.0, dx) * nodes, axis=0)
+         for nodes, _, S, _, _ in rec.states]
+    fnorm = [_mixed_norm_of_copies(np.moveaxis(nodes, 0, -1), grid, mon.p, mon.q)
+             for nodes, *_ in rec.states]
+    assert len(mon.history) == 5 and len(mon.evaluations) == 2
+    for (_, _, _, stored_H), h in zip(mon.history, H):
+        assert np.array_equal(stored_H.view(np.int64), h.view(np.int64))
+    assert mon.fnorm == fnorm
+    for ev in mon.evaluations:
+        n = ev["step"]
+        f1 = np.zeros((grid.n_vnodes,) + grid.x_shape)
+        f2 = np.zeros_like(f1)
+        f3 = np.zeros_like(f1)
+        for m in range(n):
+            s_mid = (m + 0.5) * dt
+            _, rho, _, s_short, g_short = rec.states[n - 1 - m]
+            w1 = velocity_offset_stack(s_short, vn, -1.0, dx) * rho
+            w3 = velocity_offset_stack(g_short, vn, -1.0, dx) * rho
+            f1 += dt * velocity_offset_stack(w1, vn, s_mid, dx)
+            f3 += dt * velocity_offset_stack(w3, vn, s_mid, dx)
+            f2 += dt * velocity_offset_stack(H[n - 1 - m], vn, s_mid, dx)
+        expect = [_mixed_norm_of_copies(np.moveaxis(f, 0, -1), grid, mon.p, mon.q)
+                  for f in (f1, f2, f3)]
+        assert ev["norms"] == expect
