@@ -7,7 +7,7 @@ Subcommands:
 
 Configs are flat "key = value" text with '#' comments and a strict schema:
 unknown keys are errors. Exit codes: 0 success, 1 config error, 2 runtime
-guard abort.
+guard abort, 3 check failed.
 """
 
 import argparse
@@ -84,7 +84,11 @@ _DEFAULTS = {
     "output_dir": ".",
 }
 
-_MONITOR_NAMES = ("gronwall_thm2", "term_tracker_thm1", "bootstrap_thm3")
+_MONITORS = {
+    "gronwall_thm2": lambda: GronwallMonitor(p=1.5),
+    "term_tracker_thm1": lambda: TermTracker(p=9.0 / 5.0, q=9.0 / 7.0, stride=20),
+    "bootstrap_thm3": lambda: BootstrapMonitor(a=1.5),
+}
 
 
 def parse_exponent(token):
@@ -130,14 +134,23 @@ def parse_config(path):
 
 
 def parse_norm_list(text):
-    """Semicolon-separated 'p,q' pairs -> [(p_token, q_token, p, q), ...]."""
+    """Semicolon-separated 'p,q' pairs -> [(p_token, q_token, p, q), ...]: distinct, p >= q."""
     out = []
     for item in filter(None, (chunk.strip() for chunk in text.split(";"))):
         parts = item.split(",")
         if len(parts) != 2:
             raise ConfigError(f"norms entry {item!r} is not a 'p,q' pair")
         ptok, qtok = parts[0].strip(), parts[1].strip()
-        out.append((ptok, qtok, parse_exponent(ptok), parse_exponent(qtok)))
+        p, q = parse_exponent(ptok), parse_exponent(qtok)
+        try:
+            NormSpec(p=p, q=q).validate()
+        except ValueError as exc:
+            raise ConfigError(f"norms entry {item!r}: {exc}") from exc
+        if q != math.inf and p != math.inf and p < q:
+            raise ConfigError(f"norms entry {item!r}: mixed norms here use p >= q")
+        if any((p, q) == (seen[2], seen[3]) for seen in out):
+            raise ConfigError(f"norms entry {item!r} repeats an earlier entry")
+        out.append((ptok, qtok, p, q))
     return out
 
 
@@ -191,18 +204,14 @@ def write_csv(path, header, rows):
 # simulate
 # ---------------------------------------------------------------------------
 
-def _make_monitors(names, cfg):
+def _make_monitors(names):
     monitors = []
     for name in filter(None, (n.strip() for n in names.split(","))):
-        if name == "gronwall_thm2":
-            monitors.append(("gronwall_thm2", GronwallMonitor(p=1.5)))
-        elif name == "term_tracker_thm1":
-            monitors.append(("term_tracker_thm1", TermTracker(p=9.0 / 5.0, q=9.0 / 7.0,
-                                                              stride=20)))
-        elif name == "bootstrap_thm3":
-            monitors.append(("bootstrap_thm3", BootstrapMonitor(a=1.5)))
-        else:
-            raise ConfigError(f"unknown monitor {name!r}; known: {', '.join(_MONITOR_NAMES)}")
+        if name not in _MONITORS:
+            raise ConfigError(f"unknown monitor {name!r}; known: {', '.join(_MONITORS)}")
+        if any(name == seen for seen, _ in monitors):
+            raise ConfigError(f"monitor {name!r} is listed twice")
+        monitors.append((name, _MONITORS[name]()))
     return monitors
 
 
@@ -228,18 +237,13 @@ def run_simulate(config_path):
     cfg = parse_config(config_path)
     grid, kernel, f0 = build_scene(cfg)
     norm_list = parse_norm_list(cfg["norms"])
-    for ptok, qtok, p, q in norm_list:
-        if q != math.inf and p != math.inf and p < q:
-            raise ConfigError(f"norm {ptok},{qtok}: mixed norms here use p >= q")
-    outdir = cfg["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
 
     try:
         sim = Simulation(grid, f0, kernel, beta=cfg["beta"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    monitors = _make_monitors(cfg["monitors"], cfg)
+    monitors = _make_monitors(cfg["monitors"])
     n_steps = int(round(cfg["t_end"] / cfg["dt"]))
     for name, mon in monitors:
         if name == "term_tracker_thm1" and n_steps < mon.stride:
@@ -250,6 +254,9 @@ def run_simulate(config_path):
             sim.attach(mon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the output directory is made only once the config has passed every check
+    outdir = cfg["output_dir"]
+    os.makedirs(outdir, exist_ok=True)
 
     rows = []
 
@@ -382,8 +389,6 @@ def run_dispersion(config_path):
     rows = []
     all_ok = True
     for ptok, qtok, p, q in norm_list:
-        if q != math.inf and p != math.inf and p < q:
-            raise ConfigError(f"norm {ptok},{qtok}: dispersion needs p >= q")
         fit = dispersion_decay_fit(data, p, q)
         ok = fit.relative_deviation <= 0.10 and fit.inequality_ok
         all_ok = all_ok and ok

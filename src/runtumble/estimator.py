@@ -21,6 +21,12 @@ from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_no
 from runtumble.transport import exact_free_solution
 
 INF = math.inf
+DISPERSION_SLACK = 0.05  # quadrature slack of the dispersion inequality checks
+STRICHARTZ_TIMES = 120   # geometric time samples of strichartz_quotient on [1, t_end]
+CALIB_FRACTION = 0.5     # early share of a run on which certificate constants are calibrated
+CERT_SLACK = 0.10        # slack of the certified bounds after calibration
+STABILITY_WINDOW = 0.25  # trailing share of a run over which X(T) must settle
+STABILITY_TOL = 0.02     # largest relative increment of X(T) over that window
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +46,14 @@ class DecayFit:
     inequality_margin: float  # max over samples of lhs / rhs
 
 
-def dispersion_decay_fit(data: GaussianBallData, p, q, times=None, slack=0.05) -> DecayFit:
+def dispersion_decay_fit(data: GaussianBallData, p, q, times=None) -> DecayFit:
     """Fit the decay of ||f(t)||_{p,q} for free transport of separable data.
 
     Sampling is restricted to the asymptotic window t >= 10 sigma / R
     (support spread at least ten initial widths), where this data class
     saturates the decay rate. Also checks the pointwise inequality
-    ||f(t)||_{p,q} <= t^-rate ||f0||_{q,p} at every sample with the given
-    quadrature slack.
+    ||f(t)||_{p,q} <= t^-rate ||f0||_{q,p} at every sample with the
+    quadrature slack DISPERSION_SLACK = 0.05.
     """
     if q != INF and p != INF and p < q:
         raise ValueError("need p >= q")
@@ -70,17 +76,17 @@ def dispersion_decay_fit(data: GaussianBallData, p, q, times=None, slack=0.05) -
         fitted_slope=float(slope),
         theoretical_slope=-rate,
         relative_deviation=abs(slope + rate) / rate if rate else abs(slope),
-        inequality_ok=bool(np.all(margins <= 1.0 + slack)),
+        inequality_ok=bool(np.all(margins <= 1.0 + DISPERSION_SLACK)),
         inequality_margin=float(margins.max()),
     )
 
 
-def dispersion_inequality_check(h: DistributionField, p, q, k_align=1, slack=0.05) -> dict:
+def dispersion_inequality_check(h: DistributionField, p, q, k_align=1) -> dict:
     """Grid check of the dispersion inequality at an exact-shift time.
 
-    t = k_align * (2 dx / hv) makes every velocity node shift by a whole
-    number of cells, so the free solution is an exact roll and the only
-    discrepancy against the continuum inequality is quadrature error.
+    t = k_align * (2 dx / hv) makes every velocity node shift by a whole number of
+    cells, so the free solution is an exact roll and the only discrepancy against the
+    continuum inequality is quadrature error, allowed up to DISPERSION_SLACK = 0.05.
     """
     grid = h.grid
     if q != INF and p != INF and p < q:
@@ -98,14 +104,15 @@ def dispersion_inequality_check(h: DistributionField, p, q, k_align=1, slack=0.0
     lhs = mixed_norm(moved, NormSpec(p=p, q=q))
     rhs = t ** (-decay_rate(d, p, q)) * mixed_norm(h, NormSpec(p=q, q=p))
     return {"t": t, "lhs": lhs, "rhs": rhs,
-            "passed": lhs <= (1.0 + slack) * rhs + 1e-300}
+            "passed": lhs <= (1.0 + DISPERSION_SLACK) * rhs + 1e-300}
 
 
-def strichartz_quotient(data: GaussianBallData, quad, t_end, n_times=120) -> dict:
+def strichartz_quotient(data: GaussianBallData, quad, t_end) -> dict:
     """Q = ||f||_{L^r_t L^p_x L^q_v} / ||f0||_{L^a} for the free flow on [0, t_end].
 
     The substantive claim is convergence of the time integral: the report
     carries Q at t_end and at t_end/2 so callers can assert stabilization.
+    Times: STRICHARTZ_TIMES // 4 = 30 on [0, 1], STRICHARTZ_TIMES = 120 on [1, t_end].
     """
     from runtumble.exponents import strichartz_admissible
     ok, diag = strichartz_admissible(quad)
@@ -120,8 +127,8 @@ def strichartz_quotient(data: GaussianBallData, quad, t_end, n_times=120) -> dic
         return {"Q": 0.0, "Q_half": 0.0, "stable": True}
 
     times = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, max(10, n_times // 4)),
-        np.geomspace(1.0, t_end, n_times),
+        np.linspace(0.0, 1.0, STRICHARTZ_TIMES // 4),
+        np.geomspace(1.0, t_end, STRICHARTZ_TIMES),
     ]))
     norms = np.array([free_mixed_norm(data, t, p, q) for t in times])
     powr = norms**r
@@ -217,22 +224,23 @@ class GronwallMonitor:
                          for k in range(1, n + 1)])
         return float(np.sum(w * vals))
 
-    def certify(self, calib_fraction=0.5, slack=0.10):
+    def certify(self):
         """Calibrate the two constants on the early window, then check every step.
 
         The certified inequality is
             ||rho(t)||_p <= C0(t) + Ca * M * W(t) + Cb * I(t),
         W(t) = int_0^t s^-lam ds (the mass-only part of the source) and
         I(t) the rho-history integral. Ca, Cb are fitted nonnegative on the
-        calibration window and scaled so the bound holds there exactly;
-        every later step must satisfy it with the stated slack. A run with
+        calibration window, the first CALIB_FRACTION = 0.5 of the steps, and
+        scaled so the bound holds there exactly; every later step must
+        satisfy it with the slack CERT_SLACK = 0.10. A run with
         no completed step has an empty window: both constants are 0, and
         only t = 0, where the bound is C0 itself, is checked.
         """
         from scipy.optimize import nnls
 
         n_total = len(self.records) - 1
-        n_cal = max(1, int(calib_fraction * n_total))
+        n_cal = max(1, int(CALIB_FRACTION * n_total))
         t = np.array([r[0] for r in self.records])
         lhs = np.array([r[1] for r in self.records])
         c0 = np.array([r[2] for r in self.records])
@@ -250,7 +258,7 @@ class GronwallMonitor:
         scale = max(1.0, float(need_scale.max(initial=0.0)))  # 1 on an empty window
         coef = coef * scale
 
-        rhs = c0 + (1.0 + slack) * (X @ coef)
+        rhs = c0 + (1.0 + CERT_SLACK) * (X @ coef)
         ok = lhs <= rhs + 1e-9 * np.maximum(1.0, rhs)
         return {
             "constants": (float(coef[0]), float(coef[1])),
@@ -307,7 +315,7 @@ class TermTracker:
         shifted_S *= sim.f.nodes
         H = w * np.sum(shifted_S, axis=0)
         self.history.append((sim.rho.values.copy(), s_short.values, g_short.values, H))
-        self.fnorm.append(compact_mixed_norm(sim.f.compact(), grid, self.p, self.q))
+        self.fnorm.append(compact_mixed_norm(sim.f.nodes, grid, self.p, self.q))
 
     def after_step(self, sim):
         self._store(sim)
@@ -339,8 +347,7 @@ class TermTracker:
             w *= dt
             f2 += w
 
-        norms = [compact_mixed_norm(np.moveaxis(f, 0, -1), grid, self.p, self.q)
-                 for f in (f1, f2, f3)]
+        norms = [compact_mixed_norm(f, grid, self.p, self.q) for f in (f1, f2, f3)]
         fn = np.array(self.fnorm[: n + 1])
         w_shift = singular_weights(self.lam, dt, n, shift=1.0)
         w_plain = singular_weights(self.lam, dt, n)
@@ -357,22 +364,23 @@ class TermTracker:
         }
         return {"step": n, "t": n * dt, "norms": norms, "integrals": integrals}
 
-    def certify(self, calib_fraction=0.5, slack=0.10):
+    def certify(self):
         """Calibrate the three constants early, assert the bounds everywhere.
 
         Each term is certified against the K(s)-weighted history integral
-        ||f_i(t)|| <= C_i M int_0^t K(s) ||f(t-s)||_{p,q} ds.
+        ||f_i(t)|| <= C_i M int_0^t K(s) ||f(t-s)||_{p,q} ds, C_i calibrated on the
+        first CALIB_FRACTION = 0.5 of the evaluations, with the slack CERT_SLACK = 0.10.
         """
         evs = self.evaluations
         if not evs:
             raise RuntimeError("no tracked evaluations")
-        n_cal = max(1, int(calib_fraction * len(evs)))
+        n_cal = max(1, int(CALIB_FRACTION * len(evs)))
         out = {"passed": True, "terms": {}}
         for name, i in (("f1", 0), ("f2", 1), ("f3", 2)):
             ratios = np.array([e["norms"][i] / (self.mass * e["integrals"]["K"])
                                if e["integrals"]["K"] > 0 else 0.0 for e in evs])
             c_cal = float(ratios[:n_cal].max())
-            ok = ratios <= (1.0 + slack) * c_cal + 1e-12
+            ok = ratios <= (1.0 + CERT_SLACK) * c_cal + 1e-12
             out["terms"][name] = {
                 "constant": c_cal,
                 "passed": bool(np.all(ok)),
@@ -401,10 +409,10 @@ class BootstrapMonitor:
         if sim.beta != 1 or sim.grid.dim != 3 or sim.kernel.family != "hyp3":
             raise ValueError("bootstrap monitor is for d=3, beta=1, hyp3 runs")
         self.dt = sim.grid.spec.dt
-        self.fnorm.append(compact_mixed_norm(sim.f.compact(), sim.grid, self.p, self.q))
+        self.fnorm.append(compact_mixed_norm(sim.f.nodes, sim.grid, self.p, self.q))
 
     def after_step(self, sim):
-        self.fnorm.append(compact_mixed_norm(sim.f.compact(), sim.grid, self.p, self.q))
+        self.fnorm.append(compact_mixed_norm(sim.f.nodes, sim.grid, self.p, self.q))
 
     def series(self):
         """Running X(T_n) over the recorded steps."""
@@ -412,10 +420,12 @@ class BootstrapMonitor:
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (powr[1:] + powr[:-1]) * self.dt)])
         return cum ** (1.0 / self.r)
 
-    def report(self, stability_window=0.25, tol=0.02):
+    def report(self):
+        """X(T) and its quadratic fit; stable when X grows by at most STABILITY_TOL = 0.02
+        of X(T) over the last STABILITY_WINDOW = 0.25 of the steps."""
         X = self.series()
         n = len(X) - 1
-        i0 = int((1.0 - stability_window) * n)
+        i0 = int((1.0 - STABILITY_WINDOW) * n)
         increment = (X[-1] - X[i0]) / X[-1] if X[-1] > 0 else 0.0
         # least-squares fit of X = A + B X^2 on the running samples
         M = np.stack([np.ones_like(X), X**2], axis=1)
@@ -425,7 +435,7 @@ class BootstrapMonitor:
             "X": X,
             "X_final": float(X[-1]),
             "increment": float(increment),
-            "stable": bool(increment <= tol),
+            "stable": bool(increment <= STABILITY_TOL),
             "A_fit": float(coef[0]),
             "B_fit": float(coef[1]),
             "residual_rms": float(np.sqrt(np.mean(resid**2))),

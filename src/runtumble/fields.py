@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import kv
 
-from runtumble.grid import SpatialField, build_grid
+from runtumble.grid import SpatialField, build_grid, field_mass
 from runtumble.norms import spatial_norm
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -220,7 +220,7 @@ def gradient_bound_check(rho: SpatialField, p, bessel_norm=None) -> dict:
     d = grid.dim
     if not p < d / (d - 1.0):
         raise ValueError(f"gradient bound needs p < d/(d-1) = {d/(d-1.0)}")
-    mass = float(grid.x_weight * rho.values.sum())
+    mass = field_mass(rho)
     if mass == 0.0:
         return {"ratio": 0.0, "passed": True, "mass": 0.0}
     sol = solve_field(rho, beta=1, want=("grad",))

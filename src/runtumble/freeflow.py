@@ -17,6 +17,8 @@ import numpy as np
 from scipy.special import erf, i0e
 
 INF = math.inf
+N_RADIAL = 800  # trapezoid nodes in |x| of free_mixed_norm
+N_RHO = 400     # trapezoid nodes in |u| of the d = 2 ball mass
 
 _BALL_VOLUME = {1: lambda R: 2.0 * R,
                 2: lambda R: np.pi * R**2,
@@ -53,14 +55,15 @@ class GaussianBallData:
         return self.initial_norm(a, a)
 
 
-def gaussian_ball_mass(r0, a, s, d, n_rho=400):
-    """int_{|u| <= a} exp(-|u - r0 e|^2 / (2 s^2)) du for an array of center offsets r0."""
+def gaussian_ball_mass(r0, a, s, d):
+    """int_{|u| <= a} exp(-|u - r0 e|^2 / (2 s^2)) du for an array of center offsets r0;
+    in d = 2 a trapezoid over N_RHO = 400 radii."""
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     c = np.sqrt(2.0) * s
     if d == 1:
         return np.sqrt(np.pi / 2.0) * s * (erf((r0 + a) / c) - erf((r0 - a) / c))
     if d == 2:
-        rho = np.linspace(0.0, a, n_rho)[None, :]
+        rho = np.linspace(0.0, a, N_RHO)[None, :]
         rr = r0[:, None]
         z = rho * rr / s**2
         integrand = rho * np.exp(-((rho - rr) ** 2) / (2.0 * s**2)) * i0e(z)
@@ -78,8 +81,9 @@ def gaussian_ball_mass(r0, a, s, d, n_rho=400):
     raise ValueError(f"unsupported dimension {d}")
 
 
-def free_mixed_norm(data: GaussianBallData, t, p, q, n_radial=800, n_rho=400) -> float:
-    """||f(t)||_{L^p_x L^q_v} of the free solution of the kinetic transport equation."""
+def free_mixed_norm(data: GaussianBallData, t, p, q) -> float:
+    """||f(t)||_{L^p_x L^q_v} of the free solution of the kinetic transport equation,
+    a trapezoid over N_RADIAL = 800 radii in |x|."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if q != INF and p != INF and p < q:
@@ -89,13 +93,13 @@ def free_mixed_norm(data: GaussianBallData, t, p, q, n_radial=800, n_rho=400) ->
     d, sigma, R, A = data.d, data.sigma, data.R, data.amplitude
 
     r_max = t * R + 10.0 * sigma
-    r0 = np.linspace(0.0, r_max, n_radial)
+    r0 = np.linspace(0.0, r_max, N_RADIAL)
 
     if q == INF:
         inner = A * np.exp(-np.maximum(0.0, r0 - t * R) ** 2 / (2.0 * sigma**2))
     else:
         s = sigma / np.sqrt(q)
-        phi = gaussian_ball_mass(r0, t * R, s, d, n_rho=n_rho) / t**d
+        phi = gaussian_ball_mass(r0, t * R, s, d) / t**d
         inner = A * np.maximum(phi, 0.0) ** (1.0 / q)
 
     if p == INF:

@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+WRAP_WIDTH = 2   # position cells per side of the rim that shell_mass measures
+WRAP_TOL = 1e-6  # the wrap guard trips when the rim holds more than this share of the mass
+
 
 def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
@@ -219,11 +222,11 @@ def field_mass(rho: SpatialField) -> float:
     return float(rho.grid.x_weight * rho.values.sum())
 
 
-def shell_mass(rho: SpatialField, width_cells=2) -> float:
-    """Mass of a density in the outermost width_cells position cells of each side."""
+def shell_mass(rho: SpatialField) -> float:
+    """Mass of a density in the outermost WRAP_WIDTH = 2 position cells of each side."""
     nx = rho.grid.spec.nx
     inner = np.zeros_like(rho.values, dtype=bool)
-    inner[(slice(width_cells, nx - width_cells),) * rho.grid.dim] = True
+    inner[(slice(WRAP_WIDTH, nx - WRAP_WIDTH),) * rho.grid.dim] = True
     return float(rho.grid.x_weight * rho.values[~inner].sum())
 
 
@@ -232,6 +235,6 @@ def total_mass(f: DistributionField) -> float:
     return field_mass(density(f))
 
 
-def boundary_shell_mass(f: DistributionField, width_cells=2) -> float:
-    """Mass carried by the outermost position cells (wrap-detection monitor)."""
-    return shell_mass(density(f), width_cells)
+def boundary_shell_mass(f: DistributionField) -> float:
+    """Mass carried by the outermost WRAP_WIDTH position cells (wrap-detection monitor)."""
+    return shell_mass(density(f))

@@ -7,8 +7,8 @@ which the scattering update exploits: gains and losses reduce to velocity
 averages of A and B, and mass neutrality is an algebraic identity of the
 discrete update, pointwise in x.
 
-Components are built node-first, (K,) + x_shape like the state of
-DistributionField, and handed out as x_shape + (K,) views of that array.
+Components, loss rates and kernel norms are node-first, (K,) + x_shape like the
+state of DistributionField; only kernel_components hands out x_shape + (K,) views.
 hyp3 builds each (input, sign) offset stack once. On a grid whose velocity
 nodes pair exactly with their mirrors -v (PhaseGrid.vreflect, the reversal
 of the node order), the stack at the opposite sign is that stack reversed,
@@ -288,14 +288,13 @@ def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> floa
 
 
 def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid):
-    """Total tumbling rate out of each node: sum_j' w_j' T(x, v_j', v), shape x_shape + (K,).
+    """Total tumbling rate out of each node: sum_j' w_j' T(x, v_j', v), shape (K,) + x_shape.
 
     A read-only view; for the kernels with no v'-part, a broadcast of an
     x_shape field.
     """
     A, B, _ = _components(spec, fields, grid)
-    rate = np.broadcast_to(_loss_rate(A, B, grid), A.shape)
-    return np.moveaxis(rate, 0, -1)
+    return np.broadcast_to(_loss_rate(A, B, grid), A.shape)
 
 
 def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
@@ -359,7 +358,9 @@ def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> 
     if not (ge(p1, p2) and ge(p1, p3)):
         raise ValueError(f"need p1 >= p2 and p1 >= p3, got ({p1}, {p2}, {p3})")
     K = grid.n_vnodes
-    A, B = (np.moveaxis(c, -1, 0).reshape(K, -1) for c in kernel_components(spec, fields, grid))
+    A, B, _ = _components(spec, fields, grid)
+    B = np.broadcast_to(0.0, A.shape) if B is None else B
+    A, B = A.reshape(K, -1), B.reshape(K, -1)
     w = grid.hv ** grid.dim
 
     mid = np.zeros(A.shape[1])

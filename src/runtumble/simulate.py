@@ -15,7 +15,7 @@ to a run without.
 import numpy as np
 
 from runtumble.fields import newtonian_potential, solve_field
-from runtumble.grid import PhaseGrid, SpatialField, density, field_mass, shell_mass
+from runtumble.grid import WRAP_TOL, PhaseGrid, SpatialField, density, field_mass, shell_mass
 from runtumble.kernels import KernelSpec, PositivityError, loss_rate, scattering_apply
 from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
@@ -40,8 +40,7 @@ def _spectral_gradient(field: SpatialField):
 class Simulation:
     """Driver for one run on a fixed grid with a fixed kernel."""
 
-    def __init__(self, grid: PhaseGrid, f0, kernel: KernelSpec, beta=1,
-                 wrap_tol=1e-6, wrap_width=2):
+    def __init__(self, grid: PhaseGrid, f0, kernel: KernelSpec, beta=1):
         kernel.validate()
         if beta not in (0, 1):
             raise ValueError("beta must be 0 or 1")
@@ -58,8 +57,6 @@ class Simulation:
         self.grid = grid
         self.kernel = kernel
         self.beta = beta
-        self.wrap_tol = wrap_tol
-        self.wrap_width = wrap_width
         self.f0_descriptor = f0 if isinstance(f0, SeparableData) else None
         if isinstance(f0, SeparableData):
             self.f = exact_free_solution(f0, grid, 0.0)
@@ -78,13 +75,14 @@ class Simulation:
         self.monitors.append(monitor)
 
     def _check_wrap(self):
+        """Abort once the rim, WRAP_WIDTH = 2 cells a side, holds over WRAP_TOL = 1e-6 of M."""
         if self.mass0 <= 0:
             return
-        shell = shell_mass(self.rho, self.wrap_width)
-        if shell > self.wrap_tol * self.mass0:
+        shell = shell_mass(self.rho)
+        if shell > WRAP_TOL * self.mass0:
             raise GuardAbort(
                 f"support reached the box boundary at t={self.t:.6g} "
-                f"(shell mass {shell:.3e} > {self.wrap_tol:.1e} * M)", self.t)
+                f"(shell mass {shell:.3e} > {WRAP_TOL:.1e} * M)", self.t)
 
     def step(self):
         # the first half-step writes a new array, the step's only copy of the

@@ -34,20 +34,6 @@ class SeparableData:
     v_profile: str = "uniform"
     v_width: float = 1.0
 
-    def eval_x(self, *coords):
-        """Evaluate g at coordinate arrays (one per axis, broadcastable)."""
-        c = self.center if self.center else (0.0,) * len(coords)
-        if self.kind == "gaussian":
-            r2 = sum((xi - ci) ** 2 for xi, ci in zip(coords, c))
-            return self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
-        if self.kind == "cube":
-            inside = np.ones(np.broadcast(*coords).shape, dtype=bool) if len(coords) > 1 \
-                else np.ones_like(np.asarray(coords[0]), dtype=bool)
-            for xi, ci in zip(coords, c):
-                inside = inside & (np.abs(xi - ci) <= self.width)
-            return self.amplitude * inside.astype(float)
-        raise ValueError(f"descriptor kind {self.kind!r} is not point-evaluable")
-
     def eval_v(self, vnodes):
         """Evaluate h at masked velocity nodes, shape (K, d) -> (K,)."""
         if self.v_profile == "uniform":

@@ -93,6 +93,36 @@ def test_simulate_rejects_bad_config_exit_code(tmp_path):
     assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
 
 
+def test_simulate_invalid_norm_exponent_is_config_error(tmp_path, capsys):
+    # q = 1/2 is no norm exponent: rejected before any step, no time series
+    bad = BASE_CONFIG.replace("norms = 2,1; inf,1", "norms = 2,1/2") + \
+        f"output_dir = {tmp_path / 'n'}\n"
+    assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
+    assert "must be >= 1 or inf" in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
+    with pytest.raises(ConfigError):
+        parse_norm_list("1/2,1/2")
+
+
+def test_duplicate_norms_entry_is_config_error(tmp_path, capsys):
+    bad = BASE_CONFIG.replace("norms = 2,1; inf,1", "norms = 2,1; inf,1; 2.0,1") + \
+        f"output_dir = {tmp_path / 'd'}\n"
+    assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
+    assert "repeats an earlier entry" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+    disp = "dimension = 2\nbox_half_length = 8\nnx = 64\nnv = 8\ndt = 0.02\nt_end = 1\n" \
+        f"norms = inf,1; inf,1\noutput_dir = {tmp_path / 'disp'}\n"
+    assert main(["dispersion", write_config(tmp_path, disp, name="disp.cfg")]) == EXIT_CONFIG
+
+
+def test_duplicate_monitor_is_config_error(tmp_path, capsys):
+    bad = BASE_CONFIG + "monitors = gronwall_thm2, gronwall_thm2\n" + \
+        f"output_dir = {tmp_path / 'm'}\n"
+    assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
+    assert "listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()  # a config error leaves no output directory
+
+
 def test_simulate_guard_abort_exit_code(tmp_path):
     cfg = BASE_CONFIG.replace("init_width = 0.8", "init_width = 7.9")
     cfg += f"output_dir = {tmp_path / 'g'}\n"

@@ -213,3 +213,27 @@ def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
         expect = [_mixed_norm_of_copies(np.moveaxis(f, 0, -1), grid, mon.p, mon.q)
                   for f in (f1, f2, f3)]
         assert ev["norms"] == expect
+
+
+def test_bootstrap_fnorm_bit_identical_to_view_formula():
+    # the monitor's node-first norms against the formula over the
+    # x_shape + (K,) view, on copies of the states it saw
+    grid = build_grid(GridSpec(dim=3, box_half_length=6.0, nx=16, nv=4, dt=0.05))
+    f0 = SeparableData(amplitude=0.2, width=1.0, kind="cube")
+    sim = Simulation(grid, f0, KernelSpec(family="hyp3", coefficient=0.5), beta=1)
+    mon = BootstrapMonitor(a=1.5)
+    states = []
+
+    class Recorder:
+        def start(self, sim):
+            self.after_step(sim)
+
+        def after_step(self, sim):
+            states.append(sim.f.nodes.copy())
+
+    sim.attach(Recorder())
+    sim.attach(mon)
+    sim.run(4)
+    expect = [_mixed_norm_of_copies(np.moveaxis(nodes, 0, -1), grid, mon.p, mon.q)
+              for nodes in states]
+    assert len(mon.fnorm) == 5 and mon.fnorm == expect

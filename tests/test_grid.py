@@ -122,7 +122,7 @@ def test_boundary_shell_mass_sees_only_the_rim():
     vals = np.zeros(grid.x_shape + grid.v_shape)
     vals[8, :] = 1.0  # interior cell
     f = DistributionField(grid, vals)
-    assert boundary_shell_mass(f, width_cells=2) == 0.0
+    assert boundary_shell_mass(f) == 0.0
     vals[0, :] = 1.0  # rim cell
     f = DistributionField(grid, vals)
-    assert boundary_shell_mass(f, width_cells=2) > 0.0
+    assert boundary_shell_mass(f) > 0.0

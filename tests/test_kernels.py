@@ -9,6 +9,7 @@ from runtumble.interp import velocity_offset_stack
 from runtumble.kernels import (KernelSpec, evaluate_kernel, kernel_components,
                                kernel_mixed_norm, loss_rate, mixed_norm_bound_report,
                                scattering_apply)
+from runtumble.norms import spatial_norm
 
 
 def make_scene(dim=1, L=4.0, nx=16, nv=2, seed=0, beta=1):
@@ -41,11 +42,7 @@ def test_missing_fields_rejected():
 
 def _dense_matrix(A, B, grid):
     """T[x..., j, j'] = A[x..., j] + B[x..., j'] as an explicit array."""
-    K = grid.n_vnodes
-    shape = grid.x_shape
-    Af = A if isinstance(A, np.ndarray) else np.full(shape + (K,), float(A))
-    Bf = B if isinstance(B, np.ndarray) else np.full(shape + (K,), float(B))
-    return Af[..., :, None] + Bf[..., None, :]
+    return A[..., :, None] + B[..., None, :]
 
 
 @pytest.mark.parametrize("family", ["constant", "hyp1", "hyp2", "hyp3"])
@@ -324,14 +321,58 @@ def test_scattering_guard_runs_before_any_write():
 
 def test_loss_rate_of_kernels_without_a_v_prime_part():
     # for the constant and hyp2 kernels the rate does not depend on v: an
-    # x-only field, broadcast over the nodes, with the bits of vm * 0 + sum A
+    # x-only field, broadcast over the nodes (its bits are checked below)
     grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=9)
     for family in ("constant", "hyp2"):
-        spec = KernelSpec(family=family, coefficient=0.6)
-        rate = loss_rate(spec, fields, grid)
-        A, B = kernel_components(spec, fields, grid)
-        expect = grid.velocity_measure * B + grid.hv ** grid.dim * A.sum(axis=-1)[..., None]
-        assert rate.shape == grid.x_shape + (grid.n_vnodes,) and rate.strides[-1] == 0
-        assert _same_bits(rate, expect)
+        rate = loss_rate(KernelSpec(family=family, coefficient=0.6), fields, grid)
+        assert rate.shape == (grid.n_vnodes,) + grid.x_shape and rate.strides[0] == 0
     with pytest.raises(ValueError, match="saturation"):
         KernelSpec(family="hyp2", saturation=-1.0).validate()
+
+
+@pytest.mark.parametrize("family", ["constant", "hyp1", "hyp2", "hyp3"])
+def test_loss_rate_is_node_first_and_read_only(family):
+    # the rate vm * B + w * sum_j A over the node-first components, with the
+    # bits of that formula on fresh temporaries (vm * 0 + sum A without a v'-part)
+    grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=10)
+    spec = KernelSpec(family=family, coefficient=0.6, epsilon=1.3)
+    rate = loss_rate(spec, fields, grid)
+    A, B = (np.moveaxis(c, -1, 0) for c in kernel_components(spec, fields, grid))
+    expect = grid.velocity_measure * B + grid.hv ** grid.dim * A.sum(axis=0)
+    assert rate.shape == (grid.n_vnodes,) + grid.x_shape and not rate.flags.writeable
+    assert _same_bits(rate, expect)
+
+
+def _view_kernel_mixed_norm(spec, fields, grid, p1, p2, p3):
+    """kernel_mixed_norm through the x_shape + (K,) components moved back to
+    node-first rows: the formula before the kernel norm went node-first."""
+    inf = np.inf
+    K = grid.n_vnodes
+    A, B = (np.moveaxis(c, -1, 0).reshape(K, -1) for c in kernel_components(spec, fields, grid))
+    w = grid.hv ** grid.dim
+    mid = np.zeros(A.shape[1])
+    for j in range(K):
+        T = np.abs(A[j] + B)
+        if p3 == inf:
+            inner = T.max(axis=0)
+        else:
+            inner = (w * np.sum(T**p3, axis=0)) ** (1.0 / p3)
+        if p2 == inf:
+            mid = np.maximum(mid, inner)
+        else:
+            mid += w * inner**p2
+    if p2 != inf:
+        mid = mid ** (1.0 / p2)
+    return spatial_norm(mid.reshape(grid.x_shape), grid, p1)
+
+
+@pytest.mark.parametrize("family", ["constant", "hyp1", "hyp2", "hyp3"])
+@pytest.mark.parametrize("saturation", [None, 0.05])
+def test_kernel_mixed_norm_bit_identical_to_view_formula(family, saturation):
+    grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=11)
+    spec = KernelSpec(family=family, coefficient=0.6, epsilon=1.3, saturation=saturation)
+    for p1, p2, p3 in ((4.5, 1.8, 4.5), (2.0, 1.0, 1.0), (np.inf, 2.0, np.inf),
+                       (np.inf, np.inf, np.inf)):
+        got = kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
+        expect = _view_kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
+        assert _same_bits(np.float64(got), np.float64(expect)), (p1, p2, p3)

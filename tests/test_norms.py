@@ -5,7 +5,7 @@ import pytest
 
 from runtumble.grid import DistributionField, GridSpec, build_grid
 from runtumble.norms import (NormSpec, compact_mixed_norm, interpolation_check,
-                             mixed_norm, spatial_norm, time_norm)
+                             mixed_norm, spatial_norm)
 
 INF = math.inf
 
@@ -59,8 +59,34 @@ def test_compact_norm_matches_full_norm():
     vals = rng.random(grid.x_shape + grid.v_shape) * grid.vmask
     f = DistributionField(grid, vals)
     for p, q in ((1, 1), (2, 1.5), (INF, 2), (3, INF)):
-        assert compact_mixed_norm(f.compact(), grid, p, q) == pytest.approx(
+        assert compact_mixed_norm(f.nodes, grid, p, q) == pytest.approx(
             mixed_norm(f, NormSpec(p=p, q=q)), rel=1e-13)
+
+
+def _view_mixed_norm(nodes, grid, p, q):
+    """The mixed norm over the x_shape + (K,) view of a node array, reduced
+    over its last axis: the formula before the norms went node-first."""
+    a = np.abs(np.moveaxis(nodes, 0, -1))
+    if q == INF:
+        inner = a.max(axis=-1)
+    else:
+        a **= q
+        inner = (grid.hv ** grid.dim * np.sum(a, axis=-1)) ** (1.0 / q)
+    return spatial_norm(inner, grid, p)
+
+
+@pytest.mark.parametrize("dim, nx, nv", [(1, 32, 8), (2, 16, 16), (3, 8, 8),
+                                         (3, 32, 4)])  # the last has nx = K = 32
+def test_node_first_norm_bit_identical_to_view_formula(dim, nx, nv):
+    grid = make_grid(dim=dim, nx=nx, nv=nv)
+    rng = np.random.default_rng(dim + nx)
+    nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
+    pairs = ((1, 1), (1.5, 1), (2, 1.5), (9 / 5, 9 / 7), (INF, 1), (3, INF), (INF, INF))
+    for p, q in pairs:
+        got = compact_mixed_norm(nodes, grid, p, q)
+        expect = _view_mixed_norm(nodes, grid, p, q)
+        assert np.array_equal(np.float64(got).view(np.int64),
+                              np.float64(expect).view(np.int64)), (p, q)
 
 
 def test_discrete_hoelder_between_mixed_norms():
@@ -88,9 +114,3 @@ def test_interpolation_inequality_randomized():
     with pytest.raises(ValueError):
         interpolation_check(f, p=2.0, q=1.5, theta=0.9)
 
-
-def test_time_norm():
-    series = [1.0, 2.0, 3.0]
-    assert time_norm(series, INF, 0.1) == 3.0
-    assert time_norm(series, 2, 0.1) == pytest.approx(math.sqrt(0.1 * 14.0), rel=1e-14)
-    assert time_norm([], 2, 0.1) == 0.0
