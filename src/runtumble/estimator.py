@@ -15,8 +15,8 @@ import numpy as np
 
 from runtumble.fields import split_short_long
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField, density
-from runtumble.interp import velocity_offset_stack
+from runtumble.grid import DistributionField, density, support_box
+from runtumble.interp import stack_reach, velocity_offset_stack
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
 
@@ -275,6 +275,18 @@ class GronwallMonitor:
 # term tracker for the d=3 large-data chain
 # ---------------------------------------------------------------------------
 
+def _stack_on_box(field, vnodes, factor, dx, mask, margin):
+    """(box, stack): box = support_box(mask, margin), and the offset stack of
+    a spatial field on that box, bit for bit velocity_offset_stack(field,
+    ...)[:, box], from a shift of the field on the box grown by the stack's
+    reach only."""
+    box = support_box(mask, margin)
+    grown = support_box(mask, margin + stack_reach(vnodes, factor, dx))
+    inner = tuple(b if g == slice(None) else slice(b.start - g.start, b.stop - g.start)
+                  for b, g in zip(box, grown))
+    return box, velocity_offset_stack(field[grown], vnodes, factor, dx)[(slice(None),) + inner]
+
+
 class TermTracker:
     """Tracks the three history terms of the d=3 beta=0 bound and their bounds.
 
@@ -310,12 +322,14 @@ class TermTracker:
         s_short, _ = split_short_long(sim.rho, order=0)
         g_short, _ = split_short_long(sim.rho, order=1)
         S = sim.fields["S"].values
-        w = grid.hv**3
-        shifted_S = velocity_offset_stack(S, grid.vnodes, 1.0, grid.dx)
-        shifted_S *= sim.f.nodes
-        H = w * np.sum(shifted_S, axis=0)
+        nodes = sim.f.nodes
+        # S_shift * f is zero outside the box of f's support
+        box, shifted_S = _stack_on_box(S, grid.vnodes, 1.0, grid.dx, np.any(nodes, axis=0), 0)
+        shifted_S = shifted_S * nodes[(slice(None),) + box]
+        H = np.zeros(grid.x_shape)
+        H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
         self.history.append((sim.rho.values.copy(), s_short.values, g_short.values, H))
-        self.fnorm.append(compact_mixed_norm(sim.f.nodes, grid, self.p, self.q))
+        self.fnorm.append(compact_mixed_norm(nodes, grid, self.p, self.q))
 
     def after_step(self, sim):
         self._store(sim)
@@ -331,21 +345,25 @@ class TermTracker:
         f2 = np.zeros_like(f1)
         f3 = np.zeros_like(f1)
         # midpoint-in-s quadrature of the history integrals; each summand is
-        # formed in one stack, in place
+        # shifted only on the box of its nonzero positions, grown by the
+        # stencil and the shift as in transport_step, and added there: the
+        # zeros outside it add nothing
         for m in range(n):
             s_mid = (m + 0.5) * dt
+            reach = stack_reach(vn, s_mid, dx)
             rho, s_short, g_short, H = self.history[n - 1 - m]
             # per-node offsets x + v_j on the field factors, then the
             # transport shift x - s v_j on the products
             for field, f in ((s_short, f1), (g_short, f3)):
-                w = velocity_offset_stack(field, vn, -1.0, dx)
-                w *= rho
+                box, w = _stack_on_box(field, vn, -1.0, dx, rho != 0.0, reach)
+                w = w * rho[box]
                 velocity_offset_stack(w, vn, s_mid, dx, out=w)
                 w *= dt
-                f += w
-            w = velocity_offset_stack(H, vn, s_mid, dx)
+                f[(slice(None),) + box] += w
+            box = support_box(H != 0.0, reach)
+            w = velocity_offset_stack(H[box], vn, s_mid, dx)
             w *= dt
-            f2 += w
+            f2[(slice(None),) + box] += w
 
         norms = [compact_mixed_norm(f, grid, self.p, self.q) for f in (f1, f2, f3)]
         fn = np.array(self.fnorm[: n + 1])

@@ -19,6 +19,9 @@ import numpy as np
 INF = math.inf
 
 _FLOAT_TOL = 1e-12
+NUMEROLOGY_TOL = 1e-12  # bracket width at which solve_numerology's bisection stops
+REGION_Q_PRIME_MAX = 8.0  # extent of the (q', p') lattice of admissible_region
+REGION_P_PRIME_MAX = 5.0
 
 
 def _is_exact(*values):
@@ -94,14 +97,13 @@ def strichartz_admissible(quad):
     return bool(cond_order and cond_rate and cond_mean), diagnostics
 
 
-def theorem3_exponents(a, d=3):
-    """Exponents for the small-data space-time bound: r = 3, 1/p = 1/a - 1/9, 1/q = 1/a + 1/9.
+def theorem3_exponents(a):
+    """Exponents for the small-data space-time bound in d = 3: r = 3,
+    1/p = 1/a - 1/9, 1/q = 1/a + 1/9.
 
-    Requires a in [3/2, 2] (d = 3). The returned quadruple always passes
+    Requires a in [3/2, 2]. The returned quadruple always passes
     strichartz_admissible.
     """
-    if d != 3:
-        raise ValueError("theorem3_exponents is specific to d = 3")
     a = Fraction(a) if isinstance(a, (Fraction, int, str)) else a
     lo, hi = Fraction(3, 2), Fraction(2)
     if not (lo <= a <= hi):
@@ -145,13 +147,15 @@ class NumerologyChain:
     eps_interp: float
 
 
-def solve_numerology(q, tol=1e-12):
+def solve_numerology(q):
     """Solve the d=3 exponent chain for a given q in (1, 3/2).
 
     p is found by bisection of delta(p) on [3/2, 3]; the sign conditions
     delta(3/2) > 0 > delta(3) hold throughout the range. All chain
     invariants (lam < 1, theta and eps in (0,1), 1 < c < q, 1 < b < min(c', p),
-    eps + theta = 1) are verified before returning.
+    eps + theta = 1) are verified before returning. The bisection stops at
+    a bracket of NUMEROLOGY_TOL = 1e-12, and the two identities among the
+    invariants are allowed 100 times that.
     """
     q = float(q)
     if not (1.0 < q < 1.5):
@@ -161,7 +165,7 @@ def solve_numerology(q, tol=1e-12):
     dlo, dhi = numerology_delta(lo, q), numerology_delta(hi, q)
     if not (dlo > 0 > dhi):
         raise RuntimeError(f"bisection bracket failure: delta(3/2)={dlo}, delta(3)={dhi}")
-    while hi - lo > tol:
+    while hi - lo > NUMEROLOGY_TOL:
         mid = 0.5 * (lo + hi)
         if numerology_delta(mid, q) > 0:
             lo = mid
@@ -176,19 +180,19 @@ def solve_numerology(q, tol=1e-12):
     eps = conjugate(p) / conjugate(b)
 
     chain = NumerologyChain(q=q, p=p, lam=lam, theta=theta, c=c, b=b, eps_interp=eps)
-    _validate_chain(chain, tol)
+    _validate_chain(chain)
     return chain
 
 
-def _validate_chain(chain, tol):
+def _validate_chain(chain):
     checks = {
-        "delta_root": abs(numerology_delta(chain.p, chain.q)) <= 100 * tol,
+        "delta_root": abs(numerology_delta(chain.p, chain.q)) <= 100 * NUMEROLOGY_TOL,
         "lam_lt_1": chain.lam < 1.0,
         "theta_in_01": 0.0 < chain.theta < 1.0,
         "eps_in_01": 0.0 < chain.eps_interp < 1.0,
         "c_range": 1.0 < chain.c < chain.q,
         "b_range": 1.0 < chain.b < min(conjugate(chain.c), chain.p),
-        "eps_plus_theta": abs(chain.eps_interp + chain.theta - 1.0) <= 100 * tol,
+        "eps_plus_theta": abs(chain.eps_interp + chain.theta - 1.0) <= 100 * NUMEROLOGY_TOL,
     }
     bad = [name for name, ok in checks.items() if not ok]
     if bad:
@@ -210,15 +214,16 @@ def region_member(q_prime, p_prime):
     return ok
 
 
-def admissible_region(q_prime_max=8.0, p_prime_max=5.0, step=0.05):
-    """Rasterize the admissible region on a (q', p') lattice.
+def admissible_region(step=0.05):
+    """Rasterize the admissible region on a (q', p') lattice of spacing step,
+    q' in [1, REGION_Q_PRIME_MAX = 8] and p' in [1, REGION_P_PRIME_MAX = 5].
 
     Returns (q_grid, p_grid, mask) with mask[i, j] true when
     (q_grid[i], p_grid[j]) lies in the region.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    qs = np.arange(1.0, q_prime_max + step / 2, step)
-    ps = np.arange(1.0, p_prime_max + step / 2, step)
+    qs = np.arange(1.0, REGION_Q_PRIME_MAX + step / 2, step)
+    ps = np.arange(1.0, REGION_P_PRIME_MAX + step / 2, step)
     mask = region_member(qs[:, None], ps[None, :])
     return qs, ps, mask

@@ -18,6 +18,7 @@ from runtumble.grid import SpatialField, build_grid, field_mass
 from runtumble.norms import spatial_norm
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+BESSEL_R_MAX = 80.0  # outer radius of the radial quadrature of bessel_potential_norms
 
 
 def _k_squared(grid):
@@ -179,12 +180,12 @@ def bessel_potential_integrable(p, order, d):
     return p < d / (d - 1.0)
 
 
-def bessel_potential_norms(p, order=0, d=3, n_radial=400, r_min=1e-6, r_max=80.0) -> float:
+def bessel_potential_norms(p, order=0, d=3, n_radial=400, r_min=1e-6) -> float:
     """Numerical L^p norm of the Bessel-type kernel G or of |grad G|.
 
     Radial quadrature (trapezoid in log r) of the closed form on
-    [r_min, r_max], plus the tail below r_min in closed form for the power
-    law G ~ c r^alpha matched at r_min (the part beyond r_max decays like
+    [r_min, BESSEL_R_MAX = 80], plus the tail below r_min in closed form for
+    the power law G ~ c r^alpha matched at r_min (the part beyond it decays like
     exp(-p r / 2) and is left out); rejects exponents at or beyond the
     integrability threshold, where alpha p + d <= 0. Doubling n_radial
     changes the result well below 0.5%.
@@ -198,7 +199,7 @@ def bessel_potential_norms(p, order=0, d=3, n_radial=400, r_min=1e-6, r_max=80.0
     if not bessel_potential_integrable(p, order, d):
         thr = "d/(d-2)" if order == 0 else "d/(d-1)"
         raise ValueError(f"L^{p} norm diverges: order={order} requires p < {thr} at d={d}")
-    u = np.linspace(np.log(r_min), np.log(r_max), n_radial)
+    u = np.linspace(np.log(r_min), np.log(BESSEL_R_MAX), n_radial)
     r = np.exp(u)
     g = np.abs(_bessel_radial(r, order, d))
     integrand = _SPHERE_AREA[d] * g**p * r ** (d - 1) * r  # extra r from du = dr/r
@@ -209,7 +210,7 @@ def bessel_potential_norms(p, order=0, d=3, n_radial=400, r_min=1e-6, r_max=80.0
     return float((np.trapezoid(integrand, u) + tail) ** (1.0 / p))
 
 
-def gradient_bound_check(rho: SpatialField, p, bessel_norm=None) -> dict:
+def gradient_bound_check(rho: SpatialField, p) -> dict:
     """Young-inequality check ||grad S||_p <= M ||grad G||_p for the beta=1 solve.
 
     Returns the ratio and a pass flag at 2% slack. The kernel norm is the
@@ -226,8 +227,7 @@ def gradient_bound_check(rho: SpatialField, p, bessel_norm=None) -> dict:
     sol = solve_field(rho, beta=1, want=("grad",))
     gradmag = np.sqrt(sum(g.values**2 for g in sol["grad"]))
     lhs = spatial_norm(gradmag, grid, p)
-    if bessel_norm is None:
-        bessel_norm = bessel_potential_norms(p, order=1, d=d)
+    bessel_norm = bessel_potential_norms(p, order=1, d=d)
     ratio = lhs / (mass * bessel_norm)
     return {"ratio": ratio, "passed": ratio <= 1.02, "mass": mass, "kernel_norm": bessel_norm}
 

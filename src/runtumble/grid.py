@@ -199,6 +199,21 @@ class DistributionField:
         return lo, hi
 
 
+def support_box(mask, margin):
+    """Slices of the bounding box of a boolean position mask, grown by `margin` cells a side.
+
+    An axis on which the grown box would cross the periodic edge, or on
+    which the mask is empty, gets a full slice; so a wide, wrapping or
+    empty support gives the whole grid.
+    """
+    box = []
+    for a, n in enumerate(mask.shape):
+        hits = np.flatnonzero(np.any(mask, axis=tuple(b for b in range(mask.ndim) if b != a)))
+        lo, hi = (int(hits[0]) - margin, int(hits[-1]) + margin + 1) if len(hits) else (-1, n)
+        box.append(slice(lo, hi) if lo >= 0 and hi <= n else slice(None))
+    return tuple(box)
+
+
 def field_from_compact(grid, compact, t=0.0):
     """Field from values at the masked velocity nodes, shape x_shape + (K,)."""
     return DistributionField.from_nodes(grid, np.ascontiguousarray(np.moveaxis(compact, -1, 0)), t)

@@ -219,8 +219,8 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None):
     return out
 
 
-def shift_spatial(values, disp, dx, limit=True):
-    """Shift a d-dimensional periodic field by a displacement vector.
+def shift_spatial(values, disp, dx):
+    """Shift a d-dimensional periodic field by a displacement vector, limited.
 
     out(x) = values(x - disp), applied axis by axis (the displacement is
     constant so the axis interpolations commute up to the cubic error).
@@ -228,12 +228,12 @@ def shift_spatial(values, disp, dx, limit=True):
     out = values
     for axis, da in enumerate(np.atleast_1d(disp)):
         if da != 0.0:
-            out = axis_shift(out, da, dx, axis=axis, limit=limit)
+            out = axis_shift(out, da, dx, axis=axis)
     return out
 
 
-def velocity_offset_stack(values, vnodes, factor, dx, limit=True, out=None):
-    """Per-node shifted copies out[j](x) = values(x - factor * v_j), node-first.
+def velocity_offset_stack(values, vnodes, factor, dx, out=None):
+    """Per-node limited shifted copies out[j](x) = values(x - factor * v_j), node-first.
 
     values: a spatial array x_shape, or a node-first array (K,) + x_shape.
     Returns a new (K,) + x_shape array, or for a node-first input `out` when
@@ -264,9 +264,15 @@ def velocity_offset_stack(values, vnodes, factor, dx, limit=True, out=None):
         # map one to one onto the next stack are shifted in place, as they are
         # a copy of the input by then
         dest = out if a == 0 else rows if len(keys) == len(rows) else None
-        rows = axis_shift(rows, factor * comps[comp], dx, axis=a + 1, limit=limit,
-                          rows=parent, out=dest)
+        rows = axis_shift(rows, factor * comps[comp], dx, axis=a + 1, rows=parent, out=dest)
     return rows if np.array_equal(owner, np.arange(K)) else rows[owner]
+
+
+def stack_reach(vnodes, factor, dx):
+    """Cells a side, 3 + ceil(max |factor v_j| / dx), past which
+    velocity_offset_stack(values, vnodes, factor, dx) reads nothing: the
+    shift, the two cells of the 4-point stencil beyond it, and one to spare."""
+    return 3 + math.ceil(abs(factor) * np.abs(vnodes).max() / dx)
 
 
 def interp_point(values, x0, dx, points, limit=True):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField
+from runtumble.grid import DistributionField, support_box
 
 INF = math.inf
 INTERPOLATION_RTOL = 1e-12  # relative roundoff allowed in interpolation_check
@@ -45,14 +45,22 @@ def spatial_norm(values, grid, p) -> float:
 
 
 def compact_mixed_norm(nodes, grid, p, q) -> float:
-    """Mixed norm of values at the masked velocity nodes, node-first: shape (K,) + x_shape."""
-    a = np.abs(nodes)
-    w = grid.hv ** grid.dim
+    """Mixed norm of values at the masked velocity nodes, node-first: shape (K,) + x_shape.
+
+    The inner L^q_v norms are taken on a contiguous copy of the bounding box
+    of the nonzero positions only (support_box), and put into an x-shaped
+    array of zeros: outside that box every inner norm is +0.0 in any case.
+    The outer L^p_x norm is the full spatial_norm, so its sum adds the same
+    array in the same order as a sweep over all positions.
+    """
+    box = support_box(np.any(nodes, axis=0), 0)
+    a = np.abs(nodes[(slice(None),) + box])
+    inner = np.zeros(nodes.shape[1:])
     if q == INF:
-        inner = a.max(axis=0)
+        inner[box] = a.max(axis=0)
     else:
         a **= q  # the same power dispatch as a**q, without a second copy
-        inner = (w * np.sum(a, axis=0)) ** (1.0 / q)
+        inner[box] = (grid.hv ** grid.dim * np.sum(a, axis=0)) ** (1.0 / q)
     return spatial_norm(inner, grid, p)
 
 

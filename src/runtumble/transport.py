@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid
-from runtumble.interp import velocity_offset_stack
+from runtumble.grid import DistributionField, PhaseGrid, support_box
+from runtumble.interp import stack_reach, velocity_offset_stack
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,30 @@ def transport_step(f: DistributionField, dt: float, out=None) -> DistributionFie
     the slab mass exactly, keeping total mass conserved to roundoff.
     The new state is written to `out` when given, which may be f.nodes
     (an in-place step), else to a new array; f is left as it is otherwise.
+
+    Only the box around f's support is shifted: its bounding box grown by
+    the stencil and one step of motion (stack_reach), or the whole axis
+    where that box would wrap (support_box). An all-zero stencil gives
+    +0.0, so outside that box a sweep of the whole array writes +0.0, which
+    is what the box path leaves there: the result is bit for bit the full
+    sweep's wherever f's zeros are +0.0, as in every state the solver makes.
+    The slab sums stay over the whole array, so that they add in the full
+    sweep's order.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = f.grid
     spatial = tuple(range(1, grid.dim + 1))
     before = f.nodes.sum(axis=spatial)
-    out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx, out=out)
-    np.clip(out, 0.0, None, out=out)
+    reach = stack_reach(grid.vnodes, dt, grid.dx)
+    box = (slice(None),) + support_box(np.any(f.nodes, axis=0), reach)
+    if out is None:
+        out = np.zeros_like(f.nodes)
+    elif not np.may_share_memory(out, f.nodes):
+        out.fill(0.0)
+    moved = velocity_offset_stack(f.nodes[box], grid.vnodes, dt, grid.dx, out=out[box])
+    np.clip(moved, 0.0, None, out=moved)
     after = out.sum(axis=spatial)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
-    out *= scale.reshape((-1,) + (1,) * grid.dim)
+    moved *= scale.reshape((-1,) + (1,) * grid.dim)  # +0.0 * scale is +0.0 outside the box
     return DistributionField.from_nodes(grid, out, t=f.t + dt)

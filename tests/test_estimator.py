@@ -10,8 +10,8 @@ from runtumble.estimator import (BootstrapMonitor, DecayFit, GronwallMonitor, Te
 from runtumble.exponents import theorem3_exponents
 from runtumble.freeflow import GaussianBallData
 from runtumble.fields import split_short_long
-from runtumble.grid import DistributionField, GridSpec, build_grid
-from runtumble.interp import velocity_offset_stack
+from runtumble.grid import DistributionField, GridSpec, build_grid, support_box
+from runtumble.interp import stack_reach, velocity_offset_stack
 from runtumble.kernels import KernelSpec
 from runtumble.norms import NormSpec, mixed_norm, spatial_norm
 from runtumble.simulate import Simulation
@@ -162,11 +162,13 @@ def _mixed_norm_of_copies(compact, grid, p, q):
     return spatial_norm(inner, grid, p)
 
 
-def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
-    grid = build_grid(GridSpec(dim=3, box_half_length=6.0, nx=16, nv=4, dt=0.02))
-    f0 = SeparableData(amplitude=0.5, width=1.0, kind="cube")
+def _tracked_hyp1_run(n_steps, stride, nx=16, center=()):
+    """A 3-D hyp1 run with a TermTracker, and copies of the inputs of every
+    stored step: (f, rho, S, S_short, gradS_short)."""
+    grid = build_grid(GridSpec(dim=3, box_half_length=0.375 * nx, nx=nx, nv=4, dt=0.02))
+    f0 = SeparableData(amplitude=0.5, width=1.0, kind="cube", center=center)
     sim = Simulation(grid, f0, KernelSpec(family="hyp1", coefficient=0.2), beta=0)
-    mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0, stride=2)
+    mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0, stride=stride)
 
     class Recorder:
         """The inputs of every stored step, copied."""
@@ -186,17 +188,19 @@ def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
     rec = Recorder()
     sim.attach(rec)
     sim.attach(mon)
-    sim.run(4)
+    sim.run(n_steps)
+    return grid, mon, rec.states
 
+
+def _tracker_reference(grid, mon, states):
+    """H, fnorm and each evaluation's term norms from the full-array formulas
+    with fresh arrays: every history summand shifted over the whole grid."""
     vn, dx, dt, w = grid.vnodes, grid.dx, grid.spec.dt, grid.hv**3
     H = [w * np.sum(velocity_offset_stack(S, vn, 1.0, dx) * nodes, axis=0)
-         for nodes, _, S, _, _ in rec.states]
+         for nodes, _, S, _, _ in states]
     fnorm = [_mixed_norm_of_copies(np.moveaxis(nodes, 0, -1), grid, mon.p, mon.q)
-             for nodes, *_ in rec.states]
-    assert len(mon.history) == 5 and len(mon.evaluations) == 2
-    for (_, _, _, stored_H), h in zip(mon.history, H):
-        assert np.array_equal(stored_H.view(np.int64), h.view(np.int64))
-    assert mon.fnorm == fnorm
+             for nodes, *_ in states]
+    norms = []
     for ev in mon.evaluations:
         n = ev["step"]
         f1 = np.zeros((grid.n_vnodes,) + grid.x_shape)
@@ -204,15 +208,54 @@ def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
         f3 = np.zeros_like(f1)
         for m in range(n):
             s_mid = (m + 0.5) * dt
-            _, rho, _, s_short, g_short = rec.states[n - 1 - m]
+            _, rho, _, s_short, g_short = states[n - 1 - m]
             w1 = velocity_offset_stack(s_short, vn, -1.0, dx) * rho
             w3 = velocity_offset_stack(g_short, vn, -1.0, dx) * rho
             f1 += dt * velocity_offset_stack(w1, vn, s_mid, dx)
             f3 += dt * velocity_offset_stack(w3, vn, s_mid, dx)
             f2 += dt * velocity_offset_stack(H[n - 1 - m], vn, s_mid, dx)
-        expect = [_mixed_norm_of_copies(np.moveaxis(f, 0, -1), grid, mon.p, mon.q)
-                  for f in (f1, f2, f3)]
-        assert ev["norms"] == expect
+        norms.append([_mixed_norm_of_copies(np.moveaxis(f, 0, -1), grid, mon.p, mon.q)
+                      for f in (f1, f2, f3)])
+    return H, fnorm, norms
+
+
+def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
+    grid, mon, states = _tracked_hyp1_run(4, stride=2)
+    H, fnorm, norms = _tracker_reference(grid, mon, states)
+    assert len(mon.history) == 5 and len(mon.evaluations) == 2
+    for (_, _, _, stored_H), h in zip(mon.history, H):
+        assert np.array_equal(stored_H.view(np.int64), h.view(np.int64))
+    assert mon.fnorm == fnorm
+    assert [ev["norms"] for ev in mon.evaluations] == norms
+
+
+@pytest.mark.parametrize("nx, center, edge", [(16, (-3.0, 1.5, 0.0), True),
+                                               (32, (0.75, 0.0, -0.75), False)])
+def test_term_tracker_box_sums_equal_full_grid_sums(nx, center, edge):
+    # the tracker shifts each history summand, and the fields that it
+    # multiplies, only on boxes around its support: on 16^3 a cube off the
+    # centre, whose boxes reach the periodic edge on the first axis (a
+    # full-axis fallback there) and not on the last; on 32^3 no box does
+    grid, mon, states = _tracked_hyp1_run(6, stride=3, nx=nx, center=center)
+    reach = stack_reach(grid.vnodes, grid.spec.dt / 2.0, grid.dx)
+    box = support_box(states[-1][1] != 0.0, reach)
+    assert (box[0] == slice(None)) == edge and box[2] != slice(None)
+    grown = support_box(states[-1][1] != 0.0, reach + stack_reach(grid.vnodes, 1.0, grid.dx))
+    assert (grown[2] == slice(None)) == edge
+    H, fnorm, norms = _tracker_reference(grid, mon, states)
+    # the box sums leave +0.0 where the full sums may hold -0.0, so the
+    # fields compare by value and the norms and integrals bit for bit
+    assert all(np.array_equal(stored[3], h) for stored, h in zip(mon.history, H))
+    assert mon.fnorm == fnorm
+    assert [ev["norms"] for ev in mon.evaluations] == norms
+    fn = np.array(fnorm)
+    for ev in mon.evaluations:
+        n = ev["step"]
+        hist = np.array([0.5 * (fn[n - k] + fn[n - k + 1]) for k in range(1, n + 1)])
+        shifted = float(np.sum(singular_weights(mon.lam, grid.spec.dt, n, shift=1.0) * hist))
+        plain = float(np.sum(singular_weights(mon.lam, grid.spec.dt, n) * hist))
+        assert ev["integrals"] == {"shifted": shifted, "plain": plain,
+                                   "K": float(grid.spec.dt * np.sum(hist)) + plain + shifted}
 
 
 def test_bootstrap_fnorm_bit_identical_to_view_formula():

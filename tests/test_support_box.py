@@ -1,0 +1,136 @@
+"""The occupied-box paths against frozen copies of the full-array formulas.
+
+transport_step and compact_mixed_norm work only on the bounding box of f's
+nonzero positions (grid.support_box); these tests compare them bit for bit
+(int64 views) with the sweeps over the whole array that they replace.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from runtumble.grid import (DistributionField, GridSpec, build_grid, density, field_mass,
+                            support_box)
+from runtumble.interp import stack_reach, velocity_offset_stack
+from runtumble.norms import compact_mixed_norm, spatial_norm
+from runtumble.transport import transport_step
+
+INF = math.inf
+SUBNORMAL = 5e-324  # the smallest positive double: hv^d times it underflows to 0
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _full_transport(nodes, grid, dt):
+    """transport_step as a sweep over the whole array."""
+    spatial = tuple(range(1, grid.dim + 1))
+    before = nodes.sum(axis=spatial)
+    out = velocity_offset_stack(nodes, grid.vnodes, dt, grid.dx)
+    np.clip(out, 0.0, None, out=out)
+    after = out.sum(axis=spatial)
+    scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
+    out *= scale.reshape((-1,) + (1,) * grid.dim)
+    return out
+
+
+def _full_mixed_norm(nodes, grid, p, q):
+    """compact_mixed_norm as a sweep over the whole array."""
+    a = np.abs(nodes)
+    if q == INF:
+        inner = a.max(axis=0)
+    else:
+        a **= q
+        inner = (grid.hv ** grid.dim * np.sum(a, axis=0)) ** (1.0 / q)
+    return spatial_norm(inner, grid, p)
+
+
+def _grid(dim):
+    nx = {1: 64, 2: 32, 3: 16}[dim]
+    return build_grid(GridSpec(dim=dim, box_half_length=0.375 * nx, nx=nx, nv=4, dt=0.3))
+
+
+def _states(grid):
+    """Node arrays: compact support, support touching the periodic edge on
+    axis 0 (a full-axis fallback there), full support, the empty state, and
+    compact support with subnormal values in one node, a few cells away."""
+    rng = np.random.default_rng(grid.dim)
+    shape = (grid.n_vnodes,) + grid.x_shape
+    nx = grid.spec.nx
+    states = {}
+    compact = np.zeros(shape)
+    cube = (slice(None),) + (slice(nx // 2 - 2, nx // 2 + 1),) * grid.dim
+    compact[cube] = rng.random(compact[cube].shape)
+    states["compact"] = compact
+    edge = np.zeros(shape)
+    cube = (slice(None), slice(0, 3)) + (slice(nx // 2 - 2, nx // 2 + 1),) * (grid.dim - 1)
+    edge[cube] = rng.random(edge[cube].shape)
+    states["edge"] = edge
+    states["full"] = rng.random(shape)
+    states["empty"] = np.zeros(shape)
+    subnormal = compact.copy()
+    cells = (-1,) + (slice(nx // 2 + 5, nx // 2 + 7),) * grid.dim
+    subnormal[cells] = SUBNORMAL
+    states["subnormal"] = subnormal
+    return states
+
+
+def test_support_box_grows_and_falls_back_to_full_axes():
+    mask = np.zeros((16, 16, 16), dtype=bool)
+    mask[5:8, 6, 7:9] = True
+    assert support_box(mask, 0) == (slice(5, 8), slice(6, 7), slice(7, 9))
+    assert support_box(mask, 3) == (slice(2, 11), slice(3, 10), slice(4, 12))
+    # crossing the periodic edge, reaching it, a wrapping support, no support
+    assert support_box(mask, 6) == (slice(None), slice(0, 13), slice(1, 15))
+    assert support_box(mask, 7)[2] == slice(0, 16)
+    mask[15, 6, 7] = True
+    assert support_box(mask, 0)[0] == slice(5, 16)
+    assert support_box(mask, 1)[0] == slice(None)
+    assert support_box(np.zeros(8, dtype=bool), 1) == (slice(None),)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_transport_box_path_bit_identical_to_full_sweep(dim):
+    grid = _grid(dim)
+    dt = grid.spec.dt
+    for name, nodes in _states(grid).items():
+        expect = _full_transport(nodes, grid, dt)
+        f = DistributionField.from_nodes(grid, nodes.copy())
+        assert _same_bits(transport_step(f, dt).nodes, expect), name
+        assert _same_bits(f.nodes, nodes), name
+        garbage = np.full_like(nodes, np.nan)
+        assert _same_bits(transport_step(f, dt, out=garbage).nodes, expect), name
+        assert _same_bits(transport_step(f, dt, out=f.nodes).nodes, expect), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mixed_norm_box_path_bit_identical_to_full_sweep(dim):
+    grid = _grid(dim)
+    pairs = ((1, 1), (1.5, 1), (2, 1.5), (9 / 5, 9 / 7), (INF, 1), (3, INF), (INF, INF))
+    for name, nodes in _states(grid).items():
+        for p, q in pairs:
+            got = compact_mixed_norm(nodes, grid, p, q)
+            assert _same_bits(got, _full_mixed_norm(nodes, grid, p, q)), (name, p, q)
+
+
+def test_box_comes_from_f_not_from_its_density():
+    # hv^d * 5e-324 is 0, so the subnormal cells carry no density; a box
+    # taken from rho would leave them unmoved, while the full sweep moves
+    # them (a whole-cell shift is an exact roll)
+    grid = build_grid(GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.3))
+    nodes = _states(grid)["subnormal"]
+    rho = density(DistributionField.from_nodes(grid, nodes)).values
+    lone = np.any(nodes, axis=0) & (rho == 0.0)
+    assert lone.sum() == 8 and field_mass(density(DistributionField.from_nodes(
+        grid, np.where(lone, nodes, 0.0)))) == 0.0
+    dt = grid.alignment_time()
+    expect = _full_transport(nodes, grid, dt)
+    rho_box = (slice(None),) + support_box(rho != 0.0, stack_reach(grid.vnodes, dt, grid.dx))
+    outside = np.ones(expect.shape, dtype=bool)
+    outside[rho_box] = False
+    assert np.any(expect[outside] == SUBNORMAL)
+    f = DistributionField.from_nodes(grid, nodes)
+    assert _same_bits(transport_step(f, dt).nodes, expect)
