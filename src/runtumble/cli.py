@@ -103,7 +103,7 @@ def parse_exponent(token):
 
 
 def parse_config(path):
-    """Read a flat key=value config; strict schema, typed values."""
+    """Read a flat key=value config; strict schema, typed values, finite floats."""
     raw = {}
     try:
         with open(path) as fh:
@@ -125,11 +125,16 @@ def parse_config(path):
             raw[key] = _SCHEMA[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if _SCHEMA[key] is float and not math.isfinite(raw[key]):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
     for key in ("dimension", "box_half_length", "nx", "nv", "dt", "t_end"):
         if key not in cfg:
             raise ConfigError(f"missing required key {key!r}")
+    for key in ("init_width", "t_end"):
+        if not cfg[key] > 0:
+            raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
     return cfg
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.fields import split_short_long
+from runtumble.fields import short_range_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
 from runtumble.grid import DistributionField, density, support_box
 from runtumble.interp import stack_reach, velocity_offset_stack
@@ -319,8 +319,7 @@ class TermTracker:
 
     def _store(self, sim):
         grid = sim.grid
-        s_short, _ = split_short_long(sim.rho, order=0)
-        g_short, _ = split_short_long(sim.rho, order=1)
+        s_short, g_short = short_range_parts(sim.rho)
         S = sim.fields["S"].values
         nodes = sim.f.nodes
         # S_shift * f is zero outside the box of f's support

@@ -6,7 +6,8 @@ also available as a direct convolution with the tabulated kernel
 1/(4 pi |x|), split into its short (|x| <= 1) and long (|x| >= 1) parts;
 the truncated kernels are bounded by 1/(4 pi), which is what makes the long
 parts a-priori bounded by the mass. Each tabulated kernel is transformed
-once per grid and kept, read-only, in a small cache.
+once per grid and kept, read-only, in a small cache, as are the
+wavenumbers of the spectral solve.
 """
 
 from functools import lru_cache
@@ -21,11 +22,22 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 BESSEL_R_MAX = 80.0  # outer radius of the radial quadrature of bessel_potential_norms
 
 
-def _k_squared(grid):
-    d = grid.dim
-    k = grid.k
-    mesh = np.meshgrid(*([k] * d), indexing="ij")
-    return mesh, sum(c * c for c in mesh)
+@lru_cache(maxsize=16)
+def _wavenumbers(spec):
+    """(k mesh, |k|^2) on the grid of `spec`, read-only; one per spec."""
+    grid = build_grid(spec)
+    mesh = np.meshgrid(*([grid.k] * grid.dim), indexing="ij")
+    k2 = sum(c * c for c in mesh)
+    for a in (*mesh, k2):
+        a.flags.writeable = False
+    return mesh, k2
+
+
+def gradient_from_hat(hat, grid):
+    """The spectral gradient [ifftn(i k_a hat).real for each axis a] of the
+    field whose FFT is hat."""
+    kmesh, _ = _wavenumbers(grid.spec)
+    return [SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * hat).real) for a in range(grid.dim)]
 
 
 def solve_field(rho: SpatialField, beta, want=("S",), project_mean=True) -> dict:
@@ -46,7 +58,7 @@ def solve_field(rho: SpatialField, beta, want=("S",), project_mean=True) -> dict
         raise ValueError(f"unknown derivative requests {sorted(unknown)}")
 
     rho_hat = np.fft.fftn(rho.values)
-    kmesh, k2 = _k_squared(grid)
+    kmesh, k2 = _wavenumbers(grid.spec)
     denom = beta + k2
     if beta == 0:
         mean = rho_hat.flat[0].real / rho.values.size
@@ -56,7 +68,6 @@ def solve_field(rho: SpatialField, beta, want=("S",), project_mean=True) -> dict
                     f"beta=0 with nonzero-mean rho (mean={mean:.3e}): "
                     "the torus problem is unsolvable without zero-mode projection")
         rho_hat.flat[0] = 0.0
-        denom = denom.copy()
         denom.flat[0] = 1.0
 
     s_hat = rho_hat / denom
@@ -64,10 +75,7 @@ def solve_field(rho: SpatialField, beta, want=("S",), project_mean=True) -> dict
     if "S" in want:
         out["S"] = SpatialField(grid, np.fft.ifftn(s_hat).real)
     if "grad" in want:
-        out["grad"] = [
-            SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * s_hat).real)
-            for a in range(grid.dim)
-        ]
+        out["grad"] = gradient_from_hat(s_hat, grid)
     if "hess" in want:
         out["hess"] = [
             [
@@ -155,6 +163,17 @@ def split_short_long(rho: SpatialField, order=0):
     rho_hat = np.fft.fftn(rho.values)
     return tuple(SpatialField(grid, _convolve_hat(rho_hat, grid, order, part))
                  for part in ("short", "long"))
+
+
+def short_range_parts(rho: SpatialField):
+    """The short-range parts of the order-0 and order-1 splits, bit for bit
+    split_short_long(rho, 0)[0] and split_short_long(rho, 1)[0], from one
+    FFT of rho."""
+    _check_split_box(rho.grid)
+    grid = rho.grid
+    rho_hat = np.fft.fftn(rho.values)
+    return tuple(SpatialField(grid, _convolve_hat(rho_hat, grid, order, "short"))
+                 for order in (0, 1))
 
 
 def _bessel_radial(r, order, d):

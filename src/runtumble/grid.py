@@ -177,6 +177,8 @@ class DistributionField:
             raise ValueError(f"node array shape {self.nodes.shape} != {expected}")
         if self.t < 0:
             raise ValueError("timestamp must be nonnegative")
+        if not np.all(np.isfinite(self.nodes)):
+            raise ValueError("distribution values must be finite")
         if np.any(self.nodes < 0):
             raise ValueError("distribution values must be nonnegative")
 

@@ -2,29 +2,38 @@
 
 Each family is the bounding expression of one of the admissible kernel
 classes, so the corresponding hypothesis holds with equality by
-construction. Every family decomposes as T(x, v, v') = A(x, v) + B(x, v'),
-which the scattering update exploits: gains and losses reduce to velocity
-averages of A and B, and mass neutrality is an algebraic identity of the
-discrete update, pointwise in x.
+construction. One table, _terms, defines every family: T(x, v, v') =
+C * (c + sum of its terms), where a term (input, sign) is a field built
+from S (one of _INPUTS) sampled at x + sign*eps*v (a term of A) or at
+x + sign*eps*v' (a term of B). So every family splits as
+T(x, v, v') = A(x, v) + B(x, v'), the constant c in A, and B is absent
+when no term reads v'. The components builder, the pointwise kernel, the
+fields a family needs and the Minkowski bound all read that table.
 
-Components, loss rates and kernel norms are node-first, (K,) + x_shape like the
-state of DistributionField; only kernel_components hands out x_shape + (K,) views.
-hyp3 builds each (input, sign) offset stack once. On a grid whose velocity
+The scattering update exploits the split: gains and losses reduce to
+velocity averages of A and B, and mass neutrality is an algebraic identity
+of the discrete update, pointwise in x. Components, loss rates and kernel
+norms are node-first, (K,) + x_shape like the state of DistributionField;
+only kernel_components hands out x_shape + (K,) views.
+
+Each (input, sign) offset stack is built once. On a grid whose velocity
 nodes pair exactly with their mirrors -v (PhaseGrid.vreflect, the reversal
 of the node order), the stack at the opposite sign is that stack reversed,
-and when B's terms mirror A's (the default signs) B is A[vreflect], a
+and when B's terms mirror A's (hyp3's default signs) B is A[vreflect], a
 reversed read-only view of A; both are bit-identical to building the
-stacks again.
+stacks again. A part is summed and scaled in its first stack when the
+other part does not read that stack.
 
 The scattering update reuses the arrays that building the components made:
-the loss rate goes into B's array (or into the offset stack that hyp3's
+the loss rate goes into B's array (or into the offset stack that a
 mirrored A has consumed) and the gain into A's, and it writes the new state
-into a caller's array when given one, which may be the state itself. The
-kernels with no v'-part (constant, hyp2) have a loss rate that does not
-depend on v, so it is an x_shape field, and their gain needs no velocity
-sum over B.
+into a caller's array when given one, which may be the state itself. A
+kernel with no v'-part (constant, hyp2, hyp3 with no v' term) has a loss
+rate that does not depend on v, so it is an x_shape field, and its gain
+needs no velocity sum over B.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +66,12 @@ class KernelSpec:
     def validate(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.coefficient < 0:
+        # the `not x >= 0` form rejects NaN too
+        if not self.coefficient >= 0:
             raise ValueError("coefficient must be >= 0")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("memory scale epsilon must be >= 0")
-        if self.saturation is not None and self.saturation < 0:
+        if self.saturation is not None and not self.saturation >= 0:
             raise ValueError("saturation must be >= 0")
         if self.family == "hyp3":
             if len(self.signs) != 4 or any(s not in (-1, 1) for s in self.signs):
@@ -70,25 +80,8 @@ class KernelSpec:
                 raise ValueError("hyp3 needs four active flags")
 
     def required_fields(self):
-        if self.family == "constant":
-            return set()
-        if self.family == "hyp1":
-            return {"S", "grad"}
-        if self.family == "hyp2":
-            return {"S", "grad", "hess"}
-        active = self.active
-        need = set()
-        if active[0] or active[1]:
-            need.add("S")
-        if active[2] or active[3]:
-            need.add("grad")
-        return need
-
-
-def _check_fields(spec, fields):
-    missing = spec.required_fields() - set(fields)
-    if missing:
-        raise ValueError(f"kernel family {spec.family!r} needs fields {sorted(missing)}")
+        _, a_terms, b_terms = _terms(self)
+        return set().union(*(_INPUTS[name][0] for name, _ in a_terms + b_terms))
 
 
 def _grad_magnitude(fields):
@@ -103,6 +96,38 @@ def _hyp2_weight(fields):
         for h in row:
             w = w + np.abs(h.values)
     return w
+
+
+# input name -> (the fields it reads, the x_shape array it forms from them)
+_INPUTS = {
+    "S": ({"S"}, lambda fields: fields["S"].values),
+    "|S|": ({"S"}, lambda fields: np.abs(fields["S"].values)),
+    "|grad S|": ({"grad"}, _grad_magnitude),
+    "S + |grad S|": ({"S", "grad"}, lambda fields: fields["S"].values + _grad_magnitude(fields)),
+    "|S| + |DS|_1 + |D2S|_1": ({"S", "grad", "hess"}, _hyp2_weight),
+}
+
+
+def _terms(spec):
+    """(c, a_terms, b_terms) of T = C * (c + sum of terms), the one place a
+    family is told apart. A term (input, sign) samples _INPUTS[input] at
+    x + sign*eps*v in a_terms and at x + sign*eps*v' in b_terms."""
+    if spec.family == "constant":
+        return 1.0, [], []
+    if spec.family == "hyp1":
+        return 1.0, [("S + |grad S|", +1)], [("S", -1)]
+    if spec.family == "hyp2":
+        return 1.0, [("|S| + |DS|_1 + |D2S|_1", +1)], []
+    s, on = spec.signs, spec.active
+    names = ("|S|", "|S|", "|grad S|", "|grad S|")
+    return (0.0, [(names[i], s[i]) for i in (0, 2) if on[i]],
+            [(names[i], s[i]) for i in (1, 3) if on[i]])
+
+
+def _check_fields(spec, fields):
+    missing = spec.required_fields() - set(fields)
+    if missing:
+        raise ValueError(f"kernel family {spec.family!r} needs fields {sorted(missing)}")
 
 
 class PositivityError(ValueError):
@@ -130,41 +155,65 @@ def _loss_rate(A, B, grid, out=None):
 
 
 def _components(spec, fields, grid):
-    """Node-first, saturated (A, B, spare) of the split T = A(x, v) + B(x, v').
+    """Node-first, saturated (A, B, spare) of the split T = A(x, v) + B(x, v'),
+    built from _terms, bit for bit C * (c + term + term) per part.
 
-    A is an array of the caller's own, or a read-only broadcast (the
-    constant kernel). B is None for the kernels with no v'-part (constant,
-    hyp2); else an array of the caller's own, or a read-only view of A
-    (hyp3's mirrored B). spare, when not None, is an array of the caller's
-    own, of the state's shape, that holds nothing needed once B has been
-    read: B's own array, or the offset stack that hyp3's mirrored A has
-    consumed.
+    A is an array of the caller's own, or a read-only broadcast (a part
+    with no terms, such as the constant kernel's). B is None when no term
+    reads v'; else an array of the caller's own, or a read-only view of A
+    (a mirrored B). spare, when not None, is an array of the caller's own,
+    of the state's shape, that holds nothing needed once B has been read:
+    B's own array, or the offset stack that a mirrored A has consumed.
+
+    Each (input, sign) offset stack is built once. On a grid with vreflect
+    r, a term whose opposite-sign stack exists is the view [r] of it:
+    negating a displacement is exact, so stack(-sign)[j] and stack(sign)[r[j]]
+    agree bit for bit. When B's terms mirror A's, B is A[r] itself, a
+    read-only view; the coefficient and saturation are elementwise, so they
+    commute with the reordering.
     """
     spec.validate()
     _check_fields(spec, fields)
-    if spec.family == "hyp3":
-        return _hyp3_components(spec, fields, grid)
-    C, eps = spec.coefficient, spec.epsilon
-    B = None
-    if spec.family == "constant":
-        A = np.broadcast_to(float(C), (grid.n_vnodes,) + grid.x_shape)
-    elif spec.family == "hyp1":
-        # C * (1.0 + stack) and C * stack, in place in the fresh stacks:
-        # IEEE addition and multiplication commute, so the bits are the same
-        S = fields["S"].values
-        A = _offset_stack(S + _grad_magnitude(fields), grid, +1, eps)
-        A += 1.0
-        A *= C
-        B = _offset_stack(S, grid, -1, eps)
-        B *= C
-    else:  # hyp2
-        A = _offset_stack(_hyp2_weight(fields), grid, +1, eps)
-        A += 1.0
-        A *= C
-    A = _saturate(A, spec)
-    if B is None:
+    c, a_terms, b_terms = _terms(spec)
+    C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
+    mirrored = r is not None and b_terms == [(name, -sign) for name, sign in a_terms]
+    inputs, stacks = {}, {}
+
+    def stack(name, sign):
+        if (name, sign) not in stacks:
+            if r is not None and (name, -sign) in stacks:
+                return stacks[name, -sign][r]
+            if name not in inputs:
+                inputs[name] = _INPUTS[name][1](fields)
+            stacks[name, sign] = _offset_stack(inputs[name], grid, sign, eps)
+        return stacks[name, sign]
+
+    def part(terms, c, others):
+        # C * (c + sum of the stacks). The first operation writes into the
+        # first stack when no term of `others` reads that stack, else into a
+        # new array. A part has at most one term per input, so its stacks
+        # are distinct; with c = 0 the 0 + is left out, since the stacks
+        # hold no -0.0 (hyp3's inputs are >= +0, and so is a limited shift)
+        if not terms:
+            return np.broadcast_to(C * c, (grid.n_vnodes,) + grid.x_shape)
+        name, sign = terms[0]
+        shared = (name, sign) in others or (r is not None and (name, -sign) in others)
+        rows = [stack(*t) for t in terms]
+        ops = [(np.add, row) for row in rows[1:]] + [(np.add, c)] * bool(c) + [(np.multiply, C)]
+        total = rows[0]
+        for i, (op, operand) in enumerate(ops):
+            total = op(total, operand, out=None if shared and i == 0 else total)
+        return total
+
+    # a mirrored B is A[r], so then no other part reads A's stacks
+    A = _saturate(part(a_terms, c, [] if mirrored else b_terms), spec)
+    if not b_terms:
         return A, None, None
-    B = _saturate(B, spec)
+    if mirrored:
+        B = A[r]
+        B.flags.writeable = False
+        return A, B, stacks[a_terms[1]] if len(a_terms) == 2 else None
+    B = _saturate(part(b_terms, 0.0, a_terms), spec)
     return A, B, B
 
 
@@ -173,73 +222,19 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
 
     Returns (A, B), each an x_shape + (K,) array over the masked velocity
     nodes (A indexed by v, B by v'): a transposed view of a node-first
-    array, or a read-only broadcast of a constant. When hyp3's B mirrors A,
-    B is a view of A and both are read-only.
+    array, or a read-only broadcast of a constant. When B mirrors A, B is
+    a view of A and both are read-only.
     """
     A, B, _ = _components(spec, fields, grid)
     if B is None:
         B = _saturate(np.broadcast_to(0.0, A.shape), spec)
-    elif B.base is A:  # hyp3's mirrored B
+    elif B.base is A:  # a mirrored B
         A.flags.writeable = False
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
 
 def _saturate(part, spec):
     return part if spec.saturation is None else np.minimum(part, spec.saturation / 2.0)
-
-
-def _hyp3_components(spec, fields, grid):
-    """Node-first, saturated (A, B, spare) of hyp3, as _components returns
-    them, bit for bit C * (0 + term + term) per part.
-
-    Each (input, sign) offset stack is built once. On a grid with vreflect
-    r, a term whose opposite-sign stack exists is the view [r] of it:
-    negating a displacement is exact, so stack(-sign)[j] and stack(sign)[r[j]]
-    agree bit for bit. When B's active terms mirror A's (s2 = -s1, s4 = -s3,
-    the default signs), B is A[r] itself, a read-only view; the coefficient
-    and saturation are elementwise, so they commute with the reordering.
-    Then no other part reads A's stacks, so A is summed and scaled in its
-    first stack, and its second stack is the spare.
-    """
-    C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
-    inputs = {}
-    if spec.active[0] or spec.active[1]:
-        inputs["S"] = np.abs(fields["S"].values)
-    if spec.active[2] or spec.active[3]:
-        inputs["grad"] = _grad_magnitude(fields)
-    names = ("S", "S", "grad", "grad")
-    a_terms = [(names[i], spec.signs[i]) for i in (0, 2) if spec.active[i]]  # offsets along v
-    b_terms = [(names[i], spec.signs[i]) for i in (1, 3) if spec.active[i]]  # offsets along v'
-    mirrored = r is not None and b_terms == [(name, -sign) for name, sign in a_terms]
-    stacks = {}
-
-    def stack(name, sign):
-        if (name, sign) not in stacks:
-            if r is not None and (name, -sign) in stacks:
-                return stacks[name, -sign][r]
-            stacks[name, sign] = _offset_stack(inputs[name], grid, sign, eps)
-        return stacks[name, sign]
-
-    def part(terms, in_place):
-        # the stacks hold no -0.0 (|S| and |grad S| are >= +0, and so is a
-        # limited shift of such values), so leaving out the 0 + changes no bit
-        rows = [stack(*t) for t in terms]
-        if not rows:
-            return C * np.zeros((grid.n_vnodes,) + grid.x_shape)
-        into = rows[0] if in_place else None
-        if len(rows) == 1:
-            return np.multiply(rows[0], C, out=into)
-        total = np.add(*rows, out=into)
-        total *= C
-        return total
-
-    A = _saturate(part(a_terms, mirrored), spec)
-    if mirrored:
-        B = A[r]
-        B.flags.writeable = False
-        return A, B, stacks[a_terms[1]] if len(a_terms) == 2 else None
-    B = _saturate(part(b_terms, False), spec)
-    return A, B, B
 
 
 def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> float:
@@ -256,31 +251,16 @@ def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> floa
     vp = np.asarray(vp, dtype=float)
     x0, dx = grid.x[0], grid.dx
 
-    def at(values, point):
-        return interp_point(values, x0, dx, point)
-
     # the v-part a and the v'-part b of T = A(x, v) + B(x, v')
-    if spec.family == "constant":
-        a, b = C, 0.0
-    elif spec.family == "hyp1":
-        S = fields["S"].values
-        a = C * (1.0 + at(S, x + eps * v) + at(_grad_magnitude(fields), x + eps * v))
-        b = C * at(S, x - eps * vp)
-    elif spec.family == "hyp2":
-        a, b = C * (1.0 + at(_hyp2_weight(fields), x + eps * v)), 0.0
-    else:
-        s = spec.signs
-        on = spec.active
-        a = b = 0.0
-        if on[0]:
-            a += at(np.abs(fields["S"].values), x + s[0] * eps * v)
-        if on[1]:
-            b += at(np.abs(fields["S"].values), x + s[1] * eps * vp)
-        if on[2]:
-            a += at(_grad_magnitude(fields), x + s[2] * eps * v)
-        if on[3]:
-            b += at(_grad_magnitude(fields), x + s[3] * eps * vp)
-        a, b = C * a, C * b
+    c, a_terms, b_terms = _terms(spec)
+    inputs = {name: _INPUTS[name][1](fields) for name, _ in a_terms + b_terms}
+
+    def total(terms, vel):
+        return sum(interp_point(inputs[name], x0, dx, x + sign * eps * vel)
+                   for name, sign in terms)
+
+    a = C * (total(a_terms, v) + c)
+    b = C * total(b_terms, vp)
     if spec.saturation is not None:
         a = min(a, spec.saturation / 2.0)
         b = min(b, spec.saturation / 2.0)
@@ -302,10 +282,11 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     """Explicit scattering update f + dt * (gain - loss).
 
     gain(x, v) = sum_j' w_j' T(x, v, v_j') f(x, v_j'), loss(x, v) =
-    f(x, v) * sum_j' w_j' T(x, v_j', v). Raises PositivityError for dt
-    above the positivity threshold dt * sup loss_rate < 1; under the guard
-    the update preserves nonnegativity, and x-integrated gain equals
-    x-integrated loss by the (v, v') swap antisymmetry of the discrete sums.
+    f(x, v) * sum_j' w_j' T(x, v_j', v). Raises PositivityError unless dt
+    meets the positivity threshold dt * sup loss_rate < 1, which a NaN rate
+    never meets; under the guard the update preserves nonnegativity, and
+    x-integrated gain equals x-integrated loss by the (v, v') swap
+    antisymmetry of the discrete sums.
     rho, when given, must be density(f), so that it is not computed again.
     The new state is written to `out` when given, which may be f.nodes,
     else to a new array; nothing is written to `out` before the guard
@@ -324,10 +305,10 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     gain_b = None if B is None else w * np.einsum("k...,k...->...", B, fm)
     rate = _loss_rate(A, B, grid, out=spare)
     max_rate = float(rate.max())
-    if dt * max_rate >= 1.0:
+    if not dt * max_rate < 1.0:  # fails closed on a NaN rate
         raise PositivityError(
             f"scattering dt={dt} violates the positivity threshold: "
-            f"dt * sup rate = {dt * max_rate:.3e} >= 1")
+            f"dt * sup rate = {dt * max_rate:.3e}, not < 1")
 
     rho_values = (density(f) if rho is None else rho).values
     gain = np.multiply(A, rho_values, out=A if A.flags.writeable else None)
@@ -382,22 +363,20 @@ def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> 
 def mixed_norm_bound_report(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> dict:
     """Compare the kernel mixed norm with its Minkowski bound.
 
-    Bound: coefficient * |V|^(1/p2 + 1/p3) * (nS ||S||_p1 + nG ||grad S||_p1)
-    where nS, nG count the active S- and gradient-type terms of the family.
+    Bound: coefficient * |V|^(1/p2 + 1/p3) * sum over the terms of
+    ||input||_p1, for kernels with no constant term (c = 0 in _terms).
     """
-    if spec.family == "hyp3":
-        nS = int(spec.active[0]) + int(spec.active[1])
-        nG = int(spec.active[2]) + int(spec.active[3])
-    elif spec.family == "hyp1":
-        raise ValueError("mixed-norm bound applies to pure S-term kernels (hyp3); "
-                         "hyp1/hyp2 carry a constant term")
-    else:
-        raise ValueError(f"mixed-norm bound not defined for family {spec.family!r}")
+    spec.validate()
+    c, a_terms, b_terms = _terms(spec)
+    if c:
+        raise ValueError(f"the mixed-norm bound applies to kernels of S-terms only (hyp3); "
+                         f"{spec.family!r} carries a constant term")
     value = kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
     wsum = grid.velocity_measure
     cV = wsum ** ((0.0 if p2 == np.inf else 1.0 / p2) + (0.0 if p3 == np.inf else 1.0 / p3))
-    s_norm = spatial_norm(fields["S"].values, grid, p1) if nS else 0.0
-    g_norm = spatial_norm(_grad_magnitude(fields), grid, p1) if nG else 0.0
-    bound = spec.coefficient * cV * (nS * s_norm + nG * g_norm)
+    counts = Counter(name for name, _ in a_terms + b_terms)
+    norms = sum((n * spatial_norm(_INPUTS[name][1](fields), grid, p1)
+                 for name, n in counts.items()), 0.0)
+    bound = spec.coefficient * cV * norms
     ratio = 0.0 if bound == 0.0 and value == 0.0 else value / bound
     return {"value": value, "bound": bound, "ratio": ratio, "passed": ratio <= 1.05}

@@ -14,8 +14,8 @@ to a run without.
 
 import numpy as np
 
-from runtumble.fields import newtonian_potential, solve_field
-from runtumble.grid import WRAP_TOL, PhaseGrid, SpatialField, density, field_mass, shell_mass
+from runtumble.fields import gradient_from_hat, newtonian_potential, solve_field
+from runtumble.grid import WRAP_TOL, PhaseGrid, density, field_mass, shell_mass
 from runtumble.kernels import KernelSpec, PositivityError, loss_rate, scattering_apply
 from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
@@ -26,15 +26,6 @@ class GuardAbort(RuntimeError):
     def __init__(self, message, t_valid):
         super().__init__(message)
         self.t_valid = t_valid
-
-
-def _spectral_gradient(field: SpatialField):
-    grid = field.grid
-    d = grid.dim
-    kmesh = np.meshgrid(*([grid.k] * d), indexing="ij")
-    f_hat = np.fft.fftn(field.values)
-    return [SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * f_hat).real)
-            for a in range(d)]
 
 
 class Simulation:
@@ -112,7 +103,7 @@ class Simulation:
             want = {"S", "grad"} | self.kernel.required_fields()
             return solve_field(rho, beta=1, want=tuple(want))
         out = {"S": newtonian_potential(rho, order=0)}
-        out["grad"] = _spectral_gradient(out["S"])
+        out["grad"] = gradient_from_hat(np.fft.fftn(out["S"].values), self.grid)
         return out
 
     def run(self, n_steps):

@@ -93,6 +93,19 @@ def test_simulate_rejects_bad_config_exit_code(tmp_path):
     assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key, value", [
+    ("init_width", "0"), ("init_width", "nan"), ("init_amplitude", "inf"), ("kernel_C", "nan"),
+    ("memory_epsilon", "nan"), ("t_end", "-1"), ("dt", "inf"), ("dt", "nan"), ("t_end", "nan"),
+    ("box_half_length", "nan"), ("r_max", "nan")])
+def test_simulate_rejects_non_finite_and_empty_runs(tmp_path, key, value):
+    # each of these once wrote a NaN series, ran no step, or ended in a
+    # traceback; now it is a config error that leaves no output directory
+    lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(key + " ")]
+    cfg = "\n".join(lines + [f"{key} = {value}", f"output_dir = {tmp_path / 'o'}"]) + "\n"
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_invalid_norm_exponent_is_config_error(tmp_path, capsys):
     # q = 1/2 is no norm exponent: rejected before any step, no time series
     bad = BASE_CONFIG.replace("norms = 2,1; inf,1", "norms = 2,1/2") + \

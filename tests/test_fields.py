@@ -6,7 +6,8 @@ from scipy.special import kv
 from runtumble.fields import (_bessel_radial, _newton_kernel, _newton_kernel_hat,
                               bessel_potential_integrable, bessel_potential_norms,
                               calderon_zygmund_check, gradient_bound_check,
-                              newtonian_potential, solve_field, split_short_long)
+                              gradient_from_hat, newtonian_potential, short_range_parts,
+                              solve_field, split_short_long)
 from runtumble.grid import GridSpec, SpatialField, build_grid
 
 
@@ -88,8 +89,21 @@ def test_newton_kernels_transformed_once_per_grid():
         assert np.array_equal(S.values.view(np.int64), direct(order, "full").view(np.int64))
         for got, part in zip(split_short_long(rho, order=order), ("short", "long")):
             assert np.array_equal(got.values.view(np.int64), direct(order, part).view(np.int64))
+    for order, got in enumerate(short_range_parts(rho)):
+        assert np.array_equal(got.values.view(np.int64), direct(order, "short").view(np.int64))
     hat = _newton_kernel_hat(grid.spec, 0, "full")
     assert _newton_kernel_hat(grid.spec, 0, "full") is hat and not hat.flags.writeable
+
+
+def test_gradient_from_hat_is_the_spectral_gradient():
+    # solve_field's gradient and the gradient of the Newtonian S share one
+    # formula, ifftn(i k_a hat).real over the grid's wavenumber mesh
+    grid, rho = _random_rho3(seed=5)
+    kmesh = np.meshgrid(*([grid.k] * 3), indexing="ij")
+    for hat in (np.fft.fftn(rho.values), np.fft.fftn(newtonian_potential(rho).values)):
+        for a, got in enumerate(gradient_from_hat(hat, grid)):
+            expect = np.fft.ifftn(1j * kmesh[a] * hat).real
+            assert np.array_equal(got.values.view(np.int64), expect.view(np.int64))
 
 
 def test_long_range_part_bounded_by_mass():

@@ -98,6 +98,11 @@ def test_field_validation():
         DistributionField(grid, -np.ones(grid.x_shape + grid.v_shape)).validate()
     with pytest.raises(ValueError):
         DistributionField(grid, np.ones((4,) + grid.v_shape)).validate()
+    for bad in (np.nan, np.inf):
+        nodes = np.ones((grid.n_vnodes,) + grid.x_shape)
+        nodes[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DistributionField.from_nodes(grid, nodes).validate()
     # a nonzero value outside V is rejected at construction
     grid2 = make_grid(dim=2, nx=8, nv=4)
     vals = np.ones(grid2.x_shape + grid2.v_shape) * grid2.vmask

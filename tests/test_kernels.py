@@ -6,7 +6,7 @@ import pytest
 from runtumble.fields import solve_field
 from runtumble.grid import DistributionField, GridSpec, SpatialField, build_grid, density
 from runtumble.interp import velocity_offset_stack
-from runtumble.kernels import (KernelSpec, evaluate_kernel, kernel_components,
+from runtumble.kernels import (KernelSpec, PositivityError, evaluate_kernel, kernel_components,
                                kernel_mixed_norm, loss_rate, mixed_norm_bound_report,
                                scattering_apply)
 from runtumble.norms import spatial_norm
@@ -32,6 +32,24 @@ def test_spec_validation():
         KernelSpec(coefficient=-1.0).validate()
     with pytest.raises(ValueError):
         KernelSpec(family="hyp3", signs=(1, 2, 1, -1)).validate()
+    nan = float("nan")
+    for bad in (dict(coefficient=nan), dict(epsilon=nan), dict(saturation=nan)):
+        with pytest.raises(ValueError):
+            KernelSpec(family="hyp1", **bad).validate()
+
+
+_HYP3_MASKS = [(True, True, True, True), (True, False, True, False), (False, True, False, True),
+               (True, True, False, False), (True, False, False, True), (False,) * 4]
+
+
+def test_required_fields_frozen():
+    # the fields each family reads, frozen from the per-family formulas
+    assert KernelSpec(family="constant").required_fields() == set()
+    assert KernelSpec(family="hyp1").required_fields() == {"S", "grad"}
+    assert KernelSpec(family="hyp2").required_fields() == {"S", "grad", "hess"}
+    expect = [{"S", "grad"}, {"S", "grad"}, {"S", "grad"}, {"S"}, {"S", "grad"}, set()]
+    for active, need in zip(_HYP3_MASKS, expect):
+        assert KernelSpec(family="hyp3", active=active).required_fields() == need, active
 
 
 def test_missing_fields_rejected():
@@ -45,10 +63,18 @@ def _dense_matrix(A, B, grid):
     return A[..., :, None] + B[..., None, :]
 
 
-@pytest.mark.parametrize("family", ["constant", "hyp1", "hyp2", "hyp3"])
-def test_scattering_matches_dense_oracle(family):
+# hyp3 with terms along v only (B is None, an x-only loss rate) and along v' only
+_HYP3_ONE_SIDED = [(True, False, True, False), (False, True, False, True)]
+_FAMILY_CASES = [pytest.param(family, (True,) * 4, id=family)
+                 for family in ("constant", "hyp1", "hyp2", "hyp3")] + \
+    [pytest.param("hyp3", active, id=f"hyp3-{side}")
+     for active, side in zip(_HYP3_ONE_SIDED, ("v-only", "vprime-only"))]
+
+
+@pytest.mark.parametrize("family, active", _FAMILY_CASES)
+def test_scattering_matches_dense_oracle(family, active):
     grid, fields, f, _ = make_scene(nv=2)
-    spec = KernelSpec(family=family, coefficient=0.4, epsilon=1.0)
+    spec = KernelSpec(family=family, coefficient=0.4, epsilon=1.0, active=active)
     A, B = kernel_components(spec, fields, grid)
     T = _dense_matrix(A, B, grid)
     w = grid.hv ** grid.dim
@@ -150,10 +176,8 @@ def _hyp3_scene(dim, nx, r_max, seed=0):
 def test_hyp3_components_bit_identical_to_term_by_term_formula(dim, nx, r_max):
     grid, fields = _hyp3_scene(dim, nx, r_max, seed=dim)
     assert (grid.vreflect is None) == (r_max == 0.3)
-    masks = [(True, True, True, True), (True, False, True, False), (False, True, False, True),
-             (True, True, False, False), (True, False, False, True), (False,) * 4]
     for signs in itertools.product((1, -1), repeat=4):
-        for active in masks:
+        for active in _HYP3_MASKS:
             for eps, sat in ((1.3, None), (1.3, 0.02), (4.0, None)):  # eps = 4: whole cells
                 spec = KernelSpec(family="hyp3", coefficient=0.7, epsilon=eps, signs=signs,
                                   active=active, saturation=sat)
@@ -319,23 +343,41 @@ def test_scattering_guard_runs_before_any_write():
         assert _same_bits(f.nodes, before)
 
 
+def test_nan_rate_fails_the_positivity_guard():
+    # dt * NaN < 1 is false: a NaN rate aborts the step instead of writing NaN
+    grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=8)
+    S = fields["S"].values.copy()
+    S[0, 0] = np.nan
+    bad = dict(fields, S=SpatialField(grid, S))
+    before = f.nodes.copy()
+    with pytest.raises(PositivityError):
+        scattering_apply(f, KernelSpec(family="hyp2", coefficient=0.1), bad, 0.02, out=f.nodes)
+    assert _same_bits(f.nodes, before)
+
+
 def test_loss_rate_of_kernels_without_a_v_prime_part():
-    # for the constant and hyp2 kernels the rate does not depend on v: an
-    # x-only field, broadcast over the nodes (its bits are checked below)
+    # for the constant and hyp2 kernels, and hyp3 with terms along v only,
+    # the rate does not depend on v: an x-only field, broadcast over the
+    # nodes (its bits are checked below)
     grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=9)
-    for family in ("constant", "hyp2"):
-        rate = loss_rate(KernelSpec(family=family, coefficient=0.6), fields, grid)
+    for family, active in (("constant", (True,) * 4), ("hyp2", (True,) * 4),
+                           ("hyp3", _HYP3_ONE_SIDED[0])):
+        spec = KernelSpec(family=family, coefficient=0.6, active=active)
+        rate = loss_rate(spec, fields, grid)
         assert rate.shape == (grid.n_vnodes,) + grid.x_shape and rate.strides[0] == 0
+    rate = loss_rate(KernelSpec(family="hyp3", coefficient=0.6, active=_HYP3_ONE_SIDED[1]),
+                     fields, grid)
+    assert rate.strides[0] != 0
     with pytest.raises(ValueError, match="saturation"):
         KernelSpec(family="hyp2", saturation=-1.0).validate()
 
 
-@pytest.mark.parametrize("family", ["constant", "hyp1", "hyp2", "hyp3"])
-def test_loss_rate_is_node_first_and_read_only(family):
+@pytest.mark.parametrize("family, active", _FAMILY_CASES)
+def test_loss_rate_is_node_first_and_read_only(family, active):
     # the rate vm * B + w * sum_j A over the node-first components, with the
     # bits of that formula on fresh temporaries (vm * 0 + sum A without a v'-part)
     grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=10)
-    spec = KernelSpec(family=family, coefficient=0.6, epsilon=1.3)
+    spec = KernelSpec(family=family, coefficient=0.6, epsilon=1.3, active=active)
     rate = loss_rate(spec, fields, grid)
     A, B = (np.moveaxis(c, -1, 0) for c in kernel_components(spec, fields, grid))
     expect = grid.velocity_measure * B + grid.hv ** grid.dim * A.sum(axis=0)
