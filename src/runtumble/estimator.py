@@ -16,7 +16,7 @@ import numpy as np
 from runtumble.fields import short_range_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
 from runtumble.grid import DistributionField, density, support_box
-from runtumble.interp import stack_reach, velocity_offset_stack
+from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
 
@@ -275,18 +275,6 @@ class GronwallMonitor:
 # term tracker for the d=3 large-data chain
 # ---------------------------------------------------------------------------
 
-def _stack_on_box(field, vnodes, factor, dx, mask, margin):
-    """(box, stack): box = support_box(mask, margin), and the offset stack of
-    a spatial field on that box, bit for bit velocity_offset_stack(field,
-    ...)[:, box], from a shift of the field on the box grown by the stack's
-    reach only."""
-    box = support_box(mask, margin)
-    grown = support_box(mask, margin + stack_reach(vnodes, factor, dx))
-    inner = tuple(b if g == slice(None) else slice(b.start - g.start, b.stop - g.start)
-                  for b, g in zip(box, grown))
-    return box, velocity_offset_stack(field[grown], vnodes, factor, dx)[(slice(None),) + inner]
-
-
 class TermTracker:
     """Tracks the three history terms of the d=3 beta=0 bound and their bounds.
 
@@ -323,7 +311,7 @@ class TermTracker:
         S = sim.fields["S"].values
         nodes = sim.f.nodes
         # S_shift * f is zero outside the box of f's support
-        box, shifted_S = _stack_on_box(S, grid.vnodes, 1.0, grid.dx, np.any(nodes, axis=0), 0)
+        box, shifted_S = stack_on_box(S, grid.vnodes, 1.0, grid.dx, np.any(nodes, axis=0), 0)
         shifted_S = shifted_S * nodes[(slice(None),) + box]
         H = np.zeros(grid.x_shape)
         H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
@@ -354,7 +342,7 @@ class TermTracker:
             # per-node offsets x + v_j on the field factors, then the
             # transport shift x - s v_j on the products
             for field, f in ((s_short, f1), (g_short, f3)):
-                box, w = _stack_on_box(field, vn, -1.0, dx, rho != 0.0, reach)
+                box, w = stack_on_box(field, vn, -1.0, dx, rho != 0.0, reach)
                 w = w * rho[box]
                 velocity_offset_stack(w, vn, s_mid, dx, out=w)
                 w *= dt

@@ -204,15 +204,16 @@ class DistributionField:
 def support_box(mask, margin):
     """Slices of the bounding box of a boolean position mask, grown by `margin` cells a side.
 
-    An axis on which the grown box would cross the periodic edge, or on
-    which the mask is empty, gets a full slice; so a wide, wrapping or
-    empty support gives the whole grid.
+    An axis on which the grown box would cross the periodic edge, is
+    exactly [0, n), or on which the mask is empty, gets slice(None); so a
+    wide, wrapping or empty support gives the whole grid, and the box is
+    the whole grid exactly when it is (slice(None),) * mask.ndim.
     """
     box = []
     for a, n in enumerate(mask.shape):
         hits = np.flatnonzero(np.any(mask, axis=tuple(b for b in range(mask.ndim) if b != a)))
-        lo, hi = (int(hits[0]) - margin, int(hits[-1]) + margin + 1) if len(hits) else (-1, n)
-        box.append(slice(lo, hi) if lo >= 0 and hi <= n else slice(None))
+        lo, hi = (int(hits[0]) - margin, int(hits[-1]) + margin + 1) if len(hits) else (0, n)
+        box.append(slice(lo, hi) if 0 <= lo and hi <= n and hi - lo < n else slice(None))
     return tuple(box)
 
 

@@ -24,12 +24,16 @@ block copy does that gather, so no gathered copy of the input is made.
 Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
 DistributionField's state: position axis a of a stack is array axis a + 1.
 velocity_offset_stack makes one per-row axis_shift call per position axis
-for the whole stack.
+for the whole stack. A stack reads nothing past stack_reach cells a side,
+so stack_on_box builds it on a box of positions from the field on that box
+grown by the reach only, bit for bit the whole stack's part on the box.
 """
 
 import math
 
 import numpy as np
+
+from runtumble.grid import support_box
 
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 
@@ -273,6 +277,18 @@ def stack_reach(vnodes, factor, dx):
     velocity_offset_stack(values, vnodes, factor, dx) reads nothing: the
     shift, the two cells of the 4-point stencil beyond it, and one to spare."""
     return 3 + math.ceil(abs(factor) * np.abs(vnodes).max() / dx)
+
+
+def stack_on_box(values, vnodes, factor, dx, mask, margin):
+    """(box, stack): box = support_box(mask, margin), and the offset stack of
+    a spatial field on that box, bit for bit velocity_offset_stack(values,
+    ...)[:, box], from a shift of the field on the box grown by the stack's
+    reach only."""
+    box = support_box(mask, margin)
+    grown = support_box(mask, margin + stack_reach(vnodes, factor, dx))
+    inner = tuple(b if g == slice(None) else slice(b.start - g.start, b.stop - g.start)
+                  for b, g in zip(box, grown))
+    return box, velocity_offset_stack(values[grown], vnodes, factor, dx)[(slice(None),) + inner]
 
 
 def interp_point(values, x0, dx, points, limit=True):

@@ -31,6 +31,21 @@ into a caller's array when given one, which may be the state itself. A
 kernel with no v'-part (constant, hyp2, hyp3 with no v' term) has a loss
 rate that does not depend on v, so it is an x_shape field, and its gain
 needs no velocity sum over B.
+
+Scattering works only on the box of f's support when the positivity
+guard can be decided without the rate. The limiter keeps every shifted
+value inside its stencil's range, so no offset stack exceeds the maximum
+of its input, and the same operations as the components on the inputs'
+maxima bound sup_x of the rate without building any stack (_rate_bound).
+When dt times that bound is below 1, the guard passes, and the
+components, the rate, the gain and the update are formed only on the
+bounding box of the positions where f is nonzero (grid.support_box), each
+stack shifting its input on that box grown by its reach
+(interp.stack_on_box); outside it f is +0.0 and so is the full update.
+Otherwise (a large dt or coefficient, or a NaN field), or when the box is
+a single cell or covers more than _BOX_SHARE of the grid, the update runs
+on the whole grid with the exact guard. loss_rate, kernel_components and
+kernel_mixed_norm always work on the whole grid.
 """
 
 from collections import Counter
@@ -38,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, density
-from runtumble.interp import interp_point, velocity_offset_stack
+from runtumble.grid import DistributionField, PhaseGrid, density, support_box
+from runtumble.interp import interp_point, stack_on_box, velocity_offset_stack
 from runtumble.norms import spatial_norm
 
 FAMILIES = ("constant", "hyp1", "hyp2", "hyp3")
@@ -124,19 +139,25 @@ def _terms(spec):
             [(names[i], s[i]) for i in (1, 3) if on[i]])
 
 
-def _check_fields(spec, fields):
+def _inputs(spec, fields):
+    """{input name: x_shape array} of every term of a validated spec, each formed once."""
+    spec.validate()
     missing = spec.required_fields() - set(fields)
     if missing:
         raise ValueError(f"kernel family {spec.family!r} needs fields {sorted(missing)}")
+    _, a_terms, b_terms = _terms(spec)
+    return {name: _INPUTS[name][1](fields) for name, _ in a_terms + b_terms}
+
+
+_ROUNDING = 1e-9  # relative margin of _rate_bound for the rounding of the velocity sums
+# Largest share of the grid's cells on which scattering takes the box path:
+# arithmetic on the box's strided views costs about twice as much a cell as
+# on whole arrays, and on the presets the box stopped paying at 20-45%.
+_BOX_SHARE = 0.25
 
 
 class PositivityError(ValueError):
     """The scattering dt violates the positivity threshold dt * sup rate < 1."""
-
-
-def _offset_stack(values, grid, sign, eps):
-    """Stack values(x + sign*eps*v_j) over the masked velocity nodes -> (K,) + x_shape."""
-    return velocity_offset_stack(values, grid.vnodes, -sign * eps, grid.dx)
 
 
 def _loss_rate(A, B, grid, out=None):
@@ -154,9 +175,38 @@ def _loss_rate(A, B, grid, out=None):
     return full
 
 
-def _components(spec, fields, grid):
+def _rate_bound(spec, inputs, grid):
+    """An upper bound on sup_x of the loss rate that builds no offset stack.
+
+    The limiter keeps every shifted value inside its stencil's range, so no
+    offset stack exceeds its input's maximum. _components' operations on
+    the stacks (sums in the same order, + c, * C >= 0, the saturation) are
+    monotone, also in floating point, so the same operations on the
+    maxima bound each part: a for A and b for B. The rate w sum_j A_j +
+    |V| B is then at most |V| (a + b), up to the rounding of the velocity
+    sums, which _ROUNDING covers with a wide margin. NaN in an input
+    gives NaN.
+    """
+    c, a_terms, b_terms = _terms(spec)
+    peak = {name: float(values.max()) for name, values in inputs.items()}
+
+    def part(terms, c):
+        return _saturate((sum(peak[name] for name, _ in terms) + c) * spec.coefficient, spec)
+
+    a, b = part(a_terms, c), part(b_terms, 0.0)
+    vm = grid.velocity_measure
+    return vm * (a + b) + _ROUNDING * vm * (abs(a) + abs(b))
+
+
+def _components(spec, inputs, grid, mask=None):
     """Node-first, saturated (A, B, spare) of the split T = A(x, v) + B(x, v'),
-    built from _terms, bit for bit C * (c + term + term) per part.
+    built from _terms and the formed inputs (_inputs), bit for bit
+    C * (c + term + term) per part.
+
+    With `mask`, an x_shape boolean array, every array is built only on
+    support_box(mask, 0), (K,) + that box's shape, bit for bit the full
+    arrays' [:, box]: each offset stack shifts its input on the box grown
+    by the stack's reach only (stack_on_box).
 
     A is an array of the caller's own, or a read-only broadcast (a part
     with no terms, such as the constant kernel's). B is None when no term
@@ -172,20 +222,19 @@ def _components(spec, fields, grid):
     read-only view; the coefficient and saturation are elementwise, so they
     commute with the reordering.
     """
-    spec.validate()
-    _check_fields(spec, fields)
     c, a_terms, b_terms = _terms(spec)
     C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
     mirrored = r is not None and b_terms == [(name, -sign) for name, sign in a_terms]
-    inputs, stacks = {}, {}
+    x_shape = grid.x_shape if mask is None else mask[support_box(mask, 0)].shape
+    stacks = {}
 
     def stack(name, sign):
         if (name, sign) not in stacks:
             if r is not None and (name, -sign) in stacks:
                 return stacks[name, -sign][r]
-            if name not in inputs:
-                inputs[name] = _INPUTS[name][1](fields)
-            stacks[name, sign] = _offset_stack(inputs[name], grid, sign, eps)
+            args = (inputs[name], grid.vnodes, -sign * eps, grid.dx)
+            stacks[name, sign] = (velocity_offset_stack(*args) if mask is None
+                                  else stack_on_box(*args, mask, 0)[1])
         return stacks[name, sign]
 
     def part(terms, c, others):
@@ -195,7 +244,7 @@ def _components(spec, fields, grid):
         # are distinct; with c = 0 the 0 + is left out, since the stacks
         # hold no -0.0 (hyp3's inputs are >= +0, and so is a limited shift)
         if not terms:
-            return np.broadcast_to(C * c, (grid.n_vnodes,) + grid.x_shape)
+            return np.broadcast_to(C * c, (grid.n_vnodes,) + x_shape)
         name, sign = terms[0]
         shared = (name, sign) in others or (r is not None and (name, -sign) in others)
         rows = [stack(*t) for t in terms]
@@ -225,7 +274,7 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
     array, or a read-only broadcast of a constant. When B mirrors A, B is
     a view of A and both are read-only.
     """
-    A, B, _ = _components(spec, fields, grid)
+    A, B, _ = _components(spec, _inputs(spec, fields), grid)
     if B is None:
         B = _saturate(np.broadcast_to(0.0, A.shape), spec)
     elif B.base is A:  # a mirrored B
@@ -243,8 +292,7 @@ def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> floa
     Saturation clamps the v-part and the v'-part at saturation/2 each, as
     kernel_components does, so T equals A + B at the grid nodes.
     """
-    spec.validate()
-    _check_fields(spec, fields)
+    inputs = _inputs(spec, fields)
     C, eps = spec.coefficient, spec.epsilon
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -253,7 +301,6 @@ def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> floa
 
     # the v-part a and the v'-part b of T = A(x, v) + B(x, v')
     c, a_terms, b_terms = _terms(spec)
-    inputs = {name: _INPUTS[name][1](fields) for name, _ in a_terms + b_terms}
 
     def total(terms, vel):
         return sum(interp_point(inputs[name], x0, dx, x + sign * eps * vel)
@@ -273,8 +320,13 @@ def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid):
     A read-only view; for the kernels with no v'-part, a broadcast of an
     x_shape field.
     """
-    A, B, _ = _components(spec, fields, grid)
+    A, B, _ = _components(spec, _inputs(spec, fields), grid)
     return np.broadcast_to(_loss_rate(A, B, grid), A.shape)
+
+
+def _box_cells(mask):
+    """Cells in support_box(mask, 0): all of the grid for an empty mask."""
+    return mask[support_box(mask, 0)].size
 
 
 def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
@@ -292,6 +344,19 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     else to a new array; nothing is written to `out` before the guard
     passes, and f is left as it is otherwise.
 
+    When dt times the stack-free bound _rate_bound is below 1, the guard
+    passes without the rate, and the components, the rate, the gain and
+    the update are formed only on the box of f's support (support_box of
+    the positions where f is nonzero), as views of f and `out`. Where
+    f(x, .) = +0.0 the full update is (1 - dt * rate) * (+0.0) + dt * (+-0.0)
+    = +0.0, so outside the box a new `out` starts as zeros, the state
+    itself is left as it is, and any other `out` is zeroed: the result is
+    bit for bit the full update's wherever f's zeros are +0.0, as in every
+    state the solver makes. Otherwise, or when the box is a single cell or
+    covers more than _BOX_SHARE of the grid (the whole grid included), the
+    update runs on the whole grid and the guard takes the rate's exact
+    maximum.
+
     The rate and the gain are formed in the arrays that building the
     components made, and are bit-identical to fresh temporaries: where B
     is zero, the rate vm * 0 + s is s and the gain g + w * 0 is g, because
@@ -300,28 +365,47 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     grid = f.grid
     fm = f.nodes
     w = grid.hv ** grid.dim
-    A, B, spare = _components(spec, fields, grid)
-    # the v'-part of the gain, read before B's array takes the rate
-    gain_b = None if B is None else w * np.einsum("k...,k...->...", B, fm)
-    rate = _loss_rate(A, B, grid, out=spare)
-    max_rate = float(rate.max())
-    if not dt * max_rate < 1.0:  # fails closed on a NaN rate
-        raise PositivityError(
-            f"scattering dt={dt} violates the positivity threshold: "
-            f"dt * sup rate = {dt * max_rate:.3e}, not < 1")
-
+    inputs = _inputs(spec, fields)
     rho_values = (density(f) if rho is None else rho).values
-    gain = np.multiply(A, rho_values, out=A if A.flags.writeable else None)
+    largest = _BOX_SHARE * rho_values.size
+    mask = None
+    # rho's box lies inside f's, so a large one rules the box path out
+    # without reading all of f; on one cell NumPy would add the K terms of
+    # the rate pairwise, where on more it adds them row by row
+    if (dt * _rate_bound(spec, inputs, grid) < 1.0  # fails on a NaN bound
+            and _box_cells(rho_values != 0.0) <= largest):
+        occupied = np.any(fm, axis=0)
+        if 1 < _box_cells(occupied) <= largest:
+            mask = occupied
+    on_box = mask is not None
+    box = support_box(mask, 0) if on_box else (slice(None),) * grid.dim
+    A, B, spare = _components(spec, inputs, grid, mask=mask)
+    nodes_box = (slice(None),) + box
+    f_box = fm[nodes_box]
+    # the v'-part of the gain, read before B's array takes the rate
+    gain_b = None if B is None else w * np.einsum("k...,k...->...", B, f_box)
+    rate = _loss_rate(A, B, grid, out=spare)
+    if not on_box:
+        max_rate = float(rate.max())
+        if not dt * max_rate < 1.0:  # fails closed on a NaN rate
+            raise PositivityError(
+                f"scattering dt={dt} violates the positivity threshold: "
+                f"dt * sup rate = {dt * max_rate:.3e}, not < 1")
+
+    gain = np.multiply(A, rho_values[box], out=A if A.flags.writeable else None)
     if gain_b is not None:
         gain += gain_b
     # out = fm * (1 - dt * rate) + dt * gain
     np.multiply(rate, dt, out=rate)
     np.subtract(1.0, rate, out=rate)
     if out is None:
-        out = rate if rate.shape == fm.shape else np.empty_like(fm)
-    np.multiply(rate, fm, out=out)
+        out = np.zeros_like(fm) if on_box or rate.shape != fm.shape else rate
+    elif on_box and not np.may_share_memory(out, fm):
+        out.fill(0.0)
+    out_box = out[nodes_box]
+    np.multiply(rate, f_box, out=out_box)
     gain *= dt
-    out += gain
+    out_box += gain
     return DistributionField.from_nodes(grid, out, t=f.t)
 
 
@@ -339,7 +423,7 @@ def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> 
     if not (ge(p1, p2) and ge(p1, p3)):
         raise ValueError(f"need p1 >= p2 and p1 >= p3, got ({p1}, {p2}, {p3})")
     K = grid.n_vnodes
-    A, B, _ = _components(spec, fields, grid)
+    A, B, _ = _components(spec, _inputs(spec, fields), grid)
     B = np.broadcast_to(0.0, A.shape) if B is None else B
     A, B = A.reshape(K, -1), B.reshape(K, -1)
     w = grid.hv ** grid.dim

@@ -418,3 +418,183 @@ def test_kernel_mixed_norm_bit_identical_to_view_formula(family, saturation):
         got = kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
         expect = _view_kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
         assert _same_bits(np.float64(got), np.float64(expect)), (p1, p2, p3)
+
+
+# ---------------------------------------------------------------------------
+# scattering on the box of f's support
+# ---------------------------------------------------------------------------
+
+def _compact_scene(dim, nx, r_max=1.0, seed=0):
+    """Fields from a smooth density, and a state that is +0.0 outside a
+    cube of three cells a side off the centre (a box of part of the grid)."""
+    grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=4, r_max=r_max))
+    rng = np.random.default_rng(seed)
+    rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
+    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad", "hess"))
+    nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+    cube = (slice(None),) + (slice(nx // 2 - 1, nx // 2 + 2),) * dim
+    nodes[cube] = rng.random(nodes[cube].shape)
+    return grid, fields, DistributionField.from_nodes(grid, nodes, t=0.5)
+
+
+def _box_spy(monkeypatch):
+    """A list that records, per _components call, whether it built on a box."""
+    import runtumble.kernels as kernels
+    components, on_box = kernels._components, []
+
+    def spy(spec, inputs, grid, mask=None):
+        on_box.append(mask is not None)
+        return components(spec, inputs, grid, mask=mask)
+
+    monkeypatch.setattr(kernels, "_components", spy)
+    return on_box
+
+
+def _full_path(monkeypatch, f, spec, fields, dt, **kwargs):
+    """scattering_apply with the stack-free bound failing: the whole-grid path."""
+    import runtumble.kernels as kernels
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_rate_bound", lambda *args: np.inf)
+        return scattering_apply(f, spec, fields, dt, **kwargs)
+
+
+_BOX_SPECS = [KernelSpec(family=family, coefficient=0.4, epsilon=1.3, saturation=sat)
+              for family in ("constant", "hyp1", "hyp2") for sat in (None, 0.5)] + \
+    [KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, signs=signs, active=active,
+                saturation=sat)
+     for signs in itertools.product((1, -1), repeat=4) for active in _HYP3_MASKS
+     for sat in (None, 0.02)]
+
+
+@pytest.mark.parametrize("dim, nx, r_max", [(1, 32, 1.0), (2, 16, 1.0), (3, 8, 1.0),
+                                            (2, 16, 0.3)])  # the last has no vreflect
+def test_scattering_box_path_bit_identical_to_full_path(monkeypatch, dim, nx, r_max):
+    # the update on the box of f's support, into a new array, into the state
+    # itself and into a caller's array, has the bits of the whole-grid update;
+    # the box is f's own, also where a subnormal f carries no density
+    grid, fields, f = _compact_scene(dim, nx, r_max, seed=dim)
+    assert (grid.vreflect is None) == (r_max == 0.3)
+    subnormal = f.nodes.copy()
+    subnormal[(-1,) + (nx // 2 + 3,) * dim] = 5e-324
+    assert grid.hv ** dim * 5e-324 == 0.0
+    on_box = _box_spy(monkeypatch)
+    for nodes in (f.nodes, subnormal):
+        f = DistributionField.from_nodes(grid, nodes, t=0.5)
+        before = nodes.copy()
+        for spec in _BOX_SPECS:
+            expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
+            on_box.clear()
+            fresh = scattering_apply(f, spec, fields, 0.02)
+            assert on_box == [True] and _same_bits(fresh.nodes, expect), spec
+            assert fresh.t == f.t and _same_bits(f.nodes, before)
+            g = DistributionField.from_nodes(grid, nodes.copy(), t=f.t)
+            inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), out=g.nodes)
+            assert inplace.nodes is g.nodes and _same_bits(g.nodes, expect), spec
+            garbage = np.full_like(nodes, np.nan)
+            assert _same_bits(scattering_apply(f, spec, fields, 0.02, out=garbage).nodes, expect)
+
+
+def test_scattering_on_a_whole_grid_or_one_cell_box_takes_the_full_path(monkeypatch):
+    # a support from the first cell to the last is the whole grid; on one
+    # cell NumPy would add the K = 208 terms of the rate pairwise instead of
+    # row by row, which can change its last bit, so neither takes the box
+    # path, and two cells do
+    grid = build_grid(GridSpec(dim=2, box_half_length=4.0, nx=16, nv=16))
+    assert grid.n_vnodes == 208
+    rng = np.random.default_rng(12)
+    rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
+    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad"))
+    on_box = _box_spy(monkeypatch)
+    for cells, box_path in ((((0, 0), (15, 15)), False), (((8, 8),), False),
+                            (((8, 8), (8, 9)), True)):
+        nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+        for cell in cells:
+            nodes[(slice(None),) + cell] = rng.random(grid.n_vnodes)
+        f = DistributionField.from_nodes(grid, nodes)
+        for family in ("hyp1", "hyp3"):
+            spec = KernelSpec(family=family, coefficient=0.4, epsilon=1.3)
+            expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
+            on_box.clear()
+            assert _same_bits(scattering_apply(f, spec, fields, 0.02).nodes, expect), cells
+            assert on_box == [box_path]
+
+
+def test_scattering_on_a_box_over_a_quarter_of_the_grid_takes_the_full_path(monkeypatch):
+    # on a large box the arithmetic on strided views costs more than the
+    # box's stacks save: 64 of 256 cells take the box path, 72 do not
+    grid, fields, _ = _compact_scene(2, 16)
+    rng = np.random.default_rng(13)
+    on_box = _box_spy(monkeypatch)
+    spec = KernelSpec(family="hyp1", coefficient=0.4, epsilon=1.3)
+    for rows, box_path in ((8, True), (9, False)):
+        nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+        nodes[:, 4:4 + rows, 4:12] = rng.random((grid.n_vnodes, rows, 8))
+        f = DistributionField.from_nodes(grid, nodes)
+        expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
+        on_box.clear()
+        assert _same_bits(scattering_apply(f, spec, fields, 0.02).nodes, expect)
+        assert on_box == [box_path]
+
+
+def test_scattering_bound_covers_the_exact_rate():
+    # dt * bound < 1 must imply dt * sup rate < 1: the bound is never below
+    # the rate's maximum, and on these fields within a factor of two of it
+    from runtumble.kernels import _inputs, _rate_bound
+    for dim, nx in ((1, 32), (2, 16), (3, 8)):
+        grid, fields, _ = _compact_scene(dim, nx, seed=dim)
+        for spec in _BOX_SPECS:
+            exact = float(loss_rate(spec, fields, grid).max())
+            bound = _rate_bound(spec, _inputs(spec, fields), grid)
+            assert exact <= bound <= 2.0 * exact + 1e-300, spec
+
+
+def test_scattering_bound_fails_but_exact_guard_passes(monkeypatch):
+    # a dt between 1 / bound and 1 / sup rate: the bound does not clear, the
+    # whole-grid path runs and its exact guard passes
+    from runtumble.kernels import _inputs, _rate_bound
+    grid, fields, f = _compact_scene(3, 8, seed=3)
+    spec = KernelSpec(family="hyp1", coefficient=0.4, epsilon=1.3)
+    exact = float(loss_rate(spec, fields, grid).max())
+    bound = _rate_bound(spec, _inputs(spec, fields), grid)
+    dt = 2.0 / (exact + bound)
+    assert dt * bound >= 1.0 > dt * exact
+    expect = _full_path(monkeypatch, f, spec, fields, dt).nodes
+    on_box = _box_spy(monkeypatch)
+    got = scattering_apply(f, spec, fields, dt)
+    assert on_box == [False] and _same_bits(got.nodes, expect)
+    assert got.nodes.min() >= 0.0
+
+
+def test_scattering_exact_guard_message_unchanged(monkeypatch):
+    # past the exact threshold the whole-grid guard raises the message it
+    # always has, and writes nothing
+    grid, fields, f = _compact_scene(2, 16, seed=4)
+    before = f.nodes.copy()
+    for spec in (KernelSpec(family="hyp1", coefficient=0.4, epsilon=1.3),
+                 KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3)):
+        max_rate = float(loss_rate(spec, fields, grid).max())
+        dt = 1.5 / max_rate
+        message = (f"scattering dt={dt} violates the positivity threshold: "
+                   f"dt * sup rate = {dt * max_rate:.3e}, not < 1")
+        with pytest.raises(PositivityError) as exc:
+            scattering_apply(f, spec, fields, dt, out=f.nodes)
+        assert str(exc.value) == message
+        assert _same_bits(f.nodes, before)
+
+
+def test_nan_field_fails_the_guard_on_a_compact_state(monkeypatch):
+    # a NaN input makes the bound NaN, which never clears: the whole-grid
+    # path runs and its guard fails closed, also for a NaN outside f's box
+    grid, fields, f = _compact_scene(2, 16, seed=5)
+    before = f.nodes.copy()
+    on_box = _box_spy(monkeypatch)
+    for cell in ((0, 0), (8, 8)):
+        S = fields["S"].values.copy()
+        S[cell] = np.nan
+        bad = dict(fields, S=SpatialField(grid, S))
+        for family in ("hyp1", "hyp2", "hyp3"):
+            on_box.clear()
+            with pytest.raises(PositivityError):
+                scattering_apply(f, KernelSpec(family=family, coefficient=0.1), bad, 0.02,
+                                 out=f.nodes)
+            assert on_box == [False] and _same_bits(f.nodes, before)

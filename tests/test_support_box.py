@@ -83,13 +83,20 @@ def test_support_box_grows_and_falls_back_to_full_axes():
     mask[5:8, 6, 7:9] = True
     assert support_box(mask, 0) == (slice(5, 8), slice(6, 7), slice(7, 9))
     assert support_box(mask, 3) == (slice(2, 11), slice(3, 10), slice(4, 12))
-    # crossing the periodic edge, reaching it, a wrapping support, no support
+    # crossing the periodic edge, reaching it on one side, covering exactly
+    # [0, n) (slice(None), like a crossing), a wrapping support, no support
     assert support_box(mask, 6) == (slice(None), slice(0, 13), slice(1, 15))
-    assert support_box(mask, 7)[2] == slice(0, 16)
+    assert support_box(mask, 7)[2] == slice(None)
     mask[15, 6, 7] = True
     assert support_box(mask, 0)[0] == slice(5, 16)
     assert support_box(mask, 1)[0] == slice(None)
     assert support_box(np.zeros(8, dtype=bool), 1) == (slice(None),)
+    # a support from the first cell to the last is the whole grid, with no margin
+    full = np.zeros((8, 4), dtype=bool)
+    full[0, 0] = full[7, 3] = True
+    assert support_box(full, 0) == (slice(None), slice(None))
+    full[7, 3] = False
+    assert support_box(full, 0) == (slice(0, 1), slice(0, 1))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -220,6 +220,28 @@ def test_velocity_offset_stack_on_preset_lattices(dim, L, nx, nv):
                 assert _same_bits(out[j], shift_spatial(row, factor * grid.vnodes[j], grid.dx))
 
 
+@pytest.mark.parametrize("dim, nx", [(1, 32), (2, 16), (3, 8)])
+def test_velocity_offset_stack_stays_within_the_input_range(dim, nx):
+    # the limiter keeps each axis shift within its stencil's two bracketing
+    # values, so no row of an offset stack leaves [min, max] of its input:
+    # the stack-free bound of the scattering guard rests on this
+    grid = make_grid(dim=dim, nx=nx, nv=4)
+    rng = np.random.default_rng(10 + dim)
+    for trial in range(4):
+        values = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=grid.x_shape)
+        values -= rng.random() * values.max()  # signed, of either sign on the whole
+        if trial == 3:  # a spike: the unlimited cubic overshoots next to it
+            values = np.zeros(grid.x_shape)
+            values.reshape(-1)[rng.integers(values.size)] = -3.0
+        lo, hi = values.min(), values.max()
+        # fractional and whole-cell displacements, of either sign
+        for factor in (0.173, -0.61, 1.3, grid.dx / grid.hv * 2.0, -grid.dx / grid.hv * 4.0):
+            stack = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+            assert stack.min() >= lo and stack.max() <= hi, (trial, factor)
+            nodes = velocity_offset_stack(stack, grid.vnodes, -factor, grid.dx)
+            assert nodes.min() >= lo and nodes.max() <= hi, (trial, factor)
+
+
 def test_interp_point_exact_at_nodes_and_smooth_accuracy():
     grid = make_grid(dim=1, nx=128, L=np.pi)
     vals = np.sin(grid.x)
