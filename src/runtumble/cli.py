@@ -135,6 +135,8 @@ def parse_config(path):
     for key in ("init_width", "t_end"):
         if not cfg[key] > 0:
             raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
+    if cfg["snapshot_every"] < 0:
+        raise ConfigError(f"snapshot_every must be >= 0, got {cfg['snapshot_every']}")
     return cfg
 
 

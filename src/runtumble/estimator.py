@@ -15,7 +15,7 @@ import numpy as np
 
 from runtumble.fields import short_range_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField, density, support_box
+from runtumble.grid import DistributionField, density, occupied_box, support_box
 from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
@@ -310,9 +310,9 @@ class TermTracker:
         s_short, g_short = short_range_parts(sim.rho)
         S = sim.fields["S"].values
         nodes = sim.f.nodes
-        # S_shift * f is zero outside the box of f's support
-        box, shifted_S = stack_on_box(S, grid.vnodes, 1.0, grid.dx, np.any(nodes, axis=0), 0)
-        shifted_S = shifted_S * nodes[(slice(None),) + box]
+        # S_shift * f is zero outside f's occupied box
+        box = occupied_box(nodes)
+        shifted_S = stack_on_box(S, grid.vnodes, 1.0, grid.dx, box) * nodes[(slice(None),) + box]
         H = np.zeros(grid.x_shape)
         H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
         self.history.append((sim.rho.values.copy(), s_short.values, g_short.values, H))
@@ -341,9 +341,9 @@ class TermTracker:
             rho, s_short, g_short, H = self.history[n - 1 - m]
             # per-node offsets x + v_j on the field factors, then the
             # transport shift x - s v_j on the products
+            box = support_box(rho != 0.0, reach)
             for field, f in ((s_short, f1), (g_short, f3)):
-                box, w = stack_on_box(field, vn, -1.0, dx, rho != 0.0, reach)
-                w = w * rho[box]
+                w = stack_on_box(field, vn, -1.0, dx, box) * rho[box]
                 velocity_offset_stack(w, vn, s_mid, dx, out=w)
                 w *= dt
                 f[(slice(None),) + box] += w

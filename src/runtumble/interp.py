@@ -26,14 +26,15 @@ DistributionField's state: position axis a of a stack is array axis a + 1.
 velocity_offset_stack makes one per-row axis_shift call per position axis
 for the whole stack. A stack reads nothing past stack_reach cells a side,
 so stack_on_box builds it on a box of positions from the field on that box
-grown by the reach only, bit for bit the whole stack's part on the box.
+grown by the reach only (grid.grow_box), bit for bit the whole stack's part
+on the box.
 """
 
 import math
 
 import numpy as np
 
-from runtumble.grid import support_box
+from runtumble.grid import grow_box
 
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 
@@ -279,16 +280,17 @@ def stack_reach(vnodes, factor, dx):
     return 3 + math.ceil(abs(factor) * np.abs(vnodes).max() / dx)
 
 
-def stack_on_box(values, vnodes, factor, dx, mask, margin):
-    """(box, stack): box = support_box(mask, margin), and the offset stack of
-    a spatial field on that box, bit for bit velocity_offset_stack(values,
-    ...)[:, box], from a shift of the field on the box grown by the stack's
-    reach only."""
-    box = support_box(mask, margin)
-    grown = support_box(mask, margin + stack_reach(vnodes, factor, dx))
-    inner = tuple(b if g == slice(None) else slice(b.start - g.start, b.stop - g.start)
-                  for b, g in zip(box, grown))
-    return box, velocity_offset_stack(values[grown], vnodes, factor, dx)[(slice(None),) + inner]
+def stack_on_box(values, vnodes, factor, dx, box):
+    """The offset stack of a spatial field on a box of positions, bit for bit
+    velocity_offset_stack(values, ...)[:, box], from a shift of the field on
+    the box grown by the stack's reach only. On the whole grid it is the
+    stack itself, a new array, not a view of one."""
+    reach = stack_reach(vnodes, factor, dx)
+    grown = grow_box(box, reach, values.shape)
+    stack = velocity_offset_stack(values[grown], vnodes, factor, dx)
+    inner = tuple(b if g == slice(None) else slice(reach, -reach) for b, g in zip(box, grown))
+    # only the whole grid grows into itself
+    return stack if grown == box else stack[(slice(None),) + inner]
 
 
 def interp_point(values, x0, dx, points, limit=True):

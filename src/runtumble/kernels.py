@@ -32,19 +32,17 @@ kernel with no v'-part (constant, hyp2, hyp3 with no v' term) has a loss
 rate that does not depend on v, so it is an x_shape field, and its gain
 needs no velocity sum over B.
 
-Scattering works only on the box of f's support when the positivity
-guard can be decided without the rate. The limiter keeps every shifted
-value inside its stencil's range, so no offset stack exceeds the maximum
-of its input, and the same operations as the components on the inputs'
-maxima bound sup_x of the rate without building any stack (_rate_bound).
-When dt times that bound is below 1, the guard passes, and the
-components, the rate, the gain and the update are formed only on the
-bounding box of the positions where f is nonzero (grid.support_box), each
-stack shifting its input on that box grown by its reach
+Scattering works only on f's occupied box (grid.occupied_box) when the
+positivity guard can be decided without the rate. The limiter keeps every
+shifted value inside its stencil's range, so no offset stack exceeds the
+maximum of its input, and the same operations as the components on the
+inputs' maxima bound sup_x of the rate without building any stack
+(_rate_bound). When dt times that bound is below 1, the guard passes, and
+the components, the rate, the gain and the update are formed only on that
+box, each stack shifting its input on the box grown by its reach
 (interp.stack_on_box); outside it f is +0.0 and so is the full update.
-Otherwise (a large dt or coefficient, or a NaN field), or when the box is
-a single cell or covers more than _BOX_SHARE of the grid, the update runs
-on the whole grid with the exact guard. loss_rate, kernel_components and
+Otherwise (a large dt or coefficient, or a NaN field) the update runs on
+the whole grid with the exact guard. loss_rate, kernel_components and
 kernel_mixed_norm always work on the whole grid.
 """
 
@@ -53,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, density, support_box
-from runtumble.interp import interp_point, stack_on_box, velocity_offset_stack
+from runtumble.grid import DistributionField, PhaseGrid, density, occupied_box
+from runtumble.interp import interp_point, stack_on_box
 from runtumble.norms import spatial_norm
 
 FAMILIES = ("constant", "hyp1", "hyp2", "hyp3")
@@ -150,10 +148,6 @@ def _inputs(spec, fields):
 
 
 _ROUNDING = 1e-9  # relative margin of _rate_bound for the rounding of the velocity sums
-# Largest share of the grid's cells on which scattering takes the box path:
-# arithmetic on the box's strided views costs about twice as much a cell as
-# on whole arrays, and on the presets the box stopped paying at 20-45%.
-_BOX_SHARE = 0.25
 
 
 class PositivityError(ValueError):
@@ -198,15 +192,15 @@ def _rate_bound(spec, inputs, grid):
     return vm * (a + b) + _ROUNDING * vm * (abs(a) + abs(b))
 
 
-def _components(spec, inputs, grid, mask=None):
+def _components(spec, inputs, grid, box=None):
     """Node-first, saturated (A, B, spare) of the split T = A(x, v) + B(x, v'),
     built from _terms and the formed inputs (_inputs), bit for bit
     C * (c + term + term) per part.
 
-    With `mask`, an x_shape boolean array, every array is built only on
-    support_box(mask, 0), (K,) + that box's shape, bit for bit the full
-    arrays' [:, box]: each offset stack shifts its input on the box grown
-    by the stack's reach only (stack_on_box).
+    Every array is built only on `box`, a tuple of slices of the position
+    grid (the whole grid when None), (K,) + that box's shape, bit for bit
+    the full arrays' [:, box]: each offset stack shifts its input on the
+    box grown by the stack's reach only (stack_on_box).
 
     A is an array of the caller's own, or a read-only broadcast (a part
     with no terms, such as the constant kernel's). B is None when no term
@@ -225,16 +219,14 @@ def _components(spec, inputs, grid, mask=None):
     c, a_terms, b_terms = _terms(spec)
     C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
     mirrored = r is not None and b_terms == [(name, -sign) for name, sign in a_terms]
-    x_shape = grid.x_shape if mask is None else mask[support_box(mask, 0)].shape
+    box = (slice(None),) * grid.dim if box is None else box
     stacks = {}
 
     def stack(name, sign):
         if (name, sign) not in stacks:
             if r is not None and (name, -sign) in stacks:
                 return stacks[name, -sign][r]
-            args = (inputs[name], grid.vnodes, -sign * eps, grid.dx)
-            stacks[name, sign] = (velocity_offset_stack(*args) if mask is None
-                                  else stack_on_box(*args, mask, 0)[1])
+            stacks[name, sign] = stack_on_box(inputs[name], grid.vnodes, -sign * eps, grid.dx, box)
         return stacks[name, sign]
 
     def part(terms, c, others):
@@ -244,7 +236,7 @@ def _components(spec, inputs, grid, mask=None):
         # are distinct; with c = 0 the 0 + is left out, since the stacks
         # hold no -0.0 (hyp3's inputs are >= +0, and so is a limited shift)
         if not terms:
-            return np.broadcast_to(C * c, (grid.n_vnodes,) + x_shape)
+            return np.broadcast_to(C * c, (grid.n_vnodes,) + grid.x_shape)[(slice(None),) + box]
         name, sign = terms[0]
         shared = (name, sign) in others or (r is not None and (name, -sign) in others)
         rows = [stack(*t) for t in terms]
@@ -324,11 +316,6 @@ def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid):
     return np.broadcast_to(_loss_rate(A, B, grid), A.shape)
 
 
-def _box_cells(mask):
-    """Cells in support_box(mask, 0): all of the grid for an empty mask."""
-    return mask[support_box(mask, 0)].size
-
-
 def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
                      rho=None, out=None) -> DistributionField:
     """Explicit scattering update f + dt * (gain - loss).
@@ -346,16 +333,14 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
 
     When dt times the stack-free bound _rate_bound is below 1, the guard
     passes without the rate, and the components, the rate, the gain and
-    the update are formed only on the box of f's support (support_box of
-    the positions where f is nonzero), as views of f and `out`. Where
+    the update are formed only on f's occupied box (grid.occupied_box, with
+    rho ruling a large box out first), as views of f and `out`. Where
     f(x, .) = +0.0 the full update is (1 - dt * rate) * (+0.0) + dt * (+-0.0)
     = +0.0, so outside the box a new `out` starts as zeros, the state
     itself is left as it is, and any other `out` is zeroed: the result is
     bit for bit the full update's wherever f's zeros are +0.0, as in every
-    state the solver makes. Otherwise, or when the box is a single cell or
-    covers more than _BOX_SHARE of the grid (the whole grid included), the
-    update runs on the whole grid and the guard takes the rate's exact
-    maximum.
+    state the solver makes. Otherwise the update runs on the whole grid and
+    the guard takes the rate's exact maximum.
 
     The rate and the gain are formed in the arrays that building the
     components made, and are bit-identical to fresh temporaries: where B
@@ -367,25 +352,16 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     w = grid.hv ** grid.dim
     inputs = _inputs(spec, fields)
     rho_values = (density(f) if rho is None else rho).values
-    largest = _BOX_SHARE * rho_values.size
-    mask = None
-    # rho's box lies inside f's, so a large one rules the box path out
-    # without reading all of f; on one cell NumPy would add the K terms of
-    # the rate pairwise, where on more it adds them row by row
-    if (dt * _rate_bound(spec, inputs, grid) < 1.0  # fails on a NaN bound
-            and _box_cells(rho_values != 0.0) <= largest):
-        occupied = np.any(fm, axis=0)
-        if 1 < _box_cells(occupied) <= largest:
-            mask = occupied
-    on_box = mask is not None
-    box = support_box(mask, 0) if on_box else (slice(None),) * grid.dim
-    A, B, spare = _components(spec, inputs, grid, mask=mask)
+    whole = (slice(None),) * grid.dim
+    bounded = dt * _rate_bound(spec, inputs, grid) < 1.0  # fails on a NaN bound
+    box = occupied_box(fm, within=rho_values) if bounded else whole
+    A, B, spare = _components(spec, inputs, grid, box)
     nodes_box = (slice(None),) + box
     f_box = fm[nodes_box]
     # the v'-part of the gain, read before B's array takes the rate
     gain_b = None if B is None else w * np.einsum("k...,k...->...", B, f_box)
     rate = _loss_rate(A, B, grid, out=spare)
-    if not on_box:
+    if not bounded:
         max_rate = float(rate.max())
         if not dt * max_rate < 1.0:  # fails closed on a NaN rate
             raise PositivityError(
@@ -399,8 +375,8 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     np.multiply(rate, dt, out=rate)
     np.subtract(1.0, rate, out=rate)
     if out is None:
-        out = np.zeros_like(fm) if on_box or rate.shape != fm.shape else rate
-    elif on_box and not np.may_share_memory(out, fm):
+        out = np.zeros_like(fm) if box != whole or rate.shape != fm.shape else rate
+    elif box != whole and not np.may_share_memory(out, fm):
         out.fill(0.0)
     out_box = out[nodes_box]
     np.multiply(rate, f_box, out=out_box)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, support_box
+from runtumble.grid import DistributionField, occupied_box
 
 INF = math.inf
 INTERPOLATION_RTOL = 1e-12  # relative roundoff allowed in interpolation_check
@@ -47,13 +47,13 @@ def spatial_norm(values, grid, p) -> float:
 def compact_mixed_norm(nodes, grid, p, q) -> float:
     """Mixed norm of values at the masked velocity nodes, node-first: shape (K,) + x_shape.
 
-    The inner L^q_v norms are taken on a contiguous copy of the bounding box
-    of the nonzero positions only (support_box), and put into an x-shaped
-    array of zeros: outside that box every inner norm is +0.0 in any case.
+    The inner L^q_v norms are taken on a contiguous copy of the occupied
+    box only (grid.occupied_box), and put into an x-shaped array of zeros:
+    outside that box every inner norm is +0.0 in any case.
     The outer L^p_x norm is the full spatial_norm, so its sum adds the same
     array in the same order as a sweep over all positions.
     """
-    box = support_box(np.any(nodes, axis=0), 0)
+    box = occupied_box(nodes)
     a = np.abs(nodes[(slice(None),) + box])
     inner = np.zeros(nodes.shape[1:])
     if q == INF:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, support_box
+from runtumble.grid import DistributionField, PhaseGrid, grow_box, occupied_box
 from runtumble.interp import stack_reach, velocity_offset_stack
 
 
@@ -85,12 +85,12 @@ def transport_step(f: DistributionField, dt: float, out=None) -> DistributionFie
     The new state is written to `out` when given, which may be f.nodes
     (an in-place step), else to a new array; f is left as it is otherwise.
 
-    Only the box around f's support is shifted: its bounding box grown by
-    the stencil and one step of motion (stack_reach), or the whole axis
-    where that box would wrap (support_box). An all-zero stencil gives
-    +0.0, so outside that box a sweep of the whole array writes +0.0, which
-    is what the box path leaves there: the result is bit for bit the full
-    sweep's wherever f's zeros are +0.0, as in every state the solver makes.
+    Only f's occupied box (grid.occupied_box) is shifted, grown by the
+    stencil and one step of motion (stack_reach, grid.grow_box). An
+    all-zero stencil gives +0.0, so outside that box a sweep of the whole
+    array writes +0.0, which is what the box path leaves there: the result
+    is bit for bit the full sweep's wherever f's zeros are +0.0, as in
+    every state the solver makes.
     The slab sums stay over the whole array, so that they add in the full
     sweep's order.
     """
@@ -100,7 +100,7 @@ def transport_step(f: DistributionField, dt: float, out=None) -> DistributionFie
     spatial = tuple(range(1, grid.dim + 1))
     before = f.nodes.sum(axis=spatial)
     reach = stack_reach(grid.vnodes, dt, grid.dx)
-    box = (slice(None),) + support_box(np.any(f.nodes, axis=0), reach)
+    box = (slice(None),) + grow_box(occupied_box(f.nodes), reach, grid.x_shape)
     if out is None:
         out = np.zeros_like(f.nodes)
     elif not np.may_share_memory(out, f.nodes):

@@ -106,6 +106,19 @@ def test_simulate_rejects_non_finite_and_empty_runs(tmp_path, key, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_negative_snapshot_every_is_config_error(tmp_path, capsys):
+    # a negative period once ran to the end, wrote no snapshot and exited 0
+    bad = BASE_CONFIG.replace("snapshot_every = 5", "snapshot_every = -5") + \
+        f"output_dir = {tmp_path / 's'}\n"
+    with pytest.raises(ConfigError):
+        parse_config(write_config(tmp_path, bad))
+    assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
+    assert "snapshot_every must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    off = BASE_CONFIG.replace("snapshot_every = 5", "snapshot_every = 0")
+    assert parse_config(write_config(tmp_path, off))["snapshot_every"] == 0
+
+
 def test_simulate_invalid_norm_exponent_is_config_error(tmp_path, capsys):
     # q = 1/2 is no norm exponent: rejected before any step, no time series
     bad = BASE_CONFIG.replace("norms = 2,1; inf,1", "norms = 2,1/2") + \

@@ -229,6 +229,29 @@ def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
     assert [ev["norms"] for ev in mon.evaluations] == norms
 
 
+def test_term_tracker_on_one_cell_equals_full_grid_sums():
+    # f on a single cell, with node values that differ: NumPy would reduce
+    # the node axis of a (K, 1, 1, 1) box pairwise, where the whole-grid
+    # sums add the K rows one by one, so the tracker takes the whole grid
+    grid = build_grid(GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.02))
+    f0 = SeparableData(amplitude=0.5, width=0.3, kind="cube", v_profile="gaussian",
+                       v_width=0.4)
+    sim = Simulation(grid, f0, KernelSpec(family="hyp1", coefficient=0.2), beta=0)
+    mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0)
+    sim.attach(mon)
+    nodes = sim.f.nodes
+    assert np.count_nonzero(np.any(nodes, axis=0)) == 1
+    assert len(np.unique(nodes[:, 16, 16, 16])) > 1
+    H = grid.hv**3 * np.sum(velocity_offset_stack(sim.fields["S"].values, grid.vnodes, 1.0,
+                                                  grid.dx) * nodes, axis=0)
+    assert np.array_equal(mon.history[0][3].view(np.int64), H.view(np.int64))
+    a = np.abs(nodes)
+    for p, q in ((9 / 5, 9 / 7), (1.5, 1.2), (3, 2)):
+        inner = (grid.hv**3 * np.sum(a**q, axis=0)) ** (1.0 / q)
+        assert mixed_norm(sim.f, NormSpec(p=p, q=q)) == spatial_norm(inner, grid, p), (p, q)
+    assert mon.fnorm == [mixed_norm(sim.f, NormSpec(p=9 / 5, q=9 / 7))]
+
+
 @pytest.mark.parametrize("nx, center, edge", [(16, (-3.0, 1.5, 0.0), True),
                                                (32, (0.75, 0.0, -0.75), False)])
 def test_term_tracker_box_sums_equal_full_grid_sums(nx, center, edge):

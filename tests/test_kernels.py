@@ -229,13 +229,13 @@ def test_hyp3_mirrored_b_is_a_view_of_a(monkeypatch):
     # with the default signs B's terms mirror A's: two offset stacks instead
     # of four, where the grid pairs each velocity node with its mirror
     import runtumble.kernels as kernels
-    calls = []
+    calls, stack_on_box = [], kernels.stack_on_box
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return velocity_offset_stack(*args, **kwargs)
+        return stack_on_box(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "velocity_offset_stack", counted)
+    monkeypatch.setattr(kernels, "stack_on_box", counted)
     spec = KernelSpec(family="hyp3", coefficient=0.5)
     for r_max, stacks in ((1.0, 2), (0.3, 4)):
         grid, fields = _hyp3_scene(2, 8, r_max)
@@ -438,13 +438,14 @@ def _compact_scene(dim, nx, r_max=1.0, seed=0):
 
 
 def _box_spy(monkeypatch):
-    """A list that records, per _components call, whether it built on a box."""
+    """A list that records, per _components call, whether it built on a box
+    smaller than the whole grid."""
     import runtumble.kernels as kernels
     components, on_box = kernels._components, []
 
-    def spy(spec, inputs, grid, mask=None):
-        on_box.append(mask is not None)
-        return components(spec, inputs, grid, mask=mask)
+    def spy(spec, inputs, grid, box=None):
+        on_box.append(box not in (None, (slice(None),) * grid.dim))
+        return components(spec, inputs, grid, box)
 
     monkeypatch.setattr(kernels, "_components", spy)
     return on_box

@@ -1,8 +1,9 @@
 """The occupied-box paths against frozen copies of the full-array formulas.
 
-transport_step and compact_mixed_norm work only on the bounding box of f's
-nonzero positions (grid.support_box); these tests compare them bit for bit
-(int64 views) with the sweeps over the whole array that they replace.
+transport_step and compact_mixed_norm work only on f's occupied box
+(grid.occupied_box); these tests compare them bit for bit (int64 views)
+with the sweeps over the whole array that they replace, and check the box
+arithmetic (grid.grow_box, interp.stack_on_box) that they build on.
 """
 
 import math
@@ -10,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from runtumble.grid import (DistributionField, GridSpec, build_grid, density, field_mass,
-                            support_box)
-from runtumble.interp import stack_reach, velocity_offset_stack
+from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, density,
+                            field_mass, grow_box, occupied_box, support_box)
+from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
 from runtumble.norms import compact_mixed_norm, spatial_norm
 from runtumble.transport import transport_step
 
@@ -55,8 +56,10 @@ def _grid(dim):
 
 def _states(grid):
     """Node arrays: compact support, support touching the periodic edge on
-    axis 0 (a full-axis fallback there), full support, the empty state, and
-    compact support with subnormal values in one node, a few cells away."""
+    axis 0 (a full-axis fallback there), full support, the empty state,
+    compact support with subnormal values in one node, a few cells away,
+    one cell whose node values differ from one another, and a box that is
+    part of the grid but holds more than a quarter of it."""
     rng = np.random.default_rng(grid.dim)
     shape = (grid.n_vnodes,) + grid.x_shape
     nx = grid.spec.nx
@@ -75,6 +78,13 @@ def _states(grid):
     cells = (-1,) + (slice(nx // 2 + 5, nx // 2 + 7),) * grid.dim
     subnormal[cells] = SUBNORMAL
     states["subnormal"] = subnormal
+    one_cell = np.zeros(shape)
+    one_cell[(slice(None),) + (nx // 2 + 1,) * grid.dim] = rng.random(grid.n_vnodes)
+    states["one_cell"] = one_cell
+    large = np.zeros(shape)
+    cube = (slice(None),) + (slice(2, 2 + 3 * nx // 4),) * grid.dim
+    large[cube] = rng.random(large[cube].shape)
+    states["large"] = large
     return states
 
 
@@ -141,3 +151,72 @@ def test_box_comes_from_f_not_from_its_density():
     assert np.any(expect[outside] == SUBNORMAL)
     f = DistributionField.from_nodes(grid, nodes)
     assert _same_bits(transport_step(f, dt).nodes, expect)
+
+
+def _random_masks(rng):
+    """Masks of every kind of axis: empty, one cell, a run inside the grid,
+    one wrapping round the periodic edge, and one covering it exactly."""
+    yield "empty", np.zeros((12, 9), dtype=bool)
+    one = np.zeros((12, 9, 5), dtype=bool)
+    one[3, 8, 0] = True
+    yield "one_cell", one
+    whole = np.zeros((8, 10), dtype=bool)
+    whole[0, 4] = whole[7, 5] = True
+    yield "whole_axis", whole
+    wrap = np.zeros((16, 7), dtype=bool)
+    wrap[[0, 1, 14, 15], 3] = True
+    yield "wrapping", wrap
+    for i in range(40):
+        shape = tuple(rng.integers(1, 20, size=rng.integers(1, 4)))
+        yield f"random{i}", rng.random(shape) < rng.choice([0.002, 0.02, 0.2])
+
+
+def test_grow_box_is_support_box_with_more_margin():
+    rng = np.random.default_rng(21)
+    for name, mask in _random_masks(rng):
+        for m in (0, 1, 3):
+            for c in (0, 1, 2, 5, 30):
+                assert support_box(mask, m + c) == grow_box(support_box(mask, m), c,
+                                                            mask.shape), (name, m, c)
+
+
+def test_stack_on_box_is_the_whole_stack_on_the_box():
+    # a whole box gives the plain stack, a new array; a partial one the
+    # plain stack's part on the box, also where its growth wraps on an axis
+    for dim, nx in ((1, 64), (2, 32), (3, 16)):
+        grid = _grid(dim)
+        rng = np.random.default_rng(dim)
+        values = rng.random(grid.x_shape)
+        for factor in (0.7, -1.3, 2.0):
+            full = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+            whole = stack_on_box(values, grid.vnodes, factor, grid.dx, (slice(None),) * dim)
+            assert _same_bits(whole, full) and whole.base is None
+            for box in (tuple(slice(nx // 2 - 2, nx // 2 + 1) for _ in range(dim)),
+                        (slice(0, 3),) + (slice(5, 9),) * (dim - 1)):
+                got = stack_on_box(values, grid.vnodes, factor, grid.dx, box)
+                assert _same_bits(got, full[(slice(None),) + box]), (dim, factor, box)
+
+
+def test_occupied_box_rule():
+    # a box of more than one cell and at most BOX_SHARE of the grid, else
+    # the whole grid: on one cell, on a larger box, and on an empty state
+    grid = _grid(2)
+    whole = (slice(None),) * 2
+    states = _states(grid)
+    assert occupied_box(states["compact"]) == (slice(14, 17),) * 2
+    for name in ("one_cell", "large", "full", "empty"):
+        assert occupied_box(states[name]) == whole, name
+    nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+    nodes[:, 4:20, 4:20] = 1.0  # exactly a quarter of the 32² cells
+    assert 16 * 16 == BOX_SHARE * 32 * 32
+    assert occupied_box(nodes) == (slice(4, 20),) * 2
+    nodes[:, 20, 4] = 1.0
+    assert occupied_box(nodes) == whole
+    # a density whose box holds more than BOX_SHARE rules f's box out
+    compact = states["compact"]
+    rho = np.zeros(grid.x_shape)
+    assert occupied_box(compact, within=rho) == whole
+    rho[14:17, 14:17] = 1.0
+    assert occupied_box(compact, within=rho) == (slice(14, 17),) * 2
+    rho[0, 31] = 1.0
+    assert occupied_box(compact, within=rho) == whole
