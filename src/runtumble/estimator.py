@@ -15,7 +15,7 @@ import numpy as np
 
 from runtumble.fields import short_range_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField, density, occupied_box, support_box
+from runtumble.grid import DistributionField, density, grow_box, support_box
 from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
@@ -310,13 +310,13 @@ class TermTracker:
         s_short, g_short = short_range_parts(sim.rho)
         S = sim.fields["S"].values
         nodes = sim.f.nodes
-        # S_shift * f is zero outside f's occupied box
-        box = occupied_box(nodes)
+        # S_shift * f is zero outside f's occupied box, which rho carries
+        box = sim.rho.box
         shifted_S = stack_on_box(S, grid.vnodes, 1.0, grid.dx, box) * nodes[(slice(None),) + box]
         H = np.zeros(grid.x_shape)
         H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
         self.history.append((sim.rho.values.copy(), s_short.values, g_short.values, H))
-        self.fnorm.append(compact_mixed_norm(nodes, grid, self.p, self.q))
+        self.fnorm.append(compact_mixed_norm(nodes, grid, self.p, self.q, box=box))
 
     def after_step(self, sim):
         self._store(sim)
@@ -339,11 +339,20 @@ class TermTracker:
             s_mid = (m + 0.5) * dt
             reach = stack_reach(vn, s_mid, dx)
             rho, s_short, g_short, H = self.history[n - 1 - m]
-            # per-node offsets x + v_j on the field factors, then the
-            # transport shift x - s v_j on the products
-            box = support_box(rho != 0.0, reach)
+            # per-node offsets x + v_j on the field factors, on rho's own
+            # support, whose products are placed in zeros on that support
+            # grown by the reach; then the transport shift x - s v_j there.
+            # A product is a signed zero outside rho's support, and a signed
+            # zero adds nothing to the sum
+            support = support_box(rho != 0.0)
+            box = grow_box(support, reach, grid.x_shape)
+            inner = (slice(None),) + tuple(
+                i if o == slice(None) else slice(i.start - o.start, i.stop - o.start)
+                for i, o in zip(support, box))
             for field, f in ((s_short, f1), (g_short, f3)):
-                w = stack_on_box(field, vn, -1.0, dx, box) * rho[box]
+                w = np.zeros((grid.n_vnodes,) + rho[box].shape)
+                np.multiply(stack_on_box(field, vn, -1.0, dx, support), rho[support],
+                            out=w[inner])
                 velocity_offset_stack(w, vn, s_mid, dx, out=w)
                 w *= dt
                 f[(slice(None),) + box] += w
@@ -414,10 +423,14 @@ class BootstrapMonitor:
         if sim.beta != 1 or sim.grid.dim != 3 or sim.kernel.family != "hyp3":
             raise ValueError("bootstrap monitor is for d=3, beta=1, hyp3 runs")
         self.dt = sim.grid.spec.dt
-        self.fnorm.append(compact_mixed_norm(sim.f.nodes, sim.grid, self.p, self.q))
+        self._record(sim)
 
     def after_step(self, sim):
-        self.fnorm.append(compact_mixed_norm(sim.f.nodes, sim.grid, self.p, self.q))
+        self._record(sim)
+
+    def _record(self, sim):
+        self.fnorm.append(compact_mixed_norm(sim.f.nodes, sim.grid, self.p, self.q,
+                                             box=sim.rho.box))
 
     def series(self):
         """Running X(T_n) over the recorded steps."""

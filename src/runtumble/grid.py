@@ -12,6 +12,12 @@ array over the K masked velocity nodes, so a node's spatial block is a
 plain slice and velocity sums reduce over the leading axis. The dense
 x_shape + v_shape array is only built on request. Where the lattice is
 exactly symmetric, PhaseGrid.vreflect pairs each node v with its mirror -v.
+
+f is +0.0 outside a box around its support, and work on f skips those
+zeros on its occupied box (occupied_box). The density finds that box as it
+sums the nodes (density(f).box), so a solver step, which forms a density
+after each half-step, never reduces f for it again; occupied_box(nodes)
+reduces f for a caller that holds no density.
 """
 
 from dataclasses import dataclass, field
@@ -228,7 +234,13 @@ def support_box(mask, margin=0):
     return grow_box(box, margin, mask.shape)
 
 
-def occupied_box(nodes, within=None):
+def _occupied(mask):
+    """occupied_box's rule on the position mask of f's nonzero positions."""
+    box = support_box(mask)
+    return box if 1 < mask[box].size <= BOX_SHARE * mask.size else (slice(None),) * mask.ndim
+
+
+def occupied_box(nodes):
     """The box on which work on a node-first array may skip its zeros.
 
     The bounding box of the positions where `nodes`, (K,) + x_shape, is
@@ -237,17 +249,10 @@ def occupied_box(nodes, within=None):
     reduces a (K, 1, ..., 1) array over the node axis pairwise, where on
     more cells it adds the K rows one by one, as a sweep of the whole grid
     does; arithmetic on a box's strided views costs about twice as much a
-    cell as on whole arrays. `within`, an x_shape array whose nonzero
-    positions lie inside those of `nodes` (such as its density), rules a
-    large box out without reducing `nodes` when its own box is too large.
+    cell as on whole arrays. A density of f carries this box (density(f).box)
+    without reducing f again; this reduction is for callers that hold none.
     """
-    whole = (slice(None),) * (nodes.ndim - 1)
-    largest = BOX_SHARE * nodes[0].size
-    if within is not None and within[support_box(within != 0.0)].size > largest:
-        return whole
-    occupied = np.any(nodes, axis=0)
-    box = support_box(occupied)
-    return box if 1 < occupied[box].size <= largest else whole
+    return _occupied(np.any(nodes, axis=0))
 
 
 def field_from_compact(grid, compact, t=0.0):
@@ -257,15 +262,43 @@ def field_from_compact(grid, compact, t=0.0):
 
 @dataclass
 class SpatialField:
-    """Scalar field on the position grid (density, chemoattractant, derivatives)."""
+    """Scalar field on the position grid (density, chemoattractant, derivatives).
+
+    A density (density(f)) also carries `box`, f's occupied box
+    (occupied_box); other fields have box None.
+    """
 
     grid: PhaseGrid
     values: np.ndarray
+    box: tuple = None
 
 
-def density(f: DistributionField) -> SpatialField:
-    """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node weight w."""
-    return SpatialField(f.grid, f.grid.hv ** f.grid.dim * f.nodes.sum(axis=0))
+def density(f: DistributionField, box=None) -> SpatialField:
+    """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node
+    weight w, carrying f's occupied box.
+
+    `box`, when given, is a box of slices of more than one cell outside which
+    f is +0.0, such as the box that a transport step wrote: the node sum
+    runs on it only, and rho is +0.0 outside it, as w times a sum of +0.0
+    is. On more than one cell NumPy adds the node rows one by one, as on
+    the whole grid, so rho is bit for bit the whole-grid density.
+
+    f >= 0, so the node sum is nonzero exactly where some node is: the
+    occupied box is taken from that sum before it is scaled by w, which
+    flushes a sum of subnormals to 0 (occupied_box's rule, on no second
+    reduction of f).
+    """
+    grid = f.grid
+    whole = (slice(None),) * grid.dim
+    box = whole if box is None else box
+    total = f.nodes[(slice(None),) + box].sum(axis=0)
+    if box != whole:
+        values = np.zeros(grid.x_shape)
+        values[box] = total
+        total = values
+    occupied = _occupied(total != 0.0)
+    total *= grid.hv ** grid.dim
+    return SpatialField(grid, total, occupied)
 
 
 def field_mass(rho: SpatialField) -> float:

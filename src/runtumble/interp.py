@@ -21,6 +21,14 @@ axis_shift also has a per-row form: one displacement per row of array axis
 block copy does that gather, so no gathered copy of the input is made.
 `out` may be the input itself only when each row reads its own row.
 
+A shift's plan (integer parts, cubic weights, pad starts, row blocks and
+pad runs) depends only on the cells per row, the source rows, the row
+shape, the axis and the dtype, and a stack's rows only on the velocity
+nodes and the kind of input, so each is built once and kept in a table
+of at most _PLANS entries (functools.lru_cache, _row_plan and
+_stack_plan). A plan holds per-row arrays only; the work buffers are made
+per call.
+
 Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
 DistributionField's state: position axis a of a stack is array axis a + 1.
 velocity_offset_stack makes one per-row axis_shift call per position axis
@@ -30,6 +38,7 @@ grown by the reach only (grid.grow_box), bit for bit the whole stack's part
 on the box.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -37,6 +46,7 @@ import numpy as np
 from runtumble.grid import grow_box
 
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
+_PLANS = 64       # entries of each shift-plan table (_row_plan, _stack_plan)
 
 
 def _cubic_weights(u):
@@ -92,26 +102,34 @@ def _roll_row(src, dst, m, axis):
     dst[lead + (slice(0, k),)] = src[lead + (slice(n - k, n),)]
 
 
-def _shift_rows(a, s, out, axis, limit, src):
-    """out[i] = a[src[i]] shifted by s[i] cells along axis (>= 1): the body of axis_shift."""
-    n = a.shape[axis]
+@functools.lru_cache(maxsize=_PLANS)
+def _row_plan(cells, src, row_shape, axis, dtype):
+    """The set-up of _shift_rows, from the bytes of its float64 cells per row
+    and int64 source rows, a row's shape, the axis (>= 1) and the output
+    dtype: (whole, buffer, parts, blocks).
+
+    whole: (row, source row, cells) of each whole-cell or zero row. buffer:
+    elements of each work buffer. parts: the index of each part of a row
+    along its outermost other axis with more than one index, when a row is
+    larger than _BLOCK, else ((),). blocks: (first row, end row, the four
+    cubic weights of its rows, its pad runs (j, end, source rows, pad
+    start)) of each block of consecutive fractional rows. Every array in
+    it is small (per row) and read-only.
+    """
+    s = np.frombuffer(cells)
+    src = np.frombuffer(src, dtype=np.int64).tolist()
+    n = row_shape[axis - 1]
     m = np.floor(s)
     u = 1.0 - (s - m)  # local coordinate on the stencil anchored at node i - m - 1
     frac = np.flatnonzero(s != m)
     whole = np.flatnonzero(s == m).tolist()
     m = m.astype(np.int64)
     starts = (-(m + 2) % n).tolist()  # padded line j holds line (j - m - 2) mod n
-    m, src = m.tolist(), src.tolist()
-
-    # whole-cell and zero rows: exact copies, one row at a time
-    for i in whole:
-        _roll_row(a[src[i]], out[i], m[i], axis - 1)
-    if not len(frac):
-        return
+    m = m.tolist()
+    whole = tuple((i, src[i], m[i]) for i in whole)
 
     # blocks of nb consecutive rows; a row larger than _BLOCK is blocked in
     # parts along its outermost other axis with more than one index
-    row_shape = a.shape[1:]
     row_size = math.prod(row_shape)
     nb = max(1, _BLOCK // row_size)
     parts = [()]
@@ -123,19 +141,37 @@ def _shift_rows(a, s, out, axis, limit, src):
         parts = [(slice(None),) * b + (slice(lo, lo + step),) for lo in range(0, row_shape[b], step)]
         bshape[b] = min(step, row_shape[b])
     bshape[axis - 1] = n + 3
-    pbuf, rbuf, tbuf = (np.empty(nb * math.prod(bshape), dtype=out.dtype) for _ in range(3))
     # in the output's precision, as a scalar weight would be
-    weights = [w.astype(out.dtype)[:, None] for w in _cubic_weights(u)]
-    lead = (slice(None),) * axis
+    weights = [w.astype(dtype)[:, None] for w in _cubic_weights(u)]
+    for w in weights:
+        w.flags.writeable = False
     blocks = []
-    for run in np.split(frac, np.flatnonzero(np.diff(frac) != 1) + 1):
-        blocks += [(int(run[lo]), int(run[min(lo + nb, len(run)) - 1]) + 1)
-                   for lo in range(0, len(run), nb)]
+    for run in np.split(frac, np.flatnonzero(np.diff(frac) != 1) + 1) if len(frac) else []:
+        for lo in range(0, len(run), nb):
+            i0, i1 = int(run[lo]), int(run[min(lo + nb, len(run)) - 1]) + 1
+            runs = tuple((j, k, rows, starts[i0 + j])
+                         for j, k, rows in _pad_runs(starts[i0:i1], src[i0:i1]))
+            blocks.append((i0, i1, tuple(w[i0:i1] for w in weights), runs))
+    return whole, nb * math.prod(bshape), tuple(parts), tuple(blocks)
 
-    for i0, i1 in blocks:
+
+def _shift_rows(a, s, out, axis, limit, src):
+    """out[i] = a[src[i]] shifted by s[i] cells along axis (>= 1): the body of axis_shift."""
+    n = a.shape[axis]
+    whole, buffer, parts, blocks = _row_plan(
+        np.ascontiguousarray(s, dtype=np.float64).tobytes(),
+        np.ascontiguousarray(src, dtype=np.int64).tobytes(), a.shape[1:], axis, out.dtype)
+
+    # whole-cell and zero rows: exact copies, one row at a time
+    for i, j, m in whole:
+        _roll_row(a[j], out[i], m, axis - 1)
+    if not blocks:
+        return
+
+    pbuf, rbuf, tbuf = (np.empty(buffer, dtype=out.dtype) for _ in range(3))
+    lead = (slice(None),) * axis
+    for i0, i1, (wm1, w0, w1, w2), runs in blocks:
         k = i1 - i0
-        wm1, w0, w1, w2 = (w[i0:i1] for w in weights)
-        runs = list(_pad_runs(starts[i0:i1], src[i0:i1]))
         for part in parts:
             blk = (slice(None),) + part
             dst = out[i0:i1][blk]
@@ -147,8 +183,8 @@ def _shift_rows(a, s, out, axis, limit, src):
                 return buf[:size].reshape(pshape)[lead + (slice(0, n),)]
 
             pad = pbuf[:size].reshape(pshape)
-            for j, jend, rows in runs:
-                _wrap_pad(a[rows][blk], pad[j:jend], starts[i0 + j], axis)
+            for j, jend, rows, start in runs:
+                _wrap_pad(a[rows][blk], pad[j:jend], start, axis)
             # in each padded row the four stencil nodes are flat slices, one
             # line apart; the three extra lines compute unused values
             span = P - 3 * T
@@ -255,22 +291,46 @@ def velocity_offset_stack(values, vnodes, factor, dx, out=None):
     if values.ndim == d:
         if out is not None:
             raise ValueError("out needs a node-first input")
-        rows, owner = values[None], np.zeros(K, dtype=int)
+        rows = values[None]
     elif values.ndim == d + 1 and values.shape[0] == K:
-        rows, owner = values, np.arange(K)
+        rows = values
     else:
         raise ValueError("values must be x_shape or (K,) + x_shape")
+    axes, owner = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d,
+                              values.ndim == d)
+    for a, (comps, parent, in_place) in enumerate(axes):
+        # the first axis writes into `out`; from the second axis on, rows that
+        # map one to one onto the next stack are shifted in place, as they are
+        # a copy of the input by then
+        dest = out if a == 0 else rows if in_place else None
+        rows = axis_shift(rows, factor * comps, dx, axis=a + 1, rows=parent, out=dest)
+    return rows if owner is None else rows[owner]
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _stack_plan(vnodes, K, d, spatial):
+    """The rows of velocity_offset_stack, from the bytes of the (K, d) float64
+    nodes and whether the input is spatial (one row) or node-first: per axis
+    a, (each new row's component v_a, its parent row in the previous stack,
+    whether the rows map one to one onto the previous stack's), and the row
+    of each node in the last stack (None when row j is node j)."""
+    vnodes = np.frombuffer(vnodes).reshape(K, d)
+    owner = np.zeros(K, dtype=int) if spatial else np.arange(K)
+    n_rows = 1 if spatial else K
+    axes = []
     for a in range(d):
         comps, col = np.unique(vnodes[:, a], return_inverse=True)
         # rows of the next stack: distinct (current row, component) pairs
         keys, owner = np.unique(owner * len(comps) + col, return_inverse=True)
         parent, comp = np.divmod(keys, len(comps))
-        # the first axis writes into `out`; from the second axis on, rows that
-        # map one to one onto the next stack are shifted in place, as they are
-        # a copy of the input by then
-        dest = out if a == 0 else rows if len(keys) == len(rows) else None
-        rows = axis_shift(rows, factor * comps[comp], dx, axis=a + 1, rows=parent, out=dest)
-    return rows if np.array_equal(owner, np.arange(K)) else rows[owner]
+        axes.append((comps[comp], parent, len(keys) == n_rows))
+        n_rows = len(keys)
+    for comps, parent, _ in axes:
+        comps.flags.writeable = parent.flags.writeable = False
+    if np.array_equal(owner, np.arange(K)):
+        return tuple(axes), None
+    owner.flags.writeable = False
+    return tuple(axes), owner
 
 
 def stack_reach(vnodes, factor, dx):

@@ -32,15 +32,16 @@ kernel with no v'-part (constant, hyp2, hyp3 with no v' term) has a loss
 rate that does not depend on v, so it is an x_shape field, and its gain
 needs no velocity sum over B.
 
-Scattering works only on f's occupied box (grid.occupied_box) when the
-positivity guard can be decided without the rate. The limiter keeps every
-shifted value inside its stencil's range, so no offset stack exceeds the
-maximum of its input, and the same operations as the components on the
-inputs' maxima bound sup_x of the rate without building any stack
-(_rate_bound). When dt times that bound is below 1, the guard passes, and
-the components, the rate, the gain and the update are formed only on that
-box, each stack shifting its input on the box grown by its reach
-(interp.stack_on_box); outside it f is +0.0 and so is the full update.
+Scattering works only on f's occupied box, which f's density carries
+(grid.density), when the positivity guard can be decided without the
+rate. The limiter keeps every shifted value inside its stencil's range,
+so no offset stack exceeds the maximum of its input, and the same
+operations as the components on the inputs' maxima bound sup_x of the
+rate without building any stack (_rate_bound). When dt times that bound
+is below 1, the guard passes, and the components, the rate, the gain and
+the update are formed only on that box, each stack shifting its input on
+the box grown by its reach (interp.stack_on_box); outside it f is +0.0
+and so is the full update.
 Otherwise (a large dt or coefficient, or a NaN field) the update runs on
 the whole grid with the exact guard. loss_rate, kernel_components and
 kernel_mixed_norm always work on the whole grid.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, density, occupied_box
+from runtumble.grid import DistributionField, PhaseGrid, density
 from runtumble.interp import interp_point, stack_on_box
 from runtumble.norms import spatial_norm
 
@@ -326,21 +327,22 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     never meets; under the guard the update preserves nonnegativity, and
     x-integrated gain equals x-integrated loss by the (v, v') swap
     antisymmetry of the discrete sums.
-    rho, when given, must be density(f), so that it is not computed again.
+    rho, when given, must be density(f) (or density(f, box)), so that it
+    and f's occupied box, which it carries, are not computed again.
     The new state is written to `out` when given, which may be f.nodes,
     else to a new array; nothing is written to `out` before the guard
     passes, and f is left as it is otherwise.
 
     When dt times the stack-free bound _rate_bound is below 1, the guard
     passes without the rate, and the components, the rate, the gain and
-    the update are formed only on f's occupied box (grid.occupied_box, with
-    rho ruling a large box out first), as views of f and `out`. Where
-    f(x, .) = +0.0 the full update is (1 - dt * rate) * (+0.0) + dt * (+-0.0)
-    = +0.0, so outside the box a new `out` starts as zeros, the state
-    itself is left as it is, and any other `out` is zeroed: the result is
-    bit for bit the full update's wherever f's zeros are +0.0, as in every
-    state the solver makes. Otherwise the update runs on the whole grid and
-    the guard takes the rate's exact maximum.
+    the update are formed only on f's occupied box (rho.box, see
+    grid.density), as views of f and `out`. Where f(x, .) = +0.0 the full
+    update is (1 - dt * rate) * (+0.0) + dt * (+-0.0) = +0.0, so outside
+    the box a new `out` starts as zeros, the state itself is left as it is,
+    and any other `out` is zeroed: the result is bit for bit the full
+    update's wherever f's zeros are +0.0, as in every state the solver
+    makes. Otherwise the update runs on the whole grid and the guard takes
+    the rate's exact maximum.
 
     The rate and the gain are formed in the arrays that building the
     components made, and are bit-identical to fresh temporaries: where B
@@ -351,10 +353,10 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     fm = f.nodes
     w = grid.hv ** grid.dim
     inputs = _inputs(spec, fields)
-    rho_values = (density(f) if rho is None else rho).values
+    rho = density(f) if rho is None else rho
     whole = (slice(None),) * grid.dim
     bounded = dt * _rate_bound(spec, inputs, grid) < 1.0  # fails on a NaN bound
-    box = occupied_box(fm, within=rho_values) if bounded else whole
+    box = rho.box if bounded else whole
     A, B, spare = _components(spec, inputs, grid, box)
     nodes_box = (slice(None),) + box
     f_box = fm[nodes_box]
@@ -368,7 +370,7 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
                 f"scattering dt={dt} violates the positivity threshold: "
                 f"dt * sup rate = {dt * max_rate:.3e}, not < 1")
 
-    gain = np.multiply(A, rho_values[box], out=A if A.flags.writeable else None)
+    gain = np.multiply(A, rho.values[box], out=A if A.flags.writeable else None)
     if gain_b is not None:
         gain += gain_b
     # out = fm * (1 - dt * rate) + dt * gain

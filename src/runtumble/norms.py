@@ -44,16 +44,18 @@ def spatial_norm(values, grid, p) -> float:
     return float((grid.x_weight * np.sum(a**p)) ** (1.0 / p))
 
 
-def compact_mixed_norm(nodes, grid, p, q) -> float:
+def compact_mixed_norm(nodes, grid, p, q, box=None) -> float:
     """Mixed norm of values at the masked velocity nodes, node-first: shape (K,) + x_shape.
 
     The inner L^q_v norms are taken on a contiguous copy of the occupied
-    box only (grid.occupied_box), and put into an x-shaped array of zeros:
-    outside that box every inner norm is +0.0 in any case.
+    box only, and put into an x-shaped array of zeros: outside that box
+    every inner norm is +0.0 in any case. The box is `box` when given (the
+    box that the state's density carries, grid.density), else
+    grid.occupied_box(nodes).
     The outer L^p_x norm is the full spatial_norm, so its sum adds the same
     array in the same order as a sweep over all positions.
     """
-    box = occupied_box(nodes)
+    box = occupied_box(nodes) if box is None else box
     a = np.abs(nodes[(slice(None),) + box])
     inner = np.zeros(nodes.shape[1:])
     if q == INF:

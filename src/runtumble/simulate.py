@@ -17,7 +17,8 @@ import numpy as np
 from runtumble.fields import gradient_from_hat, newtonian_potential, solve_field
 from runtumble.grid import WRAP_TOL, PhaseGrid, density, field_mass, shell_mass
 from runtumble.kernels import KernelSpec, PositivityError, loss_rate, scattering_apply
-from runtumble.transport import SeparableData, exact_free_solution, transport_step
+from runtumble.transport import (SeparableData, exact_free_solution, transport_box,
+                                 transport_step)
 
 
 class GuardAbort(RuntimeError):
@@ -78,21 +79,26 @@ class Simulation:
     def step(self):
         # the first half-step writes a new array, the step's only copy of the
         # state (self.f is left as it is); scattering and the second
-        # half-step update that array in place
+        # half-step update that array in place. f's occupied box comes from
+        # the densities: each half-step shifts the box of the density before
+        # it, and each density sums only the box that its half-step wrote.
+        # Scattering writes +0.0 wherever f(x, .) = 0, so the mid-step box
+        # holds the support that the second half-step reads
         dt = self.grid.spec.dt
-        f = transport_step(self.f, dt / 2.0)
-        rho = density(f)
+        half = dt / 2.0
+        f = transport_step(self.f, half, box=self.rho.box)
+        rho = density(f, box=transport_box(self.grid, self.rho.box, half))
         fields = self._solve_fields_for(rho)
         try:
             f = scattering_apply(f, self.kernel, fields, dt, rho=rho, out=f.nodes)
         except PositivityError as exc:
             raise GuardAbort(str(exc), self.t) from exc
-        f = transport_step(f, dt / 2.0, out=f.nodes)
+        f = transport_step(f, half, out=f.nodes, box=rho.box)
         f.t = self.t + dt
         self.f = f
         self.t += dt
         self.step_count += 1
-        self.rho = density(self.f)
+        self.rho = density(self.f, box=transport_box(self.grid, rho.box, half))
         self.fields = fields
         self._check_wrap()
         for mon in self.monitors:

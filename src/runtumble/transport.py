@@ -50,7 +50,8 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
     Both descriptor kinds factorize over position axes, so the per-node
     spatial factor is an outer product of one-dimensional profiles; only
     the distinct velocity components along each axis need evaluating. The
-    result is written straight into the node-first state.
+    velocity amplitudes are multiplied into that product in place, so the
+    node-first state is the one state-sized array made.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -70,11 +71,18 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
         else:
             profile = (np.abs(xa) <= f0.width).astype(float)
         g = g * profile[col].reshape((K,) + (1,) * a + (nx,) + (1,) * (d - a - 1))
-    amp = f0.amplitude * f0.eval_v(grid.vnodes)
-    return DistributionField.from_nodes(grid, amp.reshape((K,) + (1,) * d) * g, t=float(t))
+    g *= (f0.amplitude * f0.eval_v(grid.vnodes)).reshape((K,) + (1,) * d)
+    return DistributionField.from_nodes(grid, g, t=float(t))
 
 
-def transport_step(f: DistributionField, dt: float, out=None) -> DistributionField:
+def transport_box(grid, box, dt):
+    """The box that a transport step by dt writes when f is +0.0 outside
+    `box`: `box` grown by the stencil and one step of motion (stack_reach,
+    grid.grow_box)."""
+    return grow_box(box, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
+
+
+def transport_step(f: DistributionField, dt: float, out=None, box=None) -> DistributionField:
     """Semi-Lagrangian update f_new(x, v) = Interp(f)(x - dt v, v).
 
     Periodic monotonized cubic per velocity node; exact when dt * v lands on
@@ -85,12 +93,13 @@ def transport_step(f: DistributionField, dt: float, out=None) -> DistributionFie
     The new state is written to `out` when given, which may be f.nodes
     (an in-place step), else to a new array; f is left as it is otherwise.
 
-    Only f's occupied box (grid.occupied_box) is shifted, grown by the
-    stencil and one step of motion (stack_reach, grid.grow_box). An
-    all-zero stencil gives +0.0, so outside that box a sweep of the whole
-    array writes +0.0, which is what the box path leaves there: the result
-    is bit for bit the full sweep's wherever f's zeros are +0.0, as in
-    every state the solver makes.
+    Only f's occupied box is shifted: `box` when given (density(f).box),
+    else grid.occupied_box(f.nodes), grown by transport_box. An all-zero
+    stencil gives +0.0, so outside that box a sweep of the whole array
+    writes +0.0, which is what the box path leaves there: the result is bit
+    for bit the full sweep's wherever f's zeros are +0.0, as in every state
+    the solver makes. When the grown box is the whole grid, the sweep writes
+    every element, so `out` is not zeroed first.
     The slab sums stay over the whole array, so that they add in the full
     sweep's order.
     """
@@ -99,12 +108,13 @@ def transport_step(f: DistributionField, dt: float, out=None) -> DistributionFie
     grid = f.grid
     spatial = tuple(range(1, grid.dim + 1))
     before = f.nodes.sum(axis=spatial)
-    reach = stack_reach(grid.vnodes, dt, grid.dx)
-    box = (slice(None),) + grow_box(occupied_box(f.nodes), reach, grid.x_shape)
+    box = transport_box(grid, occupied_box(f.nodes) if box is None else box, dt)
+    whole = box == (slice(None),) * grid.dim
     if out is None:
-        out = np.zeros_like(f.nodes)
-    elif not np.may_share_memory(out, f.nodes):
+        out = np.empty_like(f.nodes) if whole else np.zeros_like(f.nodes)
+    elif not whole and not np.may_share_memory(out, f.nodes):
         out.fill(0.0)
+    box = (slice(None),) + box
     moved = velocity_offset_stack(f.nodes[box], grid.vnodes, dt, grid.dx, out=out[box])
     np.clip(moved, 0.0, None, out=moved)
     after = out.sum(axis=spatial)

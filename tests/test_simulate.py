@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from runtumble.estimator import BootstrapMonitor, GronwallMonitor, TermTracker
-from runtumble.grid import GridSpec, build_grid, density, total_mass
+from runtumble.grid import (DistributionField, GridSpec, build_grid, density, occupied_box,
+                            support_box, total_mass)
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.simulate import GuardAbort, Simulation
 from runtumble.transport import SeparableData, transport_step
@@ -198,3 +199,53 @@ def test_step_allocates_few_state_sizes(family, dim, beta, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * sim.f.nodes.nbytes
+
+
+@pytest.mark.parametrize("family, dim, beta", [("hyp2", 2, 1), ("hyp3", 3, 1), ("hyp1", 3, 0)])
+def test_carried_box_is_the_occupied_box(family, dim, beta):
+    # on the preset lattices, with the preset's monitor attached, the box
+    # that the step carries in its density is f's occupied box after every
+    # step, through the step at which it becomes the whole grid, and the
+    # step keeps the bits of the step of fresh arrays
+    if dim == 2:
+        spec = GridSpec(dim=2, box_half_length=16.0, nx=64, nv=16, dt=0.02)
+        monitor = GronwallMonitor(p=1.5)
+    else:
+        spec = GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.05 if beta else 0.02)
+        monitor = BootstrapMonitor(a=1.5) if beta else TermTracker(p=9 / 5, q=9 / 7, stride=10)
+    grid = build_grid(spec)
+    sim = Simulation(grid, SeparableData(amplitude=0.5, width=1.0, kind="cube"),
+                     KernelSpec(family=family, coefficient=0.3), beta=beta)
+    sim.attach(monitor)
+    whole = (slice(None),) * dim
+    assert sim.rho.box == occupied_box(sim.f.nodes) != whole
+    filled = 0
+    while filled < 2:
+        ref = _reference_step(sim)
+        sim.step()
+        assert np.array_equal(sim.f.nodes.view(np.int64), ref.nodes.view(np.int64))
+        assert sim.rho.box == occupied_box(sim.f.nodes)
+        filled += sim.rho.box == whole
+    assert sim.step_count > 3
+
+
+def test_step_takes_the_box_from_the_unscaled_node_sum():
+    # a few cells hold only subnormal f, whose node sums are subnormal and
+    # nonzero, while hv^d times them is 0: rho is 0 there, yet the carried
+    # box holds them, and a step moves them as the step of fresh arrays
+    # does. Each half-step is an exact roll (1 or 3 cells), so they survive
+    spec = GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=6.0)
+    grid = build_grid(spec)
+    assert spec.dt / 2.0 == grid.alignment_time()
+    nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+    nodes[:, 14:17, 14:17, 14:17] = 1.0
+    nodes[-1, 20:22, 20:22, 20:22] = 5e-324
+    sim = Simulation(grid, DistributionField.from_nodes(grid, nodes),
+                     KernelSpec(family="constant", coefficient=0.01))
+    for _ in range(2):
+        lone = np.any(sim.f.nodes, axis=0) & (sim.rho.values == 0.0)
+        assert lone.sum() == 8
+        assert sim.rho.box == occupied_box(sim.f.nodes) != support_box(sim.rho.values != 0.0)
+        ref = _reference_step(sim)
+        sim.step()
+        assert np.array_equal(sim.f.nodes.view(np.int64), ref.nodes.view(np.int64))

@@ -212,11 +212,21 @@ def test_occupied_box_rule():
     assert occupied_box(nodes) == (slice(4, 20),) * 2
     nodes[:, 20, 4] = 1.0
     assert occupied_box(nodes) == whole
-    # a density whose box holds more than BOX_SHARE rules f's box out
-    compact = states["compact"]
-    rho = np.zeros(grid.x_shape)
-    assert occupied_box(compact, within=rho) == whole
-    rho[14:17, 14:17] = 1.0
-    assert occupied_box(compact, within=rho) == (slice(14, 17),) * 2
-    rho[0, 31] = 1.0
-    assert occupied_box(compact, within=rho) == whole
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_carries_the_occupied_box(dim):
+    # density(f) carries occupied_box(f.nodes), summed on the whole grid or
+    # only on a box outside which f is zero, with the whole-grid bits
+    grid = _grid(dim)
+    for name, nodes in _states(grid).items():
+        f = DistributionField.from_nodes(grid, nodes)
+        rho = density(f)
+        assert rho.box == occupied_box(nodes), name
+        assert _same_bits(rho.values, grid.hv ** dim * nodes.sum(axis=0)), name
+        for margin in (0, 1, 3):
+            part = support_box(np.any(nodes, axis=0), margin)
+            if part == (slice(None),) * dim or nodes[0][part].size < 2:
+                continue
+            on_part = density(f, box=part)
+            assert on_part.box == rho.box and _same_bits(on_part.values, rho.values), name

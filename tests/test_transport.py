@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from runtumble import interp
 from runtumble.grid import DistributionField, GridSpec, build_grid, total_mass
 from runtumble.interp import (_BLOCK, axis_shift, interp_point, shift_spatial,
                               velocity_offset_stack)
@@ -161,6 +162,76 @@ def test_axis_shift_per_row_matches_row_by_row_formula(limit):
         axis_shift(a, np.zeros(2), dx, axis=1, rows=np.zeros(3, dtype=int))
     with pytest.raises(ValueError):  # rows would be read after they are written
         axis_shift(a, np.zeros(len(a)), dx, axis=1, rows=np.zeros(len(a), dtype=int), out=a)
+
+
+def _cold(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with the shift-plan tables emptied first, so that
+    every plan it uses is built anew."""
+    interp._row_plan.cache_clear()
+    interp._stack_plan.cache_clear()
+    return fn(*args, **kwargs)
+
+
+def test_cached_shift_plans_give_the_cold_bits():
+    # a shift whose plan comes from the table has the bits of one that builds
+    # it: per-row with and without rows=, in place, and the scalar form
+    dx = 0.5
+    cells = np.array([0.3, 0.4, -0.3, 2.0, 0.0, 2.7, -3.45, 41.0, -1.0])
+    for a in _row_inputs():
+        R = a.shape[0]
+        fan = np.repeat(np.arange(R), 3)[:2 * R]
+        for axis in range(1, a.ndim):
+            for rows in (None, fan):
+                disp = dx * np.resize(cells, R if rows is None else len(rows))
+                cold = _cold(axis_shift, a, disp, dx, axis=axis, rows=rows)
+                hits = interp._row_plan.cache_info().hits
+                assert _same_bits(axis_shift(a, disp, dx, axis=axis, rows=rows), cold)
+                assert interp._row_plan.cache_info().hits > hits
+            disp = dx * np.resize(cells, R)
+            cold = a.copy()
+            _cold(axis_shift, cold, disp, dx, axis=axis, rows=np.arange(R), out=cold)
+            warm = a.copy()
+            axis_shift(warm, disp, dx, axis=axis, rows=np.arange(R), out=warm)
+            assert _same_bits(warm, cold)
+            for c in (0.3, -3.45, 2.0):
+                cold = _cold(axis_shift, a[0], c * dx, dx, axis=axis - 1)
+                assert _same_bits(axis_shift(a[0], c * dx, dx, axis=axis - 1), cold)
+                warm = a[0].copy()
+                assert _same_bits(axis_shift(warm, c * dx, dx, axis=axis - 1, out=warm), cold)
+
+
+@pytest.mark.parametrize("dim, L, nx, nv", [(2, 16.0, 64, 16), (3, 12.0, 8, 4)])
+def test_cached_stack_plans_give_the_cold_bits(dim, L, nx, nv):
+    grid = build_grid(GridSpec(dim=dim, box_half_length=L, nx=nx, nv=nv))
+    rng = np.random.default_rng(dim)
+    spatial = rng.random(grid.x_shape)
+    nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
+    for factor in (0.01, -1.0):
+        for values in (spatial, nodes):
+            cold = _cold(velocity_offset_stack, values, grid.vnodes, factor, grid.dx)
+            hits = interp._stack_plan.cache_info().hits
+            warm = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+            assert _same_bits(warm, cold) and interp._stack_plan.cache_info().hits > hits
+        cold = nodes.copy()
+        _cold(velocity_offset_stack, cold, grid.vnodes, factor, grid.dx, out=cold)
+        warm = nodes.copy()
+        velocity_offset_stack(warm, grid.vnodes, factor, grid.dx, out=warm)
+        assert _same_bits(warm, cold)
+
+
+def test_shift_plan_tables_stay_within_their_bound():
+    grid = make_grid(dim=2, nx=16, nv=4)
+    a = np.random.default_rng(8).random(grid.x_shape)
+    interp._stack_plan.cache_clear()
+    for i in range(3 * interp._PLANS):
+        velocity_offset_stack(a, grid.vnodes, 0.01 * (i + 1), grid.dx)
+        velocity_offset_stack(a[:4 + i % 9], grid.vnodes, 0.01 * (i + 1), grid.dx)
+    for table in (interp._row_plan, interp._stack_plan):
+        info = table.cache_info()
+        assert info.maxsize == interp._PLANS and info.currsize <= interp._PLANS
+    assert interp._row_plan.cache_info().currsize == interp._PLANS
+    # one stack plan: it depends on the nodes and the kind of input only
+    assert interp._stack_plan.cache_info().currsize == 1
 
 
 def test_shift_spatial_two_axes():
