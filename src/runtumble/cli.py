@@ -310,35 +310,8 @@ def run_simulate(config_path):
 
 
 def _monitor_columns(monitors, n_rows):
-    """Per-monitor CSV columns (cert_*, bound_*, term_*), one value per row."""
-    out = []
-    for name, mon in monitors:
-        if name == "gronwall_thm2":
-            rep = mon.certify()
-            recs = rep["records"][:n_rows]
-            out.append(("cert_gronwall",
-                        ["pass" if r["ok"] else "fail" for r in recs] + [""] * (n_rows - len(recs))))
-            out.append(("bound_gronwall",
-                        [_fmt(r["rhs"]) for r in recs] + [""] * (n_rows - len(recs))))
-        elif name == "term_tracker_thm1":
-            # a guard abort can end the run before the first evaluation
-            by_step = {e["step"]: e for e in mon.evaluations}
-            for label, i in (("term_f1", 0), ("term_f2", 1), ("term_f3", 2)):
-                out.append((label, [_fmt(by_step[s]["norms"][i]) if s in by_step else ""
-                                    for s in range(n_rows)]))
-            out.append(("bound_shifted", [_fmt(by_step[s]["integrals"]["shifted"])
-                                          if s in by_step else "" for s in range(n_rows)]))
-            out.append(("bound_plain", [_fmt(by_step[s]["integrals"]["plain"])
-                                        if s in by_step else "" for s in range(n_rows)]))
-            verdict = ("pass" if mon.certify()["passed"] else "fail") if by_step else ""
-            out.append(("cert_terms", [""] * (n_rows - 1) + [verdict]))
-        elif name == "bootstrap_thm3":
-            rep = mon.report()
-            X = rep["X"][:n_rows]
-            out.append(("term_X", [_fmt(v) for v in X] + [""] * (n_rows - len(X))))
-            verdict = "pass" if rep["stable"] else "fail"
-            out.append(("cert_bootstrap", [""] * (n_rows - 1) + [verdict]))
-    return out
+    """Each monitor's CSV columns (name, one raw value per row), in order."""
+    return [col for _, mon in monitors for col in mon.columns(n_rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from runtumble.fields import short_range_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField, density, grow_box, support_box
+from runtumble.grid import DistributionField, density, nest_box
 from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
@@ -131,9 +131,7 @@ def strichartz_quotient(data: GaussianBallData, quad, t_end) -> dict:
         np.geomspace(1.0, t_end, STRICHARTZ_TIMES),
     ]))
     norms = np.array([free_mixed_norm(data, t, p, q) for t in times])
-    powr = norms**r
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (powr[1:] + powr[:-1]) * np.diff(times))])
-    X = cum ** (1.0 / r)
+    X = _running_norm(norms, r, np.diff(times))
     q_end = X[-1] / denom
     q_half = X[np.searchsorted(times, t_end / 2.0)] / denom
     return {"Q": float(q_end), "Q_half": float(q_half),
@@ -142,8 +140,22 @@ def strichartz_quotient(data: GaussianBallData, quad, t_end) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# singular time weights
+# trapezoid rule and singular time weights
 # ---------------------------------------------------------------------------
+
+def _midpoints(values):
+    """Trapezoid midpoints 0.5 (v_(i+1) + v_i) of a sampled series, one per interval."""
+    values = np.asarray(values, dtype=float)
+    return 0.5 * (values[1:] + values[:-1])
+
+
+def _running_norm(values, r, spacing):
+    """Running L^r_t norm (int_0^t_i v^r dt)^(1/r) of a nonnegative series at
+    each sample t_i, by the trapezoid rule; `spacing` is the time step or the
+    array of the sample spacings."""
+    cum = np.concatenate([[0.0], np.cumsum(_midpoints(np.asarray(values) ** r) * spacing)])
+    return cum ** (1.0 / r)
+
 
 def _power_interval(lam, s0, s1):
     """int_s0^s1 s^-lam ds, analytic (lam < 1)."""
@@ -215,15 +227,6 @@ class GronwallMonitor:
     def after_step(self, sim):
         self._record(sim)
 
-    def history_integral(self, n):
-        """I_n = sum over past intervals of the singular weight times ||rho||_p."""
-        if n == 0:
-            return 0.0
-        w = singular_weights(self.lam, self.dt, n)
-        vals = np.array([0.5 * (self.records[n - k][1] + self.records[n - k + 1][1])
-                         for k in range(1, n + 1)])
-        return float(np.sum(w * vals))
-
     def certify(self):
         """Calibrate the two constants on the early window, then check every step.
 
@@ -244,7 +247,11 @@ class GronwallMonitor:
         t = np.array([r[0] for r in self.records])
         lhs = np.array([r[1] for r in self.records])
         c0 = np.array([r[2] for r in self.records])
-        I = np.array([self.history_integral(n) for n in range(n_total + 1)])
+        # I_n sums the singular weight of each past interval times ||rho||_p at
+        # its midpoint, the last interval first; the weights of n intervals are
+        # the first n of one table
+        w = singular_weights(self.lam, self.dt, n_total)
+        I = np.array([np.sum(w[:n] * _midpoints(lhs[n::-1])) for n in range(n_total + 1)])
         M = self.mass0
         W = M * t ** (1.0 - self.lam) / (1.0 - self.lam)
         excess = lhs - c0
@@ -270,6 +277,13 @@ class GronwallMonitor:
             ],
         }
 
+    def columns(self, n_rows):
+        """CSV columns (name, one value per row): each row's verdict and bound."""
+        recs = self.certify()["records"][:n_rows]
+        pad = [""] * (n_rows - len(recs))
+        return [("cert_gronwall", ["pass" if r["ok"] else "fail" for r in recs] + pad),
+                ("bound_gronwall", [r["rhs"] for r in recs] + pad)]
+
 
 # ---------------------------------------------------------------------------
 # term tracker for the d=3 large-data chain
@@ -293,8 +307,10 @@ class TermTracker:
         self.lam = 3.0 * (1.0 / q - 1.0 / p)
         if not (0.0 < self.lam < 1.0):
             raise ValueError(f"need 0 < lam = 3(1/q - 1/p) < 1, got {self.lam}")
+        if not isinstance(stride, int) or stride < 1:
+            raise ValueError(f"stride must be an int >= 1, got {stride!r}")
         self.stride = stride
-        self.history = []   # per step: (rho, S_short, gradS_short_bound, H)
+        self.history = []   # per step: (rho, S_short, gradS_short_bound, H, f's box)
         self.fnorm = []
         self.evaluations = []
 
@@ -315,7 +331,8 @@ class TermTracker:
         shifted_S = stack_on_box(S, grid.vnodes, 1.0, grid.dx, box) * nodes[(slice(None),) + box]
         H = np.zeros(grid.x_shape)
         H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
-        self.history.append((sim.rho.values.copy(), s_short.values, g_short.values, H))
+        # density() makes a new array at every step, so rho is kept as it is
+        self.history.append((sim.rho.values, s_short.values, g_short.values, H, box))
         self.fnorm.append(compact_mixed_norm(nodes, grid, self.p, self.q, box=box))
 
     def after_step(self, sim):
@@ -328,46 +345,34 @@ class TermTracker:
         grid = self.grid
         dt = grid.spec.dt
         vn, dx = grid.vnodes, grid.dx
-        f1 = np.zeros((grid.n_vnodes,) + grid.x_shape)
-        f2 = np.zeros_like(f1)
-        f3 = np.zeros_like(f1)
-        # midpoint-in-s quadrature of the history integrals; each summand is
-        # shifted only on the box of its nonzero positions, grown by the
-        # stencil and the shift as in transport_step, and added there: the
-        # zeros outside it add nothing
+        nodes = (slice(None),)
+        f1, f2, f3 = (np.zeros((grid.n_vnodes,) + grid.x_shape) for _ in range(3))
+        # midpoint-in-s quadrature of the history integrals. Each summand is
+        # zero outside its step's box, so it is formed on that box, placed in
+        # zeros of the box grown by the reach of the transport shift
+        # x - s v_j, shifted there and added there
         for m in range(n):
             s_mid = (m + 0.5) * dt
-            reach = stack_reach(vn, s_mid, dx)
-            rho, s_short, g_short, H = self.history[n - 1 - m]
-            # per-node offsets x + v_j on the field factors, on rho's own
-            # support, whose products are placed in zeros on that support
-            # grown by the reach; then the transport shift x - s v_j there.
-            # A product is a signed zero outside rho's support, and a signed
-            # zero adds nothing to the sum
-            support = support_box(rho != 0.0)
-            box = grow_box(support, reach, grid.x_shape)
-            inner = (slice(None),) + tuple(
-                i if o == slice(None) else slice(i.start - o.start, i.stop - o.start)
-                for i, o in zip(support, box))
-            for field, f in ((s_short, f1), (g_short, f3)):
-                w = np.zeros((grid.n_vnodes,) + rho[box].shape)
-                np.multiply(stack_on_box(field, vn, -1.0, dx, support), rho[support],
-                            out=w[inner])
-                velocity_offset_stack(w, vn, s_mid, dx, out=w)
+            rho, s_short, g_short, H, box = self.history[n - 1 - m]
+            grown, inner = nest_box(box, stack_reach(vn, s_mid, dx), grid.x_shape)
+            for f, field in ((f1, s_short), (f3, g_short), (f2, None)):
+                if field is None:
+                    # one spatial field, whose stack shares shifts between nodes
+                    w = velocity_offset_stack(H[grown], vn, s_mid, dx)
+                else:
+                    # the per-node offsets x + v_j of the field times rho, a
+                    # signed zero where rho is, which adds nothing to the sum
+                    w = np.zeros((grid.n_vnodes,) + H[grown].shape)
+                    np.multiply(stack_on_box(field, vn, -1.0, dx, box), rho[box],
+                                out=w[nodes + inner])
+                    velocity_offset_stack(w, vn, s_mid, dx, out=w)
                 w *= dt
-                f[(slice(None),) + box] += w
-            box = support_box(H != 0.0, reach)
-            w = velocity_offset_stack(H[box], vn, s_mid, dx)
-            w *= dt
-            f2[(slice(None),) + box] += w
+                f[nodes + grown] += w
 
         norms = [compact_mixed_norm(f, grid, self.p, self.q) for f in (f1, f2, f3)]
-        fn = np.array(self.fnorm[: n + 1])
-        w_shift = singular_weights(self.lam, dt, n, shift=1.0)
-        w_plain = singular_weights(self.lam, dt, n)
-        hist = np.array([0.5 * (fn[n - k] + fn[n - k + 1]) for k in range(1, n + 1)])
-        shifted = float(np.sum(w_shift * hist))
-        plain = float(np.sum(w_plain * hist))
+        hist = _midpoints(np.array(self.fnorm[: n + 1])[::-1])  # the last interval first
+        shifted = float(np.sum(singular_weights(self.lam, dt, n, shift=1.0) * hist))
+        plain = float(np.sum(singular_weights(self.lam, dt, n) * hist))
         flat = float(dt * np.sum(hist))
         integrals = {
             "shifted": shifted,
@@ -403,6 +408,19 @@ class TermTracker:
             out["passed"] = out["passed"] and bool(np.all(ok))
         return out
 
+    def columns(self, n_rows):
+        """CSV columns (name, one value per row): the terms and their bounds on
+        the evaluated rows, and the verdict on the last row."""
+        by_step = {e["step"]: e for e in self.evaluations}
+        evs = [by_step.get(s) for s in range(n_rows)]
+        out = [(f"term_f{i + 1}", ["" if e is None else e["norms"][i] for e in evs])
+               for i in range(3)]
+        out += [(f"bound_{kind}", ["" if e is None else e["integrals"][kind] for e in evs])
+                for kind in ("shifted", "plain")]
+        # a guard abort can end the run before the first evaluation
+        verdict = ("pass" if self.certify()["passed"] else "fail") if by_step else ""
+        return out + [("cert_terms", [""] * (n_rows - 1) + [verdict])]
+
 
 # ---------------------------------------------------------------------------
 # bootstrap monitor for the small-data space-time bound
@@ -434,9 +452,7 @@ class BootstrapMonitor:
 
     def series(self):
         """Running X(T_n) over the recorded steps."""
-        powr = np.asarray(self.fnorm) ** self.r
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (powr[1:] + powr[:-1]) * self.dt)])
-        return cum ** (1.0 / self.r)
+        return _running_norm(self.fnorm, self.r, self.dt)
 
     def report(self):
         """X(T) and its quadratic fit; stable when X grows by at most STABILITY_TOL = 0.02
@@ -458,3 +474,11 @@ class BootstrapMonitor:
             "B_fit": float(coef[1]),
             "residual_rms": float(np.sqrt(np.mean(resid**2))),
         }
+
+    def columns(self, n_rows):
+        """CSV columns (name, one value per row): X(T) on each row and the
+        verdict on the last."""
+        rep = self.report()
+        X = list(rep["X"][:n_rows])
+        return [("term_X", X + [""] * (n_rows - len(X))),
+                ("cert_bootstrap", [""] * (n_rows - 1) + ["pass" if rep["stable"] else "fail"])]

@@ -224,14 +224,23 @@ def grow_box(box, cells, shape):
     return tuple(grown)
 
 
-def support_box(mask, margin=0):
-    """Slices of the bounding box of a boolean position mask, grown by `margin`
-    cells a side (grow_box); an axis on which the mask is empty gets slice(None)."""
+def nest_box(box, cells, shape):
+    """(grown, inner): grow_box(box, cells, shape) for cells >= 1, and `box`
+    within it, slice(cells, -cells) on each grown axis and box's own slice
+    on each whole one."""
+    grown = grow_box(box, cells, shape)
+    return grown, tuple(b if g == slice(None) else slice(cells, -cells)
+                        for b, g in zip(box, grown))
+
+
+def support_box(mask):
+    """Slices of the bounding box of a boolean position mask, in grow_box's
+    form; an axis on which the mask is empty gets slice(None)."""
     box = []
     for a in range(mask.ndim):
         hits = np.flatnonzero(np.any(mask, axis=tuple(b for b in range(mask.ndim) if b != a)))
         box.append(slice(int(hits[0]), int(hits[-1]) + 1) if len(hits) else slice(None))
-    return grow_box(box, margin, mask.shape)
+    return grow_box(box, 0, mask.shape)
 
 
 def _occupied(mask):

@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from runtumble.grid import grow_box
+from runtumble.grid import nest_box
 
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 _PLANS = 64       # entries of each shift-plan table (_row_plan, _stack_plan)
@@ -345,10 +345,8 @@ def stack_on_box(values, vnodes, factor, dx, box):
     velocity_offset_stack(values, ...)[:, box], from a shift of the field on
     the box grown by the stack's reach only. On the whole grid it is the
     stack itself, a new array, not a view of one."""
-    reach = stack_reach(vnodes, factor, dx)
-    grown = grow_box(box, reach, values.shape)
+    grown, inner = nest_box(box, stack_reach(vnodes, factor, dx), values.shape)
     stack = velocity_offset_stack(values[grown], vnodes, factor, dx)
-    inner = tuple(b if g == slice(None) else slice(reach, -reach) for b, g in zip(box, grown))
     # only the whole grid grows into itself
     return stack if grown == box else stack[(slice(None),) + inner]
 

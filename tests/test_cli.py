@@ -2,9 +2,9 @@ import os
 
 import pytest
 
-from runtumble.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, ConfigError, _fmt,
-                           _snapshot, _snapshot_coordinates, build_scene, main, parse_config,
-                           parse_exponent, parse_norm_list, parse_signs)
+from runtumble.cli import (_MONITORS, EXIT_CHECK, EXIT_CONFIG, EXIT_GUARD, EXIT_OK, ConfigError,
+                           _fmt, _snapshot, _snapshot_coordinates, build_scene, main,
+                           parse_config, parse_exponent, parse_norm_list, parse_signs)
 from runtumble.grid import GridSpec, build_grid
 from runtumble.kernels import KernelSpec
 from runtumble.norms import NormSpec, mixed_norm
@@ -205,6 +205,68 @@ def test_simulate_term_tracker_abort_before_first_evaluation(tmp_path):
                           "cert_terms"]
     assert len(lines) == 2  # the initial state only
     assert lines[1].split(",")[4:] == [""] * 6
+
+
+BOOTSTRAP_CONFIG = """\
+dimension = 3
+box_half_length = 8
+nx = 16
+nv = 4
+dt = 0.05
+t_end = 0.5
+kernel_family = hyp3
+kernel_C = 0.5
+init_kind = cube
+init_amplitude = 0.5
+monitors = bootstrap_thm3
+"""
+
+
+def _expected_monitor_columns(name, mon, n_rows):
+    """Each CSV column of a monitor, formatted from its own certify or report."""
+    if name == "gronwall_thm2":
+        recs = mon.certify()["records"]
+        return {"cert_gronwall": ["pass" if r["ok"] else "fail" for r in recs],
+                "bound_gronwall": [_fmt(r["rhs"]) for r in recs]}
+    if name == "term_tracker_thm1":
+        by_step = {e["step"]: e for e in mon.evaluations}
+        cols = {f"term_f{i + 1}": [_fmt(by_step[s]["norms"][i]) if s in by_step else ""
+                                   for s in range(n_rows)] for i in range(3)}
+        for kind in ("shifted", "plain"):
+            cols[f"bound_{kind}"] = [_fmt(by_step[s]["integrals"][kind]) if s in by_step else ""
+                                     for s in range(n_rows)]
+        verdict = "pass" if mon.certify()["passed"] else "fail"
+        cols["cert_terms"] = [""] * (n_rows - 1) + [verdict]
+        return cols
+    rep = mon.report()
+    return {"term_X": [_fmt(x) for x in rep["X"]],
+            "cert_bootstrap": [""] * (n_rows - 1) + ["pass" if rep["stable"] else "fail"]}
+
+
+@pytest.mark.parametrize("name, config", [
+    ("gronwall_thm2", BASE_CONFIG + "monitors = gronwall_thm2\n"),
+    ("term_tracker_thm1", TERMS_CONFIG.replace("t_end = 0.1", "t_end = 0.8")),
+    ("bootstrap_thm3", BOOTSTRAP_CONFIG),
+])
+def test_monitor_columns_are_the_monitors_own_values(tmp_path, name, config):
+    # the same run through the API, with the monitor that the CLI builds
+    path = write_config(tmp_path, config + f"output_dir = {tmp_path / 'm'}\n")
+    assert main(["simulate", path]) == EXIT_OK
+    lines = (tmp_path / "m" / "timeseries.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cfg = parse_config(path)
+    grid, kernel, f0 = build_scene(cfg)
+    sim = Simulation(grid, f0, kernel, beta=cfg["beta"])
+    mon = _MONITORS[name]()
+    sim.attach(mon)
+    sim.run(len(lines) - 2)
+    expect = _expected_monitor_columns(name, mon, len(lines) - 1)
+    assert header[-len(expect):] == list(expect)
+    for col, values in expect.items():
+        i = header.index(col)
+        assert [line.split(",")[i] for line in lines[1:]] == values, col
+    if name == "term_tracker_thm1":
+        assert len(mon.evaluations) == 2
 
 
 def test_determinism_byte_identical(tmp_path):

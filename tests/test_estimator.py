@@ -10,7 +10,8 @@ from runtumble.estimator import (BootstrapMonitor, DecayFit, GronwallMonitor, Te
 from runtumble.exponents import theorem3_exponents
 from runtumble.freeflow import GaussianBallData
 from runtumble.fields import split_short_long
-from runtumble.grid import DistributionField, GridSpec, build_grid, support_box
+import runtumble.grid as grid_module
+from runtumble.grid import DistributionField, GridSpec, build_grid, grow_box, support_box
 from runtumble.interp import stack_reach, velocity_offset_stack
 from runtumble.kernels import KernelSpec
 from runtumble.norms import NormSpec, mixed_norm, spatial_norm
@@ -101,6 +102,32 @@ def test_gronwall_monitor_smoke():
     assert ca >= 0.0 and cb >= 0.0
 
 
+def test_gronwall_history_integral_from_one_table_equals_per_n_sums():
+    # certify takes the weights of every n from one table of the longest
+    # run; the certificate built from per-n weights, term by term, is the same
+    from scipy.optimize import nnls
+    from runtumble.estimator import CALIB_FRACTION, CERT_SLACK
+
+    sim, mon = _gronwall_sim(n_steps=40)
+    rep = mon.certify()
+    t, lhs, c0 = (np.array(col) for col in zip(*mon.records))
+    n_total = len(t) - 1
+    I = [0.0]
+    for n in range(1, n_total + 1):
+        vals = np.array([0.5 * (lhs[n - k] + lhs[n - k + 1]) for k in range(1, n + 1)])
+        I.append(float(np.sum(singular_weights(mon.lam, mon.dt, n) * vals)))
+    X = np.stack([mon.mass0 * t ** (1.0 - mon.lam) / (1.0 - mon.lam), I], axis=1)
+    n_cal = max(1, int(CALIB_FRACTION * n_total))
+    excess = lhs - c0
+    coef, _ = nnls(X[: n_cal + 1], np.maximum(excess[: n_cal + 1], 0.0))
+    pred = X @ coef
+    need = [e / p for e, p in zip(excess[1: n_cal + 1], pred[1: n_cal + 1]) if p > 0]
+    coef = coef * max([1.0] + need)
+    assert rep["constants"] == (float(coef[0]), float(coef[1]))
+    assert [r["rhs"] for r in rep["records"]] == list(c0 + (1.0 + CERT_SLACK) * (X @ coef))
+    assert coef[1] > 0.0 or coef[0] > 0.0
+
+
 def test_gronwall_monitor_rejects_wrong_setup():
     grid = build_grid(GridSpec(dim=2, box_half_length=8.0, nx=16, nv=4, dt=0.02))
     sim = Simulation(grid, SeparableData(width=0.8), KernelSpec(family="constant"), beta=1)
@@ -117,6 +144,14 @@ def test_term_tracker_validates_exponents():
         TermTracker(p=9.0, q=1.1)  # lam >= 1
     mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0)
     assert mon.lam == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("stride", [0, -3, 2.0, 1.5, "4", None])
+def test_term_tracker_rejects_a_stride_that_is_not_a_positive_int(stride):
+    # stride 0 would divide by zero at the first step, and a negative one
+    # would never evaluate
+    with pytest.raises(ValueError, match="stride"):
+        TermTracker(p=9.0 / 5.0, q=9.0 / 7.0, stride=stride)
 
 
 def test_bootstrap_monitor_smoke():
@@ -223,7 +258,7 @@ def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
     grid, mon, states = _tracked_hyp1_run(4, stride=2)
     H, fnorm, norms = _tracker_reference(grid, mon, states)
     assert len(mon.history) == 5 and len(mon.evaluations) == 2
-    for (_, _, _, stored_H), h in zip(mon.history, H):
+    for (_, _, _, stored_H, _), h in zip(mon.history, H):
         assert np.array_equal(stored_H.view(np.int64), h.view(np.int64))
     assert mon.fnorm == fnorm
     assert [ev["norms"] for ev in mon.evaluations] == norms
@@ -252,6 +287,21 @@ def test_term_tracker_on_one_cell_equals_full_grid_sums():
     assert mon.fnorm == [mixed_norm(sim.f, NormSpec(p=9 / 5, q=9 / 7))]
 
 
+def test_term_tracker_on_whole_grid_boxes_equals_full_grid_sums(monkeypatch):
+    # with BOX_SHARE = 0 every box is the whole grid, while rho's support
+    # stays a small part of it: each summand is formed and shifted on the
+    # whole grid, and still equals the full-grid sums
+    monkeypatch.setattr(grid_module, "BOX_SHARE", 0.0)
+    grid, mon, states = _tracked_hyp1_run(4, stride=2)
+    whole = (slice(None),) * 3
+    assert all(record[4] == whole for record in mon.history)
+    assert all(support_box(rho != 0.0) != whole for _, rho, *_ in states)
+    H, fnorm, norms = _tracker_reference(grid, mon, states)
+    assert all(np.array_equal(stored[3], h) for stored, h in zip(mon.history, H))
+    assert mon.fnorm == fnorm
+    assert [ev["norms"] for ev in mon.evaluations] == norms
+
+
 @pytest.mark.parametrize("nx, center, edge", [(16, (-3.0, 1.5, 0.0), True),
                                                (32, (0.75, 0.0, -0.75), False)])
 def test_term_tracker_box_sums_equal_full_grid_sums(nx, center, edge):
@@ -261,9 +311,10 @@ def test_term_tracker_box_sums_equal_full_grid_sums(nx, center, edge):
     # full-axis fallback there) and not on the last; on 32^3 no box does
     grid, mon, states = _tracked_hyp1_run(6, stride=3, nx=nx, center=center)
     reach = stack_reach(grid.vnodes, grid.spec.dt / 2.0, grid.dx)
-    box = support_box(states[-1][1] != 0.0, reach)
+    box = grow_box(support_box(states[-1][1] != 0.0), reach, grid.x_shape)
     assert (box[0] == slice(None)) == edge and box[2] != slice(None)
-    grown = support_box(states[-1][1] != 0.0, reach + stack_reach(grid.vnodes, 1.0, grid.dx))
+    grown = grow_box(support_box(states[-1][1] != 0.0),
+                     reach + stack_reach(grid.vnodes, 1.0, grid.dx), grid.x_shape)
     assert (grown[2] == slice(None)) == edge
     H, fnorm, norms = _tracker_reference(grid, mon, states)
     # the box sums leave +0.0 where the full sums may hold -0.0, so the

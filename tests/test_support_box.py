@@ -91,22 +91,23 @@ def _states(grid):
 def test_support_box_grows_and_falls_back_to_full_axes():
     mask = np.zeros((16, 16, 16), dtype=bool)
     mask[5:8, 6, 7:9] = True
-    assert support_box(mask, 0) == (slice(5, 8), slice(6, 7), slice(7, 9))
-    assert support_box(mask, 3) == (slice(2, 11), slice(3, 10), slice(4, 12))
+    shape = mask.shape
+    assert support_box(mask) == (slice(5, 8), slice(6, 7), slice(7, 9))
+    assert grow_box(support_box(mask), 3, shape) == (slice(2, 11), slice(3, 10), slice(4, 12))
     # crossing the periodic edge, reaching it on one side, covering exactly
     # [0, n) (slice(None), like a crossing), a wrapping support, no support
-    assert support_box(mask, 6) == (slice(None), slice(0, 13), slice(1, 15))
-    assert support_box(mask, 7)[2] == slice(None)
+    assert grow_box(support_box(mask), 6, shape) == (slice(None), slice(0, 13), slice(1, 15))
+    assert grow_box(support_box(mask), 7, shape)[2] == slice(None)
     mask[15, 6, 7] = True
-    assert support_box(mask, 0)[0] == slice(5, 16)
-    assert support_box(mask, 1)[0] == slice(None)
-    assert support_box(np.zeros(8, dtype=bool), 1) == (slice(None),)
+    assert support_box(mask)[0] == slice(5, 16)
+    assert grow_box(support_box(mask), 1, shape)[0] == slice(None)
+    assert grow_box(support_box(np.zeros(8, dtype=bool)), 1, (8,)) == (slice(None),)
     # a support from the first cell to the last is the whole grid, with no margin
     full = np.zeros((8, 4), dtype=bool)
     full[0, 0] = full[7, 3] = True
-    assert support_box(full, 0) == (slice(None), slice(None))
+    assert support_box(full) == (slice(None), slice(None))
     full[7, 3] = False
-    assert support_box(full, 0) == (slice(0, 1), slice(0, 1))
+    assert support_box(full) == (slice(0, 1), slice(0, 1))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -145,7 +146,8 @@ def test_box_comes_from_f_not_from_its_density():
         grid, np.where(lone, nodes, 0.0)))) == 0.0
     dt = grid.alignment_time()
     expect = _full_transport(nodes, grid, dt)
-    rho_box = (slice(None),) + support_box(rho != 0.0, stack_reach(grid.vnodes, dt, grid.dx))
+    rho_box = (slice(None),) + grow_box(support_box(rho != 0.0),
+                                        stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
     outside = np.ones(expect.shape, dtype=bool)
     outside[rho_box] = False
     assert np.any(expect[outside] == SUBNORMAL)
@@ -176,8 +178,9 @@ def test_grow_box_is_support_box_with_more_margin():
     for name, mask in _random_masks(rng):
         for m in (0, 1, 3):
             for c in (0, 1, 2, 5, 30):
-                assert support_box(mask, m + c) == grow_box(support_box(mask, m), c,
-                                                            mask.shape), (name, m, c)
+                box = support_box(mask)
+                assert grow_box(box, m + c, mask.shape) == grow_box(
+                    grow_box(box, m, mask.shape), c, mask.shape), (name, m, c)
 
 
 def test_stack_on_box_is_the_whole_stack_on_the_box():
@@ -225,7 +228,7 @@ def test_density_carries_the_occupied_box(dim):
         assert rho.box == occupied_box(nodes), name
         assert _same_bits(rho.values, grid.hv ** dim * nodes.sum(axis=0)), name
         for margin in (0, 1, 3):
-            part = support_box(np.any(nodes, axis=0), margin)
+            part = grow_box(support_box(np.any(nodes, axis=0)), margin, grid.x_shape)
             if part == (slice(None),) * dim or nodes[0][part].size < 2:
                 continue
             on_part = density(f, box=part)
