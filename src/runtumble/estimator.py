@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.fields import short_range_parts
+from runtumble.fields import newton_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
 from runtumble.grid import DistributionField, density, nest_box
 from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
@@ -323,12 +323,13 @@ class TermTracker:
 
     def _store(self, sim):
         grid = sim.grid
-        s_short, g_short = short_range_parts(sim.rho)
-        S = sim.fields["S"].values
+        # S at the end of the step, as rho and f are (the step's own S is its
+        # mid-point field), from the FFT of rho that gives the short parts
+        S, s_short, g_short = newton_parts(sim.rho)
         nodes = sim.f.nodes
         # S_shift * f is zero outside f's occupied box, which rho carries
         box = sim.rho.box
-        shifted_S = stack_on_box(S, grid.vnodes, 1.0, grid.dx, box) * nodes[(slice(None),) + box]
+        shifted_S = stack_on_box(S.values, grid.vnodes, 1.0, grid.dx, box) * nodes[(slice(None),) + box]
         H = np.zeros(grid.x_shape)
         H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
         # density() makes a new array at every step, so rho is kept as it is

@@ -165,15 +165,16 @@ def split_short_long(rho: SpatialField, order=0):
                  for part in ("short", "long"))
 
 
-def short_range_parts(rho: SpatialField):
-    """The short-range parts of the order-0 and order-1 splits, bit for bit
+def newton_parts(rho: SpatialField):
+    """The full order-0 potential and the short-range parts of the order-0
+    and order-1 splits, bit for bit newtonian_potential(rho),
     split_short_long(rho, 0)[0] and split_short_long(rho, 1)[0], from one
     FFT of rho."""
     _check_split_box(rho.grid)
     grid = rho.grid
     rho_hat = np.fft.fftn(rho.values)
-    return tuple(SpatialField(grid, _convolve_hat(rho_hat, grid, order, "short"))
-                 for order in (0, 1))
+    return tuple(SpatialField(grid, _convolve_hat(rho_hat, grid, order, part))
+                 for order, part in ((0, "full"), (0, "short"), (1, "short")))
 
 
 def _bessel_radial(r, order, d):

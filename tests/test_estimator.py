@@ -9,9 +9,9 @@ from runtumble.estimator import (BootstrapMonitor, DecayFit, GronwallMonitor, Te
                                  singular_weights, strichartz_quotient)
 from runtumble.exponents import theorem3_exponents
 from runtumble.freeflow import GaussianBallData
-from runtumble.fields import split_short_long
+from runtumble.fields import newtonian_potential, split_short_long
 import runtumble.grid as grid_module
-from runtumble.grid import DistributionField, GridSpec, build_grid, grow_box, support_box
+from runtumble.grid import DistributionField, GridSpec, build_grid, density, grow_box, support_box
 from runtumble.interp import stack_reach, velocity_offset_stack
 from runtumble.kernels import KernelSpec
 from runtumble.norms import NormSpec, mixed_norm, spatial_norm
@@ -199,7 +199,8 @@ def _mixed_norm_of_copies(compact, grid, p, q):
 
 def _tracked_hyp1_run(n_steps, stride, nx=16, center=()):
     """A 3-D hyp1 run with a TermTracker, and copies of the inputs of every
-    stored step: (f, rho, S, S_short, gradS_short)."""
+    stored step: (f, rho, S, S_short, gradS_short), each field of the
+    step's end state."""
     grid = build_grid(GridSpec(dim=3, box_half_length=0.375 * nx, nx=nx, nv=4, dt=0.02))
     f0 = SeparableData(amplitude=0.5, width=1.0, kind="cube", center=center)
     sim = Simulation(grid, f0, KernelSpec(family="hyp1", coefficient=0.2), beta=0)
@@ -216,7 +217,7 @@ def _tracked_hyp1_run(n_steps, stride, nx=16, center=()):
 
         def after_step(self, sim):
             self.states.append((sim.f.nodes.copy(), sim.rho.values.copy(),
-                                sim.fields["S"].values.copy(),
+                                newtonian_potential(sim.rho).values,
                                 split_short_long(sim.rho, order=0)[0].values,
                                 split_short_long(sim.rho, order=1)[0].values))
 
@@ -262,6 +263,17 @@ def test_term_tracker_in_place_sums_bit_identical_to_fresh_arrays():
         assert np.array_equal(stored_H.view(np.int64), h.view(np.int64))
     assert mon.fnorm == fnorm
     assert [ev["norms"] for ev in mon.evaluations] == norms
+
+
+def test_term_tracker_H_is_taken_at_the_end_of_each_step():
+    # H_n = hv^3 sum_j S_n(x - v_j) f_n(x, v_j) with S_n the Newtonian
+    # potential of f_n's own density, not the step's mid-point field
+    grid, mon, states = _tracked_hyp1_run(3, stride=3)
+    for (nodes, *_), (*_, stored_H, _) in zip(states, mon.history):
+        S = newtonian_potential(density(DistributionField.from_nodes(grid, nodes))).values
+        H = grid.hv**3 * np.sum(velocity_offset_stack(S, grid.vnodes, 1.0, grid.dx) * nodes,
+                                axis=0)
+        assert np.array_equal(stored_H.view(np.int64), H.view(np.int64))
 
 
 def test_term_tracker_on_one_cell_equals_full_grid_sums():

@@ -6,7 +6,7 @@ from scipy.special import kv
 from runtumble.fields import (_bessel_radial, _newton_kernel, _newton_kernel_hat,
                               bessel_potential_integrable, bessel_potential_norms,
                               calderon_zygmund_check, gradient_bound_check,
-                              gradient_from_hat, newtonian_potential, short_range_parts,
+                              gradient_from_hat, newton_parts, newtonian_potential,
                               solve_field, split_short_long)
 from runtumble.grid import GridSpec, SpatialField, build_grid
 
@@ -89,8 +89,8 @@ def test_newton_kernels_transformed_once_per_grid():
         assert np.array_equal(S.values.view(np.int64), direct(order, "full").view(np.int64))
         for got, part in zip(split_short_long(rho, order=order), ("short", "long")):
             assert np.array_equal(got.values.view(np.int64), direct(order, part).view(np.int64))
-    for order, got in enumerate(short_range_parts(rho)):
-        assert np.array_equal(got.values.view(np.int64), direct(order, "short").view(np.int64))
+    for got, (order, part) in zip(newton_parts(rho), ((0, "full"), (0, "short"), (1, "short"))):
+        assert np.array_equal(got.values.view(np.int64), direct(order, part).view(np.int64))
     hat = _newton_kernel_hat(grid.spec, 0, "full")
     assert _newton_kernel_hat(grid.spec, 0, "full") is hat and not hat.flags.writeable
 
