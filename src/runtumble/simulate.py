@@ -118,7 +118,9 @@ class Simulation:
         return self.f
 
     def max_stable_dt(self):
-        """Largest dt allowed by the positivity guard at the current state."""
+        """Largest dt allowed by the positivity guard with self.fields: the
+        fields of the last step's mid-point, not of the current state (those
+        of the initial state before the first step)."""
         rate = loss_rate(self.kernel, self.fields, self.grid)
         mx = float(np.max(rate))
         return np.inf if mx == 0.0 else 1.0 / mx
