@@ -295,11 +295,10 @@ def run_simulate(config_path):
 
     header = ["t", "mass", "min_f", "max_f"]
     header += [f"norm_{ptok}_{qtok}" for ptok, qtok, _, _ in norm_list]
-    monitor_cols = _monitor_columns(monitors, len(rows))
-    for name, cols in monitor_cols:
+    for name, cols in _monitor_columns(monitors, len(rows)):
         header.append(name)
-        for i, row in enumerate(rows):
-            row.append(cols[i])
+        for row, value in zip(rows, cols, strict=True):
+            row.append(value)
     write_csv(os.path.join(outdir, "timeseries.csv"), header, rows)
 
     if guard_message is not None:

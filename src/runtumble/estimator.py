@@ -144,8 +144,8 @@ def strichartz_quotient(data: GaussianBallData, quad, t_end) -> dict:
 # ---------------------------------------------------------------------------
 
 def _midpoints(values):
-    """Trapezoid midpoints 0.5 (v_(i+1) + v_i) of a sampled series, one per interval."""
-    values = np.asarray(values, dtype=float)
+    """Trapezoid midpoints 0.5 (v_(i+1) + v_i) of a sampled series (an
+    array), one per interval."""
     return 0.5 * (values[1:] + values[:-1])
 
 
@@ -252,8 +252,7 @@ class GronwallMonitor:
         # the first n of one table
         w = singular_weights(self.lam, self.dt, n_total)
         I = np.array([np.sum(w[:n] * _midpoints(lhs[n::-1])) for n in range(n_total + 1)])
-        M = self.mass0
-        W = M * t ** (1.0 - self.lam) / (1.0 - self.lam)
+        W = self.mass0 * t ** (1.0 - self.lam) / (1.0 - self.lam)
         excess = lhs - c0
 
         X = np.stack([W, I], axis=1)
@@ -374,14 +373,10 @@ class TermTracker:
         hist = _midpoints(np.array(self.fnorm[: n + 1])[::-1])  # the last interval first
         shifted = float(np.sum(singular_weights(self.lam, dt, n, shift=1.0) * hist))
         plain = float(np.sum(singular_weights(self.lam, dt, n) * hist))
-        flat = float(dt * np.sum(hist))
-        integrals = {
-            "shifted": shifted,
-            "plain": plain,
-            # full kernel K(s) = 1 + s^-lam + |s-1|^-lam, dominating each
-            # single-weight bound
-            "K": flat + plain + shifted,
-        }
+        # full kernel K(s) = 1 + s^-lam + |s-1|^-lam, dominating each
+        # single-weight bound
+        integrals = {"shifted": shifted, "plain": plain,
+                     "K": float(dt * np.sum(hist)) + plain + shifted}
         return {"step": n, "t": n * dt, "norms": norms, "integrals": integrals}
 
     def certify(self):
