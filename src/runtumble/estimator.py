@@ -328,7 +328,8 @@ class TermTracker:
         nodes = sim.f.nodes
         # S_shift * f is zero outside f's occupied box, which rho carries
         box = sim.rho.box
-        shifted_S = stack_on_box(S.values, grid.vnodes, 1.0, grid.dx, box) * nodes[(slice(None),) + box]
+        shifted_S = (stack_on_box(S.values, grid.vnodes, 1.0, grid.dx, box)
+                     * nodes[(slice(None),) + box])
         H = np.zeros(grid.x_shape)
         H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
         # density() makes a new array at every step, so rho is kept as it is
@@ -345,7 +346,7 @@ class TermTracker:
         grid = self.grid
         dt = grid.spec.dt
         vn, dx = grid.vnodes, grid.dx
-        nodes = (slice(None),)
+        every_node = (slice(None),)
         f1, f2, f3 = (np.zeros((grid.n_vnodes,) + grid.x_shape) for _ in range(3))
         # midpoint-in-s quadrature of the history integrals. Each summand is
         # zero outside its step's box, so it is formed on that box, placed in
@@ -360,14 +361,14 @@ class TermTracker:
                     # one spatial field, whose stack shares shifts between nodes
                     w = velocity_offset_stack(H[grown], vn, s_mid, dx)
                 else:
-                    # the per-node offsets x + v_j of the field times rho, a
-                    # signed zero where rho is, which adds nothing to the sum
-                    w = np.zeros((grid.n_vnodes,) + H[grown].shape)
+                    # the per-node offsets x + v_j of the field times rho: a
+                    # signed zero where rho is 0, which adds nothing to the sum
+                    w = np.zeros((grid.n_vnodes,) + rho[grown].shape)
                     np.multiply(stack_on_box(field, vn, -1.0, dx, box), rho[box],
-                                out=w[nodes + inner])
+                                out=w[every_node + inner])
                     velocity_offset_stack(w, vn, s_mid, dx, out=w)
                 w *= dt
-                f[nodes + grown] += w
+                f[every_node + grown] += w
 
         norms = [compact_mixed_norm(f, grid, self.p, self.q) for f in (f1, f2, f3)]
         hist = _midpoints(np.array(self.fnorm[: n + 1])[::-1])  # the last interval first
