@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import nnls
 
-from runtumble.estimator import (BootstrapMonitor, DecayFit, GronwallMonitor, TermTracker,
-                                 dispersion_decay_fit, dispersion_inequality_check,
-                                 singular_weights, strichartz_quotient)
+from runtumble.estimator import (CALIB_FRACTION, CERT_SLACK, BootstrapMonitor, DecayFit,
+                                 GronwallMonitor, TermTracker, dispersion_decay_fit,
+                                 dispersion_inequality_check, singular_weights,
+                                 strichartz_quotient)
 from runtumble.exponents import theorem3_exponents
 from runtumble.freeflow import GaussianBallData
 from runtumble.fields import newtonian_potential, split_short_long
@@ -105,9 +107,6 @@ def test_gronwall_monitor_smoke():
 def test_gronwall_history_integral_from_one_table_equals_per_n_sums():
     # certify takes the weights of every n from one table of the longest
     # run; the certificate built from per-n weights, term by term, is the same
-    from scipy.optimize import nnls
-    from runtumble.estimator import CALIB_FRACTION, CERT_SLACK
-
     sim, mon = _gronwall_sim(n_steps=40)
     rep = mon.certify()
     t, lhs, c0 = (np.array(col) for col in zip(*mon.records))
