@@ -24,7 +24,7 @@ from runtumble.exponents import (ExponentQuadruple, admissible_region, solve_num
 from runtumble.freeflow import GaussianBallData
 from runtumble.grid import GridSpec, build_grid, field_mass
 from runtumble.kernels import KernelSpec
-from runtumble.norms import NormSpec, compact_mixed_norm, spatial_norm
+from runtumble.norms import NormSpec, mixed_norm, spatial_norm
 from runtumble.simulate import GuardAbort, Simulation
 from runtumble.transport import SeparableData
 
@@ -266,15 +266,15 @@ def run_simulate(config_path):
     os.makedirs(outdir, exist_ok=True)
 
     rows = []
+    specs = [NormSpec(p=p, q=q) for _, _, p, q in norm_list]
 
     def record():
         row = [sim.t, field_mass(sim.rho), *sim.f.extrema()]
-        for ptok, qtok, p, q in norm_list:
+        for spec in specs:
             # f >= 0, so an L^p_x L^1_v norm is the L^p norm of the density
-            # the step already computed, bit for bit (README, "Numerical notes");
-            # other norms take f's box from that density
-            row.append(spatial_norm(sim.rho.values, grid, p) if q == 1
-                       else compact_mixed_norm(sim.f.nodes, grid, p, q, box=sim.rho.box))
+            # the step already computed, bit for bit (README, "Numerical notes")
+            row.append(spatial_norm(sim.rho.values, grid, spec.p) if spec.q == 1
+                       else mixed_norm(sim.f, spec))
         rows.append(row)
 
     guard_message = None

@@ -303,6 +303,7 @@ class TermTracker:
             raise ValueError("the f_2 chain requires q > 1 "
                              "(q = 1 gives b = 3/2, c = 1, outside the HLS range)")
         self.p, self.q = p, q
+        self.spec = NormSpec(p=p, q=q)
         self.lam = 3.0 * (1.0 / q - 1.0 / p)
         if not (0.0 < self.lam < 1.0):
             raise ValueError(f"need 0 < lam = 3(1/q - 1/p) < 1, got {self.lam}")
@@ -325,16 +326,15 @@ class TermTracker:
         # S at the end of the step, as rho and f are (the step's own S is its
         # mid-point field), from the FFT of rho that gives the short parts
         S, s_short, g_short = newton_parts(sim.rho)
-        nodes = sim.f.nodes
-        # S_shift * f is zero outside f's occupied box, which rho carries
-        box = sim.rho.box
+        # S_shift * f is zero outside the box that f carries
+        box = sim.f.box
         shifted_S = (stack_on_box(S.values, grid.vnodes, 1.0, grid.dx, box)
-                     * nodes[(slice(None),) + box])
+                     * sim.f.nodes[(slice(None),) + box])
         H = np.zeros(grid.x_shape)
         H[box] = grid.hv**3 * np.sum(shifted_S, axis=0)
         # density() makes a new array at every step, so rho is kept as it is
         self.history.append((sim.rho.values, s_short.values, g_short.values, H, box))
-        self.fnorm.append(compact_mixed_norm(nodes, grid, self.p, self.q, box=box))
+        self.fnorm.append(mixed_norm(sim.f, self.spec))
 
     def after_step(self, sim):
         self._store(sim)
@@ -431,6 +431,7 @@ class BootstrapMonitor:
         quad = theorem3_exponents(a)
         self.a = float(a)
         self.p, self.q = float(quad.p), float(quad.q)
+        self.spec = NormSpec(p=self.p, q=self.q)
         self.r = 3.0
         self.fnorm = []
 
@@ -444,8 +445,7 @@ class BootstrapMonitor:
         self._record(sim)
 
     def _record(self, sim):
-        self.fnorm.append(compact_mixed_norm(sim.f.nodes, sim.grid, self.p, self.q,
-                                             box=sim.rho.box))
+        self.fnorm.append(mixed_norm(sim.f, self.spec))
 
     def series(self):
         """Running X(T_n) over the recorded steps."""

@@ -13,11 +13,12 @@ plain slice and velocity sums reduce over the leading axis. The dense
 x_shape + v_shape array is only built on request. Where the lattice is
 exactly symmetric, PhaseGrid.vreflect pairs each node v with its mirror -v.
 
-f is +0.0 outside a box around its support, and work on f skips those
-zeros on its occupied box (occupied_box). The density finds that box as it
-sums the nodes (density(f).box), so a solver step, which forms a density
-after each half-step, never reduces f for it again; occupied_box(nodes)
-reduces f for a caller that holds no density.
+f is +0.0 outside a box around its support, and the state carries that
+box (DistributionField.box): the code that writes f's nodes sets it, and
+work on f skips the zeros outside it. density(f) sums only f.box and
+narrows it to f's occupied box (occupied_box), found from the node sum, so
+a solver step, which forms a density after each half-step, never reduces f
+for it again; occupied_box(nodes) reduces f for a field whose box is None.
 """
 
 from dataclasses import dataclass, field
@@ -160,6 +161,12 @@ class DistributionField:
     grid.vnodes. Values outside V are not stored. The constructor takes a
     dense x_shape + v_shape array and rejects nonzero values outside V;
     `from_nodes` wraps a node array without copying it.
+
+    `box` is a tuple of position slices outside which the nodes are +0.0,
+    or None when it is not known. The code that writes the nodes sets it
+    (transport_step, scattering_apply), and density(f) narrows it to f's
+    occupied box. A write into `nodes` behind the field's back leaves the
+    box stale: every writer returns a new field instead.
     """
 
     def __init__(self, grid: PhaseGrid, values, t=0.0):
@@ -172,12 +179,19 @@ class DistributionField:
         self.grid = grid
         self.nodes = np.ascontiguousarray(np.moveaxis(values[(Ellipsis,) + grid.vindex], -1, 0))
         self.t = t
+        self.box = None
 
     @classmethod
-    def from_nodes(cls, grid: PhaseGrid, nodes, t=0.0):
-        """Field holding `nodes`, shape (K,) + x_shape, as its state (no copy)."""
+    def from_nodes(cls, grid: PhaseGrid, nodes, t=0.0, box=None):
+        """Field holding `nodes`, shape (K,) + x_shape, as its state (no copy),
+        +0.0 outside `box` when that is given.
+
+        A writer that takes `out=f.nodes` writes f's array in place and
+        returns a new field with the box it wrote; the input object keeps
+        its old box, which is then stale, so only the new field is used.
+        """
         f = cls.__new__(cls)
-        f.grid, f.nodes, f.t = grid, nodes, t
+        f.grid, f.nodes, f.t, f.box = grid, nodes, t, box
         return f
 
     def validate(self):
@@ -258,8 +272,8 @@ def occupied_box(nodes):
     reduces a (K, 1, ..., 1) array over the node axis pairwise, where on
     more cells it adds the K rows one by one, as a sweep of the whole grid
     does; arithmetic on a box's strided views costs about twice as much a
-    cell as on whole arrays. A density of f carries this box (density(f).box)
-    without reducing f again; this reduction is for callers that hold none.
+    cell as on whole arrays. density(f) sets f.box to this box without
+    reducing f again; this reduction is for a field whose box is None.
     """
     return _occupied(np.any(nodes, axis=0))
 
@@ -271,43 +285,39 @@ def field_from_compact(grid, compact, t=0.0):
 
 @dataclass
 class SpatialField:
-    """Scalar field on the position grid (density, chemoattractant, derivatives).
-
-    A density (density(f)) also carries `box`, f's occupied box
-    (occupied_box); other fields have box None.
-    """
+    """Scalar field on the position grid (density, chemoattractant, derivatives)."""
 
     grid: PhaseGrid
     values: np.ndarray
-    box: tuple = None
 
 
-def density(f: DistributionField, box=None) -> SpatialField:
+def density(f: DistributionField) -> SpatialField:
     """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node
-    weight w, carrying f's occupied box.
+    weight w, which narrows f.box to f's occupied box.
 
-    `box`, when given, is a box of slices of more than one cell outside which
-    f is +0.0, such as the box that a transport step wrote: the node sum
-    runs on it only, and rho is +0.0 outside it, as w times a sum of +0.0
-    is. On more than one cell NumPy adds the node rows one by one, as on
-    the whole grid, so rho is bit for bit the whole-grid density.
+    The node sum runs on f.box only (the whole grid when it is None), and
+    rho is +0.0 outside it, as w times a sum of +0.0 is. f.box is a box of
+    more than one cell or the whole grid (a transport step's box, or an
+    occupied box), and on more than one cell NumPy adds the node rows one
+    by one, as on the whole grid, so rho is bit for bit the whole-grid
+    density.
 
-    f >= 0, so the node sum is nonzero exactly where some node is: the
-    occupied box is taken from that sum before it is scaled by w, which
-    flushes a sum of subnormals to 0 (occupied_box's rule, on no second
-    reduction of f).
+    f >= 0, so the node sum is nonzero exactly where some node is: f.box
+    becomes the occupied box of that sum, taken before it is scaled by w,
+    which flushes a sum of subnormals to 0 (occupied_box's rule, on no
+    second reduction of f).
     """
     grid = f.grid
     whole = (slice(None),) * grid.dim
-    box = whole if box is None else box
+    box = whole if f.box is None else f.box
     total = f.nodes[(slice(None),) + box].sum(axis=0)
     if box != whole:
         values = np.zeros(grid.x_shape)
         values[box] = total
         total = values
-    occupied = _occupied(total != 0.0)
+    f.box = _occupied(total != 0.0)
     total *= grid.hv ** grid.dim
-    return SpatialField(grid, total, occupied)
+    return SpatialField(grid, total)
 
 
 def field_mass(rho: SpatialField) -> float:

@@ -32,16 +32,16 @@ kernel with no v'-part (constant, hyp2, hyp3 with no v' term) has a loss
 rate that does not depend on v, so it is an x_shape field, and its gain
 needs no velocity sum over B.
 
-Scattering works only on f's occupied box, which f's density carries
-(grid.density), when the positivity guard can be decided without the
-rate. The limiter keeps every shifted value inside its stencil's range,
-so no offset stack exceeds the maximum of its input, and the same
-operations as the components on the inputs' maxima bound sup_x of the
-rate without building any stack (_rate_bound). When dt times that bound
-is below 1, the guard passes, and the components, the rate, the gain and
-the update are formed only on that box, each stack shifting its input on
-the box grown by its reach (interp.stack_on_box); outside it f is +0.0
-and so is the full update.
+Scattering works only on the box that f carries (DistributionField.box),
+when the positivity guard can be decided without the rate, and its result
+carries the same box. The limiter keeps every shifted value inside its
+stencil's range, so no offset stack exceeds the maximum of its input, and
+the same operations as the components on the inputs' maxima bound sup_x
+of the rate without building any stack (_rate_bound). When dt times that
+bound is below 1, the guard passes, and the components, the rate, the
+gain and the update are formed only on that box, each stack shifting its
+input on the box grown by its reach (interp.stack_on_box); outside it f
+is +0.0 and so is the full update.
 Otherwise (a large dt or coefficient, or a NaN field) the update runs on
 the whole grid with the exact guard. loss_rate, kernel_components and
 kernel_mixed_norm always work on the whole grid.
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, density
+from runtumble.grid import DistributionField, PhaseGrid, density, occupied_box
 from runtumble.interp import interp_point, stack_on_box
 from runtumble.norms import spatial_norm
 
@@ -327,21 +327,21 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     never meets; under the guard the update preserves nonnegativity, and
     x-integrated gain equals x-integrated loss by the (v, v') swap
     antisymmetry of the discrete sums.
-    rho, when given, must be density(f) (or density(f, box)), so that it
-    and f's occupied box, which it carries, are not computed again.
+    rho, when given, must be density(f), so that it is not computed again.
     The new state is written to `out` when given, which may be f.nodes,
     else to a new array; nothing is written to `out` before the guard
-    passes, and f is left as it is otherwise.
+    passes, and f is left as it is otherwise. The result is a new field
+    that carries f's box.
 
     When dt times the stack-free bound _rate_bound is below 1, the guard
     passes without the rate, and the components, the rate, the gain and
-    the update are formed only on f's occupied box (rho.box, see
-    grid.density), as views of f and `out`. Where f(x, .) = +0.0 the full
-    update is (1 - dt * rate) * (+0.0) + dt * (+-0.0) = +0.0, so outside
-    the box a new `out` starts as zeros, the state itself is left as it is,
-    and any other `out` is zeroed: the result is bit for bit the full
-    update's wherever f's zeros are +0.0, as in every state the solver
-    makes. Otherwise the update runs on the whole grid and the guard takes
+    the update are formed only on f's box (f.box, else
+    grid.occupied_box(f.nodes) when that is None), as views of f and
+    `out`. Where f(x, .) = +0.0 the full update is (1 - dt * rate) * (+0.0)
+    + dt * (+-0.0) = +0.0, so outside the box a new `out` starts as zeros,
+    the state itself is left as it is, and any other `out` is zeroed: the
+    result is bit for bit the full update's wherever f's zeros are +0.0, as
+    in every state the solver makes. Otherwise the update runs on the whole grid and the guard takes
     the rate's exact maximum.
 
     The rate and the gain are formed in the arrays that building the
@@ -354,9 +354,10 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     w = grid.hv ** grid.dim
     inputs = _inputs(spec, fields)
     rho = density(f) if rho is None else rho
+    carried = occupied_box(fm) if f.box is None else f.box
     whole = (slice(None),) * grid.dim
     bounded = dt * _rate_bound(spec, inputs, grid) < 1.0  # fails on a NaN bound
-    box = rho.box if bounded else whole
+    box = carried if bounded else whole
     A, B, spare = _components(spec, inputs, grid, box)
     nodes_box = (slice(None),) + box
     f_box = fm[nodes_box]
@@ -384,7 +385,7 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     np.multiply(rate, f_box, out=out_box)
     gain *= dt
     out_box += gain
-    return DistributionField.from_nodes(grid, out, t=f.t)
+    return DistributionField.from_nodes(grid, out, t=f.t, box=carried)
 
 
 def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> float:

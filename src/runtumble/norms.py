@@ -2,7 +2,8 @@
 
 Norms carry the grid quadrature weights so the discrete Hoelder and
 interpolation inequalities hold exactly. Infinite exponents are computed
-as exact maxima, never as large-p surrogates.
+as exact maxima, never as large-p surrogates. The inner velocity norms are
+taken only on the box that a field carries (DistributionField.box).
 """
 
 import math
@@ -18,22 +19,22 @@ INTERPOLATION_RTOL = 1e-12  # relative roundoff allowed in interpolation_check
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Exponents of an L^p_x L^q_v norm, optionally with a time exponent r."""
+    """Exponents of an L^p_x L^q_v norm."""
 
     p: float
     q: float
-    r: float = None
 
     def validate(self):
-        for e in (self.p, self.q) + ((self.r,) if self.r is not None else ()):
+        for e in (self.p, self.q):
             if not (e == INF or e >= 1):
                 raise ValueError(f"exponent {e} must be >= 1 or inf")
 
 
 def mixed_norm(f: DistributionField, spec: NormSpec) -> float:
-    """|| ||f(x, .)||_{L^q_v} ||_{L^p_x} with grid quadrature weights."""
+    """|| ||f(x, .)||_{L^q_v} ||_{L^p_x} with grid quadrature weights, on
+    the box that f carries (compact_mixed_norm)."""
     spec.validate()
-    return compact_mixed_norm(f.nodes, f.grid, spec.p, spec.q)
+    return compact_mixed_norm(f.nodes, f.grid, spec.p, spec.q, box=f.box)
 
 
 def spatial_norm(values, grid, p) -> float:
@@ -50,7 +51,7 @@ def compact_mixed_norm(nodes, grid, p, q, box=None) -> float:
     The inner L^q_v norms are taken on a contiguous copy of the occupied
     box only, and put into an x-shaped array of zeros: outside that box
     every inner norm is +0.0 in any case. The box is `box` when given (the
-    box that the state's density carries, grid.density), else
+    box that a field carries, DistributionField.box), else
     grid.occupied_box(nodes).
     The outer L^p_x norm is the full spatial_norm, so its sum adds the same
     array in the same order as a sweep over all positions.

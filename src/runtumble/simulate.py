@@ -17,8 +17,7 @@ import numpy as np
 from runtumble.fields import gradient_from_hat, newtonian_potential, solve_field
 from runtumble.grid import WRAP_TOL, PhaseGrid, density, field_mass, shell_mass
 from runtumble.kernels import KernelSpec, PositivityError, loss_rate, scattering_apply
-from runtumble.transport import (SeparableData, exact_free_solution, transport_box,
-                                 transport_step)
+from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
 
 class GuardAbort(RuntimeError):
@@ -50,10 +49,7 @@ class Simulation:
         self.kernel = kernel
         self.beta = beta
         self.f0_descriptor = f0 if isinstance(f0, SeparableData) else None
-        if isinstance(f0, SeparableData):
-            self.f = exact_free_solution(f0, grid, 0.0)
-        else:
-            self.f = f0
+        self.f = f0 if self.f0_descriptor is None else exact_free_solution(f0, grid, 0.0)
         self.f.validate()
         self.t = 0.0
         self.step_count = 0
@@ -79,26 +75,26 @@ class Simulation:
     def step(self):
         # the first half-step writes a new array, the step's only copy of the
         # state (self.f is left as it is); scattering and the second
-        # half-step update that array in place. f's occupied box comes from
-        # the densities: each half-step shifts the box of the density before
-        # it, and each density sums only the box that its half-step wrote.
-        # Scattering writes +0.0 wherever f(x, .) = 0, so the mid-step box
-        # holds the support that the second half-step reads
+        # half-step update that array in place. The state carries its box:
+        # each half-step shifts the box it is given and hands on the box it
+        # wrote, each density sums that box and narrows it to f's occupied
+        # box, and scattering, which writes +0.0 wherever f(x, .) = 0, hands
+        # on the box it read
         dt = self.grid.spec.dt
         half = dt / 2.0
-        f = transport_step(self.f, half, box=self.rho.box)
-        rho = density(f, box=transport_box(self.grid, self.rho.box, half))
+        f = transport_step(self.f, half)
+        rho = density(f)
         fields = self._solve_fields_for(rho)
         try:
             f = scattering_apply(f, self.kernel, fields, dt, rho=rho, out=f.nodes)
         except PositivityError as exc:
             raise GuardAbort(str(exc), self.t) from exc
-        f = transport_step(f, half, out=f.nodes, box=rho.box)
+        f = transport_step(f, half, out=f.nodes)
         f.t = self.t + dt
         self.f = f
         self.t += dt
         self.step_count += 1
-        self.rho = density(self.f, box=transport_box(self.grid, rho.box, half))
+        self.rho = density(self.f)
         self.fields = fields
         self._check_wrap()
         for mon in self.monitors:

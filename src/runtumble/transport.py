@@ -6,7 +6,8 @@ f0(x - t v, v), which we exploit twice: closed-form initial data are
 sampled exactly at the shifted points, and the per-step update shifts each
 velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
-the dense array.
+the dense array. The step shifts only the box that f carries and hands on
+the box it wrote.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ class SeparableData:
 
     kind "gaussian": g(x) = amplitude * exp(-|x - center|^2 / (2 width^2));
     kind "cube":     g(x) = amplitude * 1{|x - center|_inf <= width}.
+    center is () (the origin) or one coordinate per position axis.
     h(v) is the indicator of V ("uniform") or a radial Gaussian
     exp(-|v|^2 / (2 v_width^2)) restricted to V ("gaussian").
     """
@@ -58,6 +60,8 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
     if f0.kind not in ("gaussian", "cube"):
         raise ValueError(f"descriptor kind {f0.kind!r} is not point-evaluable")
     d, K, nx = grid.dim, grid.n_vnodes, grid.spec.nx
+    if len(f0.center) not in (0, d):
+        raise ValueError(f"center has {len(f0.center)} entries on a {d}-D grid, need 0 or {d}")
     L = grid.spec.box_half_length
     center = f0.center if f0.center else (0.0,) * d
 
@@ -75,14 +79,14 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
     return DistributionField.from_nodes(grid, g, t=float(t))
 
 
-def transport_box(grid, box, dt):
+def _transport_box(grid, box, dt):
     """The box that a transport step by dt writes when f is +0.0 outside
     `box`: `box` grown by the stencil and one step of motion (stack_reach,
     grid.grow_box)."""
     return grow_box(box, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
 
 
-def transport_step(f: DistributionField, dt: float, out=None, box=None) -> DistributionField:
+def transport_step(f: DistributionField, dt: float, out=None) -> DistributionField:
     """Semi-Lagrangian update f_new(x, v) = Interp(f)(x - dt v, v).
 
     Periodic monotonized cubic per velocity node; exact when dt * v lands on
@@ -92,14 +96,17 @@ def transport_step(f: DistributionField, dt: float, out=None, box=None) -> Distr
     the slab mass exactly, keeping total mass conserved to roundoff.
     The new state is written to `out` when given, which may be f.nodes
     (an in-place step), else to a new array; f is left as it is otherwise.
+    The result is a new field in either case: after an in-place step the
+    input object's box is stale, and only the result is used.
 
-    Only f's occupied box is shifted: `box` when given (density(f).box),
-    else grid.occupied_box(f.nodes), grown by transport_box. An all-zero
-    stencil gives +0.0, so outside that box a sweep of the whole array
-    writes +0.0, which is what the box path leaves there: the result is bit
-    for bit the full sweep's wherever f's zeros are +0.0, as in every state
-    the solver makes. When the grown box is the whole grid, the sweep writes
-    every element, so `out` is not zeroed first.
+    Only f's box is shifted: f.box, else grid.occupied_box(f.nodes) when
+    that is None, grown by the reach of the shift (_transport_box), and the
+    result carries the grown box. An all-zero stencil gives +0.0, so
+    outside that box a sweep of the whole array writes +0.0, which is what
+    the box path leaves there: the result is bit for bit the full sweep's
+    wherever f's zeros are +0.0, as in every state the solver makes. When
+    the grown box is the whole grid, the sweep writes every element, so
+    `out` is not zeroed first.
     The slab sums stay over the whole array, so that they add in the full
     sweep's order.
     """
@@ -108,16 +115,16 @@ def transport_step(f: DistributionField, dt: float, out=None, box=None) -> Distr
     grid = f.grid
     spatial = tuple(range(1, grid.dim + 1))
     before = f.nodes.sum(axis=spatial)
-    box = transport_box(grid, occupied_box(f.nodes) if box is None else box, dt)
+    box = _transport_box(grid, occupied_box(f.nodes) if f.box is None else f.box, dt)
     whole = box == (slice(None),) * grid.dim
     if out is None:
         out = np.empty_like(f.nodes) if whole else np.zeros_like(f.nodes)
     elif not whole and not np.may_share_memory(out, f.nodes):
         out.fill(0.0)
-    box = (slice(None),) + box
-    moved = velocity_offset_stack(f.nodes[box], grid.vnodes, dt, grid.dx, out=out[box])
+    region = (slice(None),) + box
+    moved = velocity_offset_stack(f.nodes[region], grid.vnodes, dt, grid.dx, out=out[region])
     np.clip(moved, 0.0, None, out=moved)
     after = out.sum(axis=spatial)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
     moved *= scale.reshape((-1,) + (1,) * grid.dim)  # +0.0 * scale is +0.0 outside the box
-    return DistributionField.from_nodes(grid, out, t=f.t + dt)
+    return DistributionField.from_nodes(grid, out, t=f.t + dt, box=box)

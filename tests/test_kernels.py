@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
 from runtumble.fields import solve_field
 from runtumble.grid import DistributionField, GridSpec, SpatialField, build_grid, density
@@ -159,11 +160,6 @@ def _hyp3_reference(spec, fields, grid):
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
 
-def _same_bits(x, y):
-    return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(np.int64),
-                                                 np.ascontiguousarray(y).view(np.int64))
-
-
 def _hyp3_scene(dim, nx, r_max, seed=0):
     grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=4, r_max=r_max))
     rng = np.random.default_rng(seed)
@@ -183,7 +179,7 @@ def test_hyp3_components_bit_identical_to_term_by_term_formula(dim, nx, r_max):
                                   active=active, saturation=sat)
                 got = kernel_components(spec, fields, grid)
                 ref = _hyp3_reference(spec, fields, grid)
-                assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1]), spec
+                assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1]), spec
 
 
 def _hyp12_reference(spec, fields, grid):
@@ -222,7 +218,7 @@ def test_hyp1_hyp2_components_bit_identical_to_fresh_formula(family, dim, nx):
         spec = KernelSpec(family=family, coefficient=0.7, epsilon=eps, saturation=sat)
         got = kernel_components(spec, fields, grid)
         ref = _hyp12_reference(spec, fields, grid)
-        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1]), spec
+        assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1]), spec
 
 
 def test_hyp3_mirrored_b_is_a_view_of_a(monkeypatch):
@@ -244,7 +240,7 @@ def test_hyp3_mirrored_b_is_a_view_of_a(monkeypatch):
         assert len(calls) == stacks
     grid, fields = _hyp3_scene(2, 8, 1.0)
     A, B = kernel_components(spec, fields, grid)
-    assert _same_bits(B, A[..., grid.vreflect])
+    assert same_bits(B, A[..., grid.vreflect])
     assert np.shares_memory(A, B) and not A.flags.writeable and not B.flags.writeable
 
 
@@ -326,11 +322,11 @@ def test_scattering_bit_identical_to_fresh_temporaries(dim, nx, nv, r_max):
     for spec in _SCATTER_SPECS:
         ref = _scatter_reference(f, spec, fields, 0.02)
         fresh = scattering_apply(f, spec, fields, 0.02)
-        assert _same_bits(fresh.nodes, ref) and fresh.t == f.t, spec
-        assert _same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, nodes)
+        assert same_bits(fresh.nodes, ref) and fresh.t == f.t, spec
+        assert same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, nodes)
         g = DistributionField.from_nodes(grid, nodes.copy(), t=0.25)
         inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), out=g.nodes)
-        assert inplace.nodes is g.nodes and _same_bits(g.nodes, ref), spec
+        assert inplace.nodes is g.nodes and same_bits(g.nodes, ref), spec
 
 
 def test_scattering_guard_runs_before_any_write():
@@ -340,7 +336,7 @@ def test_scattering_guard_runs_before_any_write():
         spec = KernelSpec(family=family, coefficient=1e4)
         with pytest.raises(ValueError, match="positivity"):
             scattering_apply(f, spec, fields, 0.02, out=f.nodes)
-        assert _same_bits(f.nodes, before)
+        assert same_bits(f.nodes, before)
 
 
 def test_nan_rate_fails_the_positivity_guard():
@@ -352,7 +348,7 @@ def test_nan_rate_fails_the_positivity_guard():
     before = f.nodes.copy()
     with pytest.raises(PositivityError):
         scattering_apply(f, KernelSpec(family="hyp2", coefficient=0.1), bad, 0.02, out=f.nodes)
-    assert _same_bits(f.nodes, before)
+    assert same_bits(f.nodes, before)
 
 
 def test_loss_rate_of_kernels_without_a_v_prime_part():
@@ -382,7 +378,7 @@ def test_loss_rate_is_node_first_and_read_only(family, active):
     A, B = (np.moveaxis(c, -1, 0) for c in kernel_components(spec, fields, grid))
     expect = grid.velocity_measure * B + grid.hv ** grid.dim * A.sum(axis=0)
     assert rate.shape == (grid.n_vnodes,) + grid.x_shape and not rate.flags.writeable
-    assert _same_bits(rate, expect)
+    assert same_bits(rate, expect)
 
 
 def _view_kernel_mixed_norm(spec, fields, grid, p1, p2, p3):
@@ -417,7 +413,7 @@ def test_kernel_mixed_norm_bit_identical_to_view_formula(family, saturation):
                        (np.inf, np.inf, np.inf)):
         got = kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
         expect = _view_kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
-        assert _same_bits(np.float64(got), np.float64(expect)), (p1, p2, p3)
+        assert same_bits(got, expect), (p1, p2, p3)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +482,13 @@ def test_scattering_box_path_bit_identical_to_full_path(monkeypatch, dim, nx, r_
             expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
             on_box.clear()
             fresh = scattering_apply(f, spec, fields, 0.02)
-            assert on_box == [True] and _same_bits(fresh.nodes, expect), spec
-            assert fresh.t == f.t and _same_bits(f.nodes, before)
+            assert on_box == [True] and same_bits(fresh.nodes, expect), spec
+            assert fresh.t == f.t and same_bits(f.nodes, before)
             g = DistributionField.from_nodes(grid, nodes.copy(), t=f.t)
             inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), out=g.nodes)
-            assert inplace.nodes is g.nodes and _same_bits(g.nodes, expect), spec
+            assert inplace.nodes is g.nodes and same_bits(g.nodes, expect), spec
             garbage = np.full_like(nodes, np.nan)
-            assert _same_bits(scattering_apply(f, spec, fields, 0.02, out=garbage).nodes, expect)
+            assert same_bits(scattering_apply(f, spec, fields, 0.02, out=garbage).nodes, expect)
 
 
 def test_scattering_on_a_whole_grid_or_one_cell_box_takes_the_full_path(monkeypatch):
@@ -516,7 +512,7 @@ def test_scattering_on_a_whole_grid_or_one_cell_box_takes_the_full_path(monkeypa
             spec = KernelSpec(family=family, coefficient=0.4, epsilon=1.3)
             expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
             on_box.clear()
-            assert _same_bits(scattering_apply(f, spec, fields, 0.02).nodes, expect), cells
+            assert same_bits(scattering_apply(f, spec, fields, 0.02).nodes, expect), cells
             assert on_box == [box_path]
 
 
@@ -533,7 +529,7 @@ def test_scattering_on_a_box_over_a_quarter_of_the_grid_takes_the_full_path(monk
         f = DistributionField.from_nodes(grid, nodes)
         expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
         on_box.clear()
-        assert _same_bits(scattering_apply(f, spec, fields, 0.02).nodes, expect)
+        assert same_bits(scattering_apply(f, spec, fields, 0.02).nodes, expect)
         assert on_box == [box_path]
 
 
@@ -562,7 +558,7 @@ def test_scattering_bound_fails_but_exact_guard_passes(monkeypatch):
     expect = _full_path(monkeypatch, f, spec, fields, dt).nodes
     on_box = _box_spy(monkeypatch)
     got = scattering_apply(f, spec, fields, dt)
-    assert on_box == [False] and _same_bits(got.nodes, expect)
+    assert on_box == [False] and same_bits(got.nodes, expect)
     assert got.nodes.min() >= 0.0
 
 
@@ -580,7 +576,7 @@ def test_scattering_exact_guard_message_unchanged(monkeypatch):
         with pytest.raises(PositivityError) as exc:
             scattering_apply(f, spec, fields, dt, out=f.nodes)
         assert str(exc.value) == message
-        assert _same_bits(f.nodes, before)
+        assert same_bits(f.nodes, before)
 
 
 def test_nan_field_fails_the_guard_on_a_compact_state(monkeypatch):
@@ -598,4 +594,4 @@ def test_nan_field_fails_the_guard_on_a_compact_state(monkeypatch):
             with pytest.raises(PositivityError):
                 scattering_apply(f, KernelSpec(family=family, coefficient=0.1), bad, 0.02,
                                  out=f.nodes)
-            assert on_box == [False] and _same_bits(f.nodes, before)
+            assert on_box == [False] and same_bits(f.nodes, before)

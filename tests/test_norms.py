@@ -25,7 +25,7 @@ def separable_field(grid, gx, hv):
 
 def test_norm_spec_validation():
     NormSpec(p=2, q=1).validate()
-    NormSpec(p=INF, q=INF, r=3).validate()
+    NormSpec(p=INF, q=INF).validate()
     with pytest.raises(ValueError):
         NormSpec(p=0.5, q=1).validate()
 

@@ -137,13 +137,18 @@ def test_finished_run_is_freed_without_the_cycle_collector(monitor):
 
 
 def _reference_step(sim):
-    """One step of fresh arrays, composed of public calls, frozen as a reference."""
+    """One step of fresh arrays, composed of public calls, frozen as a
+    reference. Each call gets a field with no box, so it finds its own."""
     dt = sim.grid.spec.dt
-    f = transport_step(sim.f, dt / 2.0)
-    rho = density(f)
+
+    def bare(f):
+        return DistributionField.from_nodes(sim.grid, f.nodes, f.t)
+
+    f = transport_step(bare(sim.f), dt / 2.0)
+    rho = density(bare(f))
     fields = sim._solve_fields_for(rho)
-    f = scattering_apply(f, sim.kernel, fields, dt, rho=rho)
-    return transport_step(f, dt / 2.0)
+    f = scattering_apply(bare(f), sim.kernel, fields, dt, rho=rho)
+    return transport_step(bare(f), dt / 2.0)
 
 
 _STEP_KERNELS = [
@@ -204,9 +209,9 @@ def test_step_allocates_few_state_sizes(family, dim, beta, bound):
 @pytest.mark.parametrize("family, dim, beta", [("hyp2", 2, 1), ("hyp3", 3, 1), ("hyp1", 3, 0)])
 def test_carried_box_is_the_occupied_box(family, dim, beta):
     # on the preset lattices, with the preset's monitor attached, the box
-    # that the step carries in its density is f's occupied box after every
-    # step, through the step at which it becomes the whole grid, and the
-    # step keeps the bits of the step of fresh arrays
+    # that the state carries is f's occupied box after every step, through
+    # the step at which it becomes the whole grid, and the step keeps the
+    # bits of the step of fresh arrays
     if dim == 2:
         spec = GridSpec(dim=2, box_half_length=16.0, nx=64, nv=16, dt=0.02)
         monitor = GronwallMonitor(p=1.5)
@@ -218,14 +223,14 @@ def test_carried_box_is_the_occupied_box(family, dim, beta):
                      KernelSpec(family=family, coefficient=0.3), beta=beta)
     sim.attach(monitor)
     whole = (slice(None),) * dim
-    assert sim.rho.box == occupied_box(sim.f.nodes) != whole
+    assert sim.f.box == occupied_box(sim.f.nodes) != whole
     filled = 0
     while filled < 2:
         ref = _reference_step(sim)
         sim.step()
         assert np.array_equal(sim.f.nodes.view(np.int64), ref.nodes.view(np.int64))
-        assert sim.rho.box == occupied_box(sim.f.nodes)
-        filled += sim.rho.box == whole
+        assert sim.f.box == occupied_box(sim.f.nodes)
+        filled += sim.f.box == whole
     assert sim.step_count > 3
 
 
@@ -245,7 +250,7 @@ def test_step_takes_the_box_from_the_unscaled_node_sum():
     for _ in range(2):
         lone = np.any(sim.f.nodes, axis=0) & (sim.rho.values == 0.0)
         assert lone.sum() == 8
-        assert sim.rho.box == occupied_box(sim.f.nodes) != support_box(sim.rho.values != 0.0)
+        assert sim.f.box == occupied_box(sim.f.nodes) != support_box(sim.rho.values != 0.0)
         ref = _reference_step(sim)
         sim.step()
         assert np.array_equal(sim.f.nodes.view(np.int64), ref.nodes.view(np.int64))

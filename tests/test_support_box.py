@@ -1,29 +1,36 @@
-"""The occupied-box paths against frozen copies of the full-array formulas.
+"""The box paths against frozen copies of the full-array formulas.
 
-transport_step and compact_mixed_norm work only on f's occupied box
-(grid.occupied_box); these tests compare them bit for bit (int64 views)
-with the sweeps over the whole array that they replace, and check the box
-arithmetic (grid.grow_box, interp.stack_on_box) that they build on.
+transport_step, density, scattering_apply and the mixed norms work only on
+the box that f carries (DistributionField.box), or on f's occupied box
+(grid.occupied_box) when f carries none; these tests compare them bit for
+bit (int64 views) with the sweeps over the whole array that they replace,
+check that every writer's result is +0.0 outside the box it carries, and
+check the box arithmetic (grid.grow_box, interp.stack_on_box) that they
+build on.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
+from runtumble.fields import solve_field
 from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, density,
                             field_mass, grow_box, occupied_box, support_box)
 from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
-from runtumble.norms import compact_mixed_norm, spatial_norm
+from runtumble.kernels import KernelSpec, scattering_apply
+from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import transport_step
 
 INF = math.inf
 SUBNORMAL = 5e-324  # the smallest positive double: hv^d times it underflows to 0
-
-
-def _same_bits(x, y):
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+NORM_PAIRS = ((1, 1), (1.5, 1), (2, 1.5), (9 / 5, 9 / 7), (INF, 1), (3, INF), (INF, INF))
+# a kernel with a v'-part and one without; at SCATTER_DT both clear the
+# stack-free positivity bound on every _states case, so scattering runs on f's box
+SCATTER_KERNELS = (KernelSpec(family="hyp3", coefficient=0.5),
+                   KernelSpec(family="hyp2", coefficient=0.5))
+SCATTER_DT = 0.02
 
 
 def _full_transport(nodes, grid, dt):
@@ -117,21 +124,20 @@ def test_transport_box_path_bit_identical_to_full_sweep(dim):
     for name, nodes in _states(grid).items():
         expect = _full_transport(nodes, grid, dt)
         f = DistributionField.from_nodes(grid, nodes.copy())
-        assert _same_bits(transport_step(f, dt).nodes, expect), name
-        assert _same_bits(f.nodes, nodes), name
+        assert same_bits(transport_step(f, dt).nodes, expect), name
+        assert same_bits(f.nodes, nodes), name
         garbage = np.full_like(nodes, np.nan)
-        assert _same_bits(transport_step(f, dt, out=garbage).nodes, expect), name
-        assert _same_bits(transport_step(f, dt, out=f.nodes).nodes, expect), name
+        assert same_bits(transport_step(f, dt, out=garbage).nodes, expect), name
+        assert same_bits(transport_step(f, dt, out=f.nodes).nodes, expect), name
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mixed_norm_box_path_bit_identical_to_full_sweep(dim):
     grid = _grid(dim)
-    pairs = ((1, 1), (1.5, 1), (2, 1.5), (9 / 5, 9 / 7), (INF, 1), (3, INF), (INF, INF))
     for name, nodes in _states(grid).items():
-        for p, q in pairs:
+        for p, q in NORM_PAIRS:
             got = compact_mixed_norm(nodes, grid, p, q)
-            assert _same_bits(got, _full_mixed_norm(nodes, grid, p, q)), (name, p, q)
+            assert same_bits(got, _full_mixed_norm(nodes, grid, p, q)), (name, p, q)
 
 
 def test_box_comes_from_f_not_from_its_density():
@@ -152,7 +158,7 @@ def test_box_comes_from_f_not_from_its_density():
     outside[rho_box] = False
     assert np.any(expect[outside] == SUBNORMAL)
     f = DistributionField.from_nodes(grid, nodes)
-    assert _same_bits(transport_step(f, dt).nodes, expect)
+    assert same_bits(transport_step(f, dt).nodes, expect)
 
 
 def _random_masks(rng):
@@ -193,11 +199,11 @@ def test_stack_on_box_is_the_whole_stack_on_the_box():
         for factor in (0.7, -1.3, 2.0):
             full = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
             whole = stack_on_box(values, grid.vnodes, factor, grid.dx, (slice(None),) * dim)
-            assert _same_bits(whole, full) and whole.base is None
+            assert same_bits(whole, full) and whole.base is None
             for box in (tuple(slice(nx // 2 - 2, nx // 2 + 1) for _ in range(dim)),
                         (slice(0, 3),) + (slice(5, 9),) * (dim - 1)):
                 got = stack_on_box(values, grid.vnodes, factor, grid.dx, box)
-                assert _same_bits(got, full[(slice(None),) + box]), (dim, factor, box)
+                assert same_bits(got, full[(slice(None),) + box]), (dim, factor, box)
 
 
 def test_occupied_box_rule():
@@ -219,17 +225,89 @@ def test_occupied_box_rule():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_density_carries_the_occupied_box(dim):
-    # density(f) carries occupied_box(f.nodes), summed on the whole grid or
-    # only on a box outside which f is zero, with the whole-grid bits
+    # density(f) narrows f.box to occupied_box(f.nodes), summed on the whole
+    # grid (no box) or only on a box outside which f is zero, with the
+    # whole-grid bits
     grid = _grid(dim)
     for name, nodes in _states(grid).items():
         f = DistributionField.from_nodes(grid, nodes)
         rho = density(f)
-        assert rho.box == occupied_box(nodes), name
-        assert _same_bits(rho.values, grid.hv ** dim * nodes.sum(axis=0)), name
+        assert f.box == occupied_box(nodes), name
+        assert same_bits(rho.values, grid.hv ** dim * nodes.sum(axis=0)), name
         for margin in (0, 1, 3):
             part = grow_box(support_box(np.any(nodes, axis=0)), margin, grid.x_shape)
             if part == (slice(None),) * dim or nodes[0][part].size < 2:
                 continue
-            on_part = density(f, box=part)
-            assert on_part.box == rho.box and _same_bits(on_part.values, rho.values), name
+            on_part = DistributionField.from_nodes(grid, nodes, box=part)
+            assert same_bits(density(on_part).values, rho.values), name
+            assert on_part.box == f.box, name
+
+
+def _scatter_fields(grid, nodes):
+    """density(f) and the beta = 1 fields that both SCATTER_KERNELS read."""
+    rho = density(DistributionField.from_nodes(grid, nodes))
+    return rho, solve_field(rho, beta=1, want=("S", "grad", "hess"))
+
+
+def _zero_outside_box(f):
+    """True when f's nodes are +0.0 outside the box that f carries."""
+    outside = np.ones(f.grid.x_shape, dtype=bool)
+    outside[f.box] = False
+    rest = f.nodes[:, outside]
+    return same_bits(rest, np.zeros_like(rest))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_writers_carry_a_box_outside_which_f_is_zero(dim):
+    # transport_step (into a new array, a caller's array, or in place) and
+    # scattering_apply (new array or in place) return fields that are +0.0
+    # outside the box they carry, and density narrows that box to f's
+    # occupied box
+    grid = _grid(dim)
+    dt = grid.spec.dt
+    for name, nodes in _states(grid).items():
+        f = DistributionField.from_nodes(grid, nodes)
+        in_place = DistributionField.from_nodes(grid, nodes.copy())
+        results = [transport_step(f, dt),
+                   transport_step(f, dt, out=np.full_like(nodes, np.nan)),
+                   transport_step(in_place, dt, out=in_place.nodes)]
+        rho, fields = _scatter_fields(grid, nodes)
+        for spec in SCATTER_KERNELS:
+            in_place = DistributionField.from_nodes(grid, nodes.copy())
+            results += [scattering_apply(f, spec, fields, SCATTER_DT, rho=rho),
+                        scattering_apply(in_place, spec, fields, SCATTER_DT, rho=rho,
+                                         out=in_place.nodes)]
+        for i, g in enumerate(results):
+            assert g.box is not None and _zero_outside_box(g), (name, i)
+            density(g)
+            assert g.box == occupied_box(g.nodes), (name, i)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_field_with_no_box_gives_the_bits_of_one_with_a_known_box(dim):
+    # a known box, f's occupied box or a wider one, gives the bits that a
+    # field with box None gives, where each call finds f's occupied box
+    grid = _grid(dim)
+    dt = grid.spec.dt
+    for name, nodes in _states(grid).items():
+        occupied = occupied_box(nodes)
+        rho, fields = _scatter_fields(grid, nodes)
+        for box in (occupied, grow_box(occupied, 2, grid.x_shape)):
+            def bare():
+                return DistributionField.from_nodes(grid, nodes)
+
+            def known():
+                return DistributionField.from_nodes(grid, nodes, box=box)
+
+            assert same_bits(transport_step(bare(), dt).nodes,
+                             transport_step(known(), dt).nodes), (name, box)
+            f, g = bare(), known()
+            assert same_bits(density(f).values, density(g).values), (name, box)
+            assert f.box == g.box == occupied, (name, box)
+            for spec in SCATTER_KERNELS:
+                assert same_bits(scattering_apply(bare(), spec, fields, SCATTER_DT, rho=rho).nodes,
+                                 scattering_apply(known(), spec, fields, SCATTER_DT,
+                                                  rho=rho).nodes), (name, box, spec.family)
+            for p, q in NORM_PAIRS:
+                spec = NormSpec(p=p, q=q)
+                assert same_bits(mixed_norm(bare(), spec), mixed_norm(known(), spec)), (name, p, q)

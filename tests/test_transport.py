@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import same_bits
 
 from runtumble import interp
 from runtumble.grid import DistributionField, GridSpec, build_grid, total_mass
@@ -66,10 +67,6 @@ def _reference_axis_shift(a, disp, dx, axis=0, limit=True):
     return out
 
 
-def _same_bits(x, y):
-    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
-
-
 def _shift_inputs():
     rng = np.random.default_rng(4)
     shapes = [(37,), (24, 19), (9, 10, 11), (5, 12, 12), (3, 8, 8, 8),
@@ -94,25 +91,25 @@ def test_axis_shift_bit_identical_to_unblocked_formula(limit):
                 disp = cells * dx
                 ref = _reference_axis_shift(a, disp, dx, axis=axis, limit=limit)
                 before = a.copy()
-                assert _same_bits(axis_shift(a, disp, dx, axis=axis, limit=limit), ref)
+                assert same_bits(axis_shift(a, disp, dx, axis=axis, limit=limit), ref)
                 o = np.empty_like(ref)
                 assert axis_shift(a, disp, dx, axis=axis, limit=limit, out=o) is o
-                assert _same_bits(o, ref)
-                assert _same_bits(a, before)
+                assert same_bits(o, ref)
+                assert same_bits(a, before)
                 # out is the input: each block is gathered before it is written
                 aliased = a.copy()
                 assert axis_shift(aliased, disp, dx, axis=axis, limit=limit,
                                   out=aliased) is aliased
-                assert _same_bits(aliased, ref)
+                assert same_bits(aliased, ref)
                 # out is another view of the input's memory
                 aliased = a.copy()
                 view = aliased[...]
                 assert axis_shift(view, disp, dx, axis=axis, limit=limit, out=aliased) is aliased
-                assert _same_bits(aliased, ref)
+                assert same_bits(aliased, ref)
                 # a strided out that does not share memory with the input
                 o = np.empty(ref.shape[::-1]).T
                 assert axis_shift(a, disp, dx, axis=axis, limit=limit, out=o) is o
-                assert _same_bits(o, ref)
+                assert same_bits(o, ref)
 
 
 def _row_inputs():
@@ -144,18 +141,18 @@ def test_axis_shift_per_row_matches_row_by_row_formula(limit):
                                 for i, j in enumerate(src)])
                 before = a.copy()
                 got = axis_shift(a, disp, dx, axis=axis, limit=limit, rows=rows)
-                assert _same_bits(got, ref)
-                assert _same_bits(a, before)
+                assert same_bits(got, ref)
+                assert same_bits(a, before)
                 o = np.empty(ref.shape[::-1]).T  # strided, not sharing memory with a
                 assert axis_shift(a, disp, dx, axis=axis, limit=limit, rows=rows, out=o) is o
-                assert _same_bits(o, ref)
+                assert same_bits(o, ref)
             # the identity map in place
             disp = dx * np.resize(cells, R)
             ref = axis_shift(a, disp, dx, axis=axis, limit=limit)
             aliased = a.copy()
             assert axis_shift(aliased, disp, dx, axis=axis, limit=limit, rows=np.arange(R),
                               out=aliased) is aliased
-            assert _same_bits(aliased, ref)
+            assert same_bits(aliased, ref)
     with pytest.raises(ValueError):
         axis_shift(a, np.zeros(len(a)), dx, axis=0)
     with pytest.raises(ValueError):
@@ -185,19 +182,19 @@ def test_cached_shift_plans_give_the_cold_bits():
                 disp = dx * np.resize(cells, R if rows is None else len(rows))
                 cold = _cold(axis_shift, a, disp, dx, axis=axis, rows=rows)
                 hits = interp._row_plan.cache_info().hits
-                assert _same_bits(axis_shift(a, disp, dx, axis=axis, rows=rows), cold)
+                assert same_bits(axis_shift(a, disp, dx, axis=axis, rows=rows), cold)
                 assert interp._row_plan.cache_info().hits > hits
             disp = dx * np.resize(cells, R)
             cold = a.copy()
             _cold(axis_shift, cold, disp, dx, axis=axis, rows=np.arange(R), out=cold)
             warm = a.copy()
             axis_shift(warm, disp, dx, axis=axis, rows=np.arange(R), out=warm)
-            assert _same_bits(warm, cold)
+            assert same_bits(warm, cold)
             for c in (0.3, -3.45, 2.0):
                 cold = _cold(axis_shift, a[0], c * dx, dx, axis=axis - 1)
-                assert _same_bits(axis_shift(a[0], c * dx, dx, axis=axis - 1), cold)
+                assert same_bits(axis_shift(a[0], c * dx, dx, axis=axis - 1), cold)
                 warm = a[0].copy()
-                assert _same_bits(axis_shift(warm, c * dx, dx, axis=axis - 1, out=warm), cold)
+                assert same_bits(axis_shift(warm, c * dx, dx, axis=axis - 1, out=warm), cold)
 
 
 @pytest.mark.parametrize("dim, L, nx, nv", [(2, 16.0, 64, 16), (3, 12.0, 8, 4)])
@@ -211,12 +208,12 @@ def test_cached_stack_plans_give_the_cold_bits(dim, L, nx, nv):
             cold = _cold(velocity_offset_stack, values, grid.vnodes, factor, grid.dx)
             hits = interp._stack_plan.cache_info().hits
             warm = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
-            assert _same_bits(warm, cold) and interp._stack_plan.cache_info().hits > hits
+            assert same_bits(warm, cold) and interp._stack_plan.cache_info().hits > hits
         cold = nodes.copy()
         _cold(velocity_offset_stack, cold, grid.vnodes, factor, grid.dx, out=cold)
         warm = nodes.copy()
         velocity_offset_stack(warm, grid.vnodes, factor, grid.dx, out=warm)
-        assert _same_bits(warm, cold)
+        assert same_bits(warm, cold)
 
 
 def test_shift_plan_tables_stay_within_their_bound():
@@ -288,7 +285,7 @@ def test_velocity_offset_stack_on_preset_lattices(dim, L, nx, nv):
             out = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
             for j in range(grid.n_vnodes):
                 row = values if values.ndim == dim else values[j]
-                assert _same_bits(out[j], shift_spatial(row, factor * grid.vnodes[j], grid.dx))
+                assert same_bits(out[j], shift_spatial(row, factor * grid.vnodes[j], grid.dx))
 
 
 @pytest.mark.parametrize("dim, nx", [(1, 32), (2, 16), (3, 8)])
@@ -328,6 +325,18 @@ def test_interp_point_exact_at_nodes_and_smooth_accuracy():
 # ---------------------------------------------------------------------------
 # free transport
 # ---------------------------------------------------------------------------
+
+def test_exact_free_solution_needs_no_center_or_one_entry_per_axis():
+    # () is the origin, as the zero tuple of grid.dim entries is; a center
+    # with fewer or more entries than grid.dim is rejected before sampling
+    grid = make_grid(dim=3, nx=8, nv=4)
+    origin = exact_free_solution(SeparableData(kind="cube"), grid, 0.5)
+    zeros = exact_free_solution(SeparableData(kind="cube", center=(0.0,) * 3), grid, 0.5)
+    assert same_bits(origin.nodes, zeros.nodes)
+    for center in ((1.0,), (1.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="center has"):
+            exact_free_solution(SeparableData(kind="cube", center=center), grid, 0.5)
+
 
 def test_exact_free_solution_matches_direct_sampling():
     grid = make_grid(dim=2, nx=16, nv=4)
@@ -406,16 +415,16 @@ def test_velocity_offset_stack_and_transport_step_write_into_out():
             assert velocity_offset_stack(nodes, grid.vnodes, factor, grid.dx, out=out) is out
             inplace = nodes.copy()
             velocity_offset_stack(inplace, grid.vnodes, factor, grid.dx, out=inplace)
-            assert _same_bits(out, fresh) and _same_bits(inplace, fresh)
+            assert same_bits(out, fresh) and same_bits(inplace, fresh)
 
         f = DistributionField.from_nodes(grid, nodes, t=0.5)
         before = nodes.copy()
         fresh = transport_step(f, grid.spec.dt)
-        assert _same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, f.nodes)
+        assert same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, f.nodes)
         g = DistributionField.from_nodes(grid, nodes.copy(), t=0.5)
         stepped = transport_step(g, grid.spec.dt, out=g.nodes)
         assert stepped.nodes is g.nodes and stepped.t == fresh.t
-        assert _same_bits(stepped.nodes, fresh.nodes)
+        assert same_bits(stepped.nodes, fresh.nodes)
     with pytest.raises(ValueError, match="node-first"):
         velocity_offset_stack(rng.random(grid.x_shape), grid.vnodes, 0.1, grid.dx,
                               out=np.empty((grid.n_vnodes,) + grid.x_shape))
