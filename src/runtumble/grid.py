@@ -293,7 +293,7 @@ class SpatialField:
 
 def density(f: DistributionField) -> SpatialField:
     """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node
-    weight w, which narrows f.box to f's occupied box.
+    weight w. It mutates its argument: f.box is set to f's occupied box.
 
     The node sum runs on f.box only (the whole grid when it is None), and
     rho is +0.0 outside it, as w times a sum of +0.0 is. f.box is a box of
@@ -334,10 +334,11 @@ def shell_mass(rho: SpatialField) -> float:
 
 
 def total_mass(f: DistributionField) -> float:
-    """M = sum_ij wx_i w_j f(x_i, v_j)."""
+    """M = sum_ij wx_i w_j f(x_i, v_j). Sets f.box, as density does."""
     return field_mass(density(f))
 
 
 def boundary_shell_mass(f: DistributionField) -> float:
-    """Mass carried by the outermost WRAP_WIDTH position cells (wrap-detection monitor)."""
+    """Mass carried by the outermost WRAP_WIDTH position cells (wrap-detection
+    monitor). Sets f.box, as density does."""
     return shell_mass(density(f))

@@ -11,6 +11,13 @@ import numpy as np
 VERDICTS = []
 
 
+def pytest_terminal_summary(terminalreporter):
+    if VERDICTS:
+        terminalreporter.section("acceptance criteria")
+        for line in VERDICTS:
+            terminalreporter.write_line(line)
+
+
 def same_bits(x, y):
     """True when x and y have one shape and the same float64 bits (int64
     views), so that +0.0 and -0.0 differ. Scalars and arrays of any layout

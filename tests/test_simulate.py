@@ -5,9 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
+import runtumble.simulate
 from runtumble.estimator import BootstrapMonitor, GronwallMonitor, TermTracker
-from runtumble.grid import (DistributionField, GridSpec, build_grid, density, occupied_box,
-                            support_box, total_mass)
+from runtumble.grid import (DistributionField, GridSpec, build_grid, density, grow_box,
+                            occupied_box, support_box, total_mass)
+from runtumble.interp import stack_reach
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.simulate import GuardAbort, Simulation
 from runtumble.transport import SeparableData, transport_step
@@ -206,12 +208,50 @@ def test_step_allocates_few_state_sizes(family, dim, beta, bound):
     assert peak <= bound * sim.f.nodes.nbytes
 
 
+def _check_step_boxes(monkeypatch):
+    """Wrap the writers that Simulation.step calls so that each call checks
+    the box its field carries: a transport result carries its input's box
+    (or occupied box) grown by the reach of the shift, a scattering result
+    its input's box, density narrows f.box to f's occupied box, and f is
+    +0.0 outside the box after every call."""
+    def zero_outside(f):
+        inside = np.zeros(f.grid.x_shape, dtype=bool)
+        inside[f.box] = True
+        rest = f.nodes[:, ~inside]
+        return np.array_equal(rest.view(np.int64), np.zeros_like(rest).view(np.int64))
+
+    def transport(f, dt, out=None):
+        grid = f.grid
+        box = occupied_box(f.nodes) if f.box is None else f.box
+        g = transport_step(f, dt, out=out)
+        assert g.box == grow_box(box, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
+        assert zero_outside(g)
+        return g
+
+    def scatter(f, *args, **kwargs):
+        box = f.box
+        g = scattering_apply(f, *args, **kwargs)
+        assert g.box == box and zero_outside(g)
+        return g
+
+    def narrow(f):
+        rho = density(f)
+        assert f.box == occupied_box(f.nodes) and zero_outside(f)
+        return rho
+
+    monkeypatch.setattr(runtumble.simulate, "transport_step", transport)
+    monkeypatch.setattr(runtumble.simulate, "scattering_apply", scatter)
+    monkeypatch.setattr(runtumble.simulate, "density", narrow)
+
+
 @pytest.mark.parametrize("family, dim, beta", [("hyp2", 2, 1), ("hyp3", 3, 1), ("hyp1", 3, 0)])
-def test_carried_box_is_the_occupied_box(family, dim, beta):
+def test_carried_box_is_the_occupied_box(family, dim, beta, monkeypatch):
     # on the preset lattices, with the preset's monitor attached, the box
     # that the state carries is f's occupied box after every step, through
     # the step at which it becomes the whole grid, and the step keeps the
-    # bits of the step of fresh arrays
+    # bits of the step of fresh arrays. Within each step, every writer's
+    # result carries the box it should (_check_step_boxes)
+    _check_step_boxes(monkeypatch)
     if dim == 2:
         spec = GridSpec(dim=2, box_half_length=16.0, nx=64, nv=16, dt=0.02)
         monitor = GronwallMonitor(p=1.5)

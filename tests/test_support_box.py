@@ -261,11 +261,15 @@ def _zero_outside_box(f):
 def test_writers_carry_a_box_outside_which_f_is_zero(dim):
     # transport_step (into a new array, a caller's array, or in place) and
     # scattering_apply (new array or in place) return fields that are +0.0
-    # outside the box they carry, and density narrows that box to f's
-    # occupied box
+    # outside the box they carry: f's occupied box grown by the reach of
+    # the shift, or f's occupied box itself. density narrows that box to
+    # the result's occupied box
     grid = _grid(dim)
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
+        occupied = occupied_box(nodes)
+        boxes = [grow_box(occupied, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)] * 3
+        boxes += [occupied] * (2 * len(SCATTER_KERNELS))
         f = DistributionField.from_nodes(grid, nodes)
         in_place = DistributionField.from_nodes(grid, nodes.copy())
         results = [transport_step(f, dt),
@@ -277,8 +281,8 @@ def test_writers_carry_a_box_outside_which_f_is_zero(dim):
             results += [scattering_apply(f, spec, fields, SCATTER_DT, rho=rho),
                         scattering_apply(in_place, spec, fields, SCATTER_DT, rho=rho,
                                          out=in_place.nodes)]
-        for i, g in enumerate(results):
-            assert g.box is not None and _zero_outside_box(g), (name, i)
+        for i, (g, box) in enumerate(zip(results, boxes)):
+            assert g.box == box and _zero_outside_box(g), (name, i)
             density(g)
             assert g.box == occupied_box(g.nodes), (name, i)
 
