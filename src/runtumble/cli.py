@@ -42,46 +42,31 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "dimension": int,
-    "box_half_length": float,
-    "nx": int,
-    "nv": int,
-    "velocity_shape": str,
-    "r_min": float,
-    "r_max": float,
-    "dt": float,
-    "t_end": float,
-    "beta": int,
-    "kernel_family": str,
-    "kernel_C": float,
-    "memory_epsilon": float,
-    "kernel_signs": str,
-    "init_kind": str,
-    "init_amplitude": float,
-    "init_width": float,
-    "norms": str,
-    "monitors": str,
-    "snapshot_every": int,
-    "output_dir": str,
-}
+_REQUIRED = None  # the default of a key that every config must set
 
-_DEFAULTS = {
-    "velocity_shape": "ball",
-    "r_min": 0.0,
-    "r_max": 1.0,
-    "beta": 1,
-    "kernel_family": "constant",
-    "kernel_C": 1.0,
-    "memory_epsilon": 1.0,
-    "kernel_signs": "+,-,+,-",
-    "init_kind": "gaussian",
-    "init_amplitude": 1.0,
-    "init_width": 1.0,
-    "norms": "",
-    "monitors": "",
-    "snapshot_every": 0,
-    "output_dir": ".",
+# key: (type, default or _REQUIRED)
+_CONFIG = {
+    "dimension": (int, _REQUIRED),
+    "box_half_length": (float, _REQUIRED),
+    "nx": (int, _REQUIRED),
+    "nv": (int, _REQUIRED),
+    "velocity_shape": (str, "ball"),
+    "r_min": (float, 0.0),
+    "r_max": (float, 1.0),
+    "dt": (float, _REQUIRED),
+    "t_end": (float, _REQUIRED),
+    "beta": (int, 1),
+    "kernel_family": (str, "constant"),
+    "kernel_C": (float, 1.0),
+    "memory_epsilon": (float, 1.0),
+    "kernel_signs": (str, "+,-,+,-"),
+    "init_kind": (str, "gaussian"),
+    "init_amplitude": (float, 1.0),
+    "init_width": (float, 1.0),
+    "norms": (str, ""),
+    "monitors": (str, ""),
+    "snapshot_every": (int, 0),
+    "output_dir": (str, "."),
 }
 
 _MONITORS = {
@@ -117,20 +102,20 @@ def parse_config(path):
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _CONFIG:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        kind = _CONFIG[key][0]
         try:
-            raw[key] = _SCHEMA[key](value)
+            raw[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        if _SCHEMA[key] is float and not math.isfinite(raw[key]):
+        if kind is float and not math.isfinite(raw[key]):
             raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
-    for key in ("dimension", "box_half_length", "nx", "nv", "dt", "t_end"):
-        if key not in cfg:
+    cfg = {key: raw.get(key, default) for key, (_, default) in _CONFIG.items()}
+    for key, value in cfg.items():
+        if value is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
     for key in ("init_width", "t_end"):
         if not cfg[key] > 0:
@@ -150,7 +135,7 @@ def parse_norm_list(text):
         ptok, qtok = parts[0].strip(), parts[1].strip()
         p, q = parse_exponent(ptok), parse_exponent(qtok)
         try:
-            NormSpec(p=p, q=q).validate()
+            NormSpec(p=p, q=q)
         except ValueError as exc:
             raise ConfigError(f"norms entry {item!r}: {exc}") from exc
         if q != math.inf and p != math.inf and p < q:
@@ -169,22 +154,26 @@ def parse_signs(text):
     return tuple(table[p] for p in parts)
 
 
-def build_scene(cfg):
-    """Grid, kernel and initial data from a parsed config."""
+def _grid_spec(cfg):
+    """The GridSpec of a parsed config; its rules failing are a config error."""
     try:
-        spec = GridSpec(dim=cfg["dimension"], box_half_length=cfg["box_half_length"],
+        return GridSpec(dim=cfg["dimension"], box_half_length=cfg["box_half_length"],
                         nx=cfg["nx"], nv=cfg["nv"], velocity_shape=cfg["velocity_shape"],
                         r_min=cfg["r_min"], r_max=cfg["r_max"], dt=cfg["dt"])
-        grid = build_grid(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def build_scene(cfg):
+    """Grid, kernel and initial data from a parsed config."""
+    grid = build_grid(_grid_spec(cfg))
+    try:
         kernel = KernelSpec(family=cfg["kernel_family"], coefficient=cfg["kernel_C"],
                             epsilon=cfg["memory_epsilon"], signs=parse_signs(cfg["kernel_signs"]))
-        kernel.validate()
         if cfg["init_kind"] not in ("gaussian", "cube"):
             raise ConfigError(f"unknown init_kind {cfg['init_kind']!r}")
         f0 = SeparableData(amplitude=cfg["init_amplitude"], width=cfg["init_width"],
                            kind=cfg["init_kind"])
-        if cfg["beta"] not in (0, 1):
-            raise ConfigError("beta must be 0 or 1")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return grid, kernel, f0
@@ -355,13 +344,14 @@ def run_dispersion(config_path):
     norm_list = parse_norm_list(cfg["norms"])
     if not norm_list:
         raise ConfigError("dispersion needs at least one 'p,q' entry in norms")
-    d = cfg["dimension"]
-    if d not in (1, 2, 3):
-        raise ConfigError("dimension must be 1, 2 or 3")
+    spec = _grid_spec(cfg)
+    if spec.velocity_shape != "ball":
+        raise ConfigError("dispersion fits use the ball velocity set, "
+                          f"not {spec.velocity_shape!r}")
     if cfg["init_kind"] != "gaussian":
         raise ConfigError("dispersion fits use gaussian initial data")
     data = GaussianBallData(amplitude=cfg["init_amplitude"], sigma=cfg["init_width"],
-                            R=cfg["r_max"], d=d)
+                            R=spec.r_max, d=spec.dim)
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     header = ["p", "q", "fitted_slope", "theoretical_slope", "relative_deviation",

@@ -15,10 +15,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import kv
 
+from runtumble.freeflow import SPHERE_AREA
 from runtumble.grid import SpatialField, build_grid, field_mass
 from runtumble.norms import spatial_norm
 
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 BESSEL_R_MAX = 80.0  # outer radius of the radial quadrature of bessel_potential_norms
 
 
@@ -222,11 +222,11 @@ def bessel_potential_norms(p, order=0, d=3, n_radial=400, r_min=1e-6) -> float:
     u = np.linspace(np.log(r_min), np.log(BESSEL_R_MAX), n_radial)
     r = np.exp(u)
     g = np.abs(_bessel_radial(r, order, d))
-    integrand = _SPHERE_AREA[d] * g**p * r ** (d - 1) * r  # extra r from du = dr/r
+    integrand = SPHERE_AREA[d] * g**p * r ** (d - 1) * r  # extra r from du = dr/r
     # G or |G'| ~ r^alpha as r -> 0, from K_mu(z) ~ Gamma(|mu|) (2/z)^|mu| / 2 for
     # mu != 0 (the logarithm of G in d = 2 is left out: its tail is ~1e-12)
     alpha = min(2.0 - d, 0.0) if order == 0 else 1.0 - d
-    tail = _SPHERE_AREA[d] * g[0] ** p * r_min**d / (alpha * p + d)
+    tail = SPHERE_AREA[d] * g[0] ** p * r_min**d / (alpha * p + d)
     return float((np.trapezoid(integrand, u) + tail) ** (1.0 / p))
 
 

@@ -23,7 +23,7 @@ N_RHO = 400     # trapezoid nodes in |u| of the d = 2 ball mass
 _BALL_VOLUME = {1: lambda R: 2.0 * R,
                 2: lambda R: np.pi * R**2,
                 3: lambda R: 4.0 * np.pi * R**3 / 3.0}
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def free_mixed_norm(data: GaussianBallData, t, p, q) -> float:
 
     if p == INF:
         return float(inner.max())
-    integrand = _SPHERE_AREA[d] * r0 ** (d - 1) * inner**p
+    integrand = SPHERE_AREA[d] * r0 ** (d - 1) * inner**p
     return float(np.trapezoid(integrand, r0) ** (1.0 / p))
 
 

@@ -14,11 +14,11 @@ x_shape + v_shape array is only built on request. Where the lattice is
 exactly symmetric, PhaseGrid.vreflect pairs each node v with its mirror -v.
 
 f is +0.0 outside a box around its support, and the state carries that
-box (DistributionField.box): the code that writes f's nodes sets it, and
-work on f skips the zeros outside it. density(f) sums only f.box and
-narrows it to f's occupied box (occupied_box), found from the node sum, so
-a solver step, which forms a density after each half-step, never reduces f
-for it again; occupied_box(nodes) reduces f for a field whose box is None.
+box (DistributionField.box), which work on f reads to skip the zeros
+outside it. A field is made with its box: the caller's, or f's occupied
+box (occupied_box) when the caller gives none. After that only the code
+that writes f's nodes changes it, and density(f) narrows it to f's
+occupied box, found from the node sum it forms anyway.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +48,9 @@ class GridSpec:
     r_min: float = 0.0
     r_max: float = 1.0
     dt: float = 0.01
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.dim not in (1, 2, 3):
@@ -123,8 +126,7 @@ class PhaseGrid:
 
 
 def build_grid(spec: GridSpec) -> PhaseGrid:
-    """Construct the discrete phase space from a validated spec."""
-    spec.validate()
+    """Construct the discrete phase space from a spec."""
     d, nx, nv = spec.dim, spec.nx, spec.nv
     L, R = spec.box_half_length, spec.r_max
 
@@ -162,11 +164,11 @@ class DistributionField:
     dense x_shape + v_shape array and rejects nonzero values outside V;
     `from_nodes` wraps a node array without copying it.
 
-    `box` is a tuple of position slices outside which the nodes are +0.0,
-    or None when it is not known. The code that writes the nodes sets it
-    (transport_step, scattering_apply), and density(f) narrows it to f's
-    occupied box. A write into `nodes` behind the field's back leaves the
-    box stale: every writer returns a new field instead.
+    `box` is a tuple of position slices outside which the nodes are +0.0.
+    Both constructors set it, to occupied_box(nodes) unless `from_nodes` is
+    given one. The writers (transport_step, scattering_apply) update it
+    with the nodes they write, and density(f) narrows it to f's occupied
+    box. A write into `nodes` behind the field's back leaves it stale.
     """
 
     def __init__(self, grid: PhaseGrid, values, t=0.0):
@@ -179,19 +181,15 @@ class DistributionField:
         self.grid = grid
         self.nodes = np.ascontiguousarray(np.moveaxis(values[(Ellipsis,) + grid.vindex], -1, 0))
         self.t = t
-        self.box = None
+        self.box = occupied_box(self.nodes)
 
     @classmethod
     def from_nodes(cls, grid: PhaseGrid, nodes, t=0.0, box=None):
         """Field holding `nodes`, shape (K,) + x_shape, as its state (no copy),
-        +0.0 outside `box` when that is given.
-
-        A writer that takes `out=f.nodes` writes f's array in place and
-        returns a new field with the box it wrote; the input object keeps
-        its old box, which is then stale, so only the new field is used.
-        """
+        with `box`, a box outside which the nodes are +0.0, or
+        occupied_box(nodes) when none is given."""
         f = cls.__new__(cls)
-        f.grid, f.nodes, f.t, f.box = grid, nodes, t, box
+        f.grid, f.nodes, f.t, f.box = grid, nodes, t, box or occupied_box(nodes)
         return f
 
     def validate(self):
@@ -272,8 +270,9 @@ def occupied_box(nodes):
     reduces a (K, 1, ..., 1) array over the node axis pairwise, where on
     more cells it adds the K rows one by one, as a sweep of the whole grid
     does; arithmetic on a box's strided views costs about twice as much a
-    cell as on whole arrays. density(f) sets f.box to this box without
-    reducing f again; this reduction is for a field whose box is None.
+    cell as on whole arrays. A field is made with this box unless its
+    maker gives one, and density(f) narrows f.box to it without reducing f
+    again.
     """
     return _occupied(np.any(nodes, axis=0))
 
@@ -295,12 +294,11 @@ def density(f: DistributionField) -> SpatialField:
     """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node
     weight w. It mutates its argument: f.box is set to f's occupied box.
 
-    The node sum runs on f.box only (the whole grid when it is None), and
-    rho is +0.0 outside it, as w times a sum of +0.0 is. f.box is a box of
-    more than one cell or the whole grid (a transport step's box, or an
-    occupied box), and on more than one cell NumPy adds the node rows one
-    by one, as on the whole grid, so rho is bit for bit the whole-grid
-    density.
+    The node sum runs on f.box only, and rho is +0.0 outside it, as w
+    times a sum of +0.0 is. f.box is a box of more than one cell or the
+    whole grid (a transport step's box, or an occupied box), and on more
+    than one cell NumPy adds the node rows one by one, as on the whole
+    grid, so rho is bit for bit the whole-grid density.
 
     f >= 0, so the node sum is nonzero exactly where some node is: f.box
     becomes the occupied box of that sum, taken before it is scaled by w,
@@ -308,10 +306,9 @@ def density(f: DistributionField) -> SpatialField:
     second reduction of f).
     """
     grid = f.grid
-    whole = (slice(None),) * grid.dim
-    box = whole if f.box is None else f.box
+    box = f.box
     total = f.nodes[(slice(None),) + box].sum(axis=0)
-    if box != whole:
+    if box != (slice(None),) * grid.dim:
         values = np.zeros(grid.x_shape)
         values[box] = total
         total = values

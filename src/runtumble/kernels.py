@@ -26,11 +26,11 @@ other part does not read that stack.
 
 The scattering update reuses the arrays that building the components made:
 the loss rate goes into B's array (or into the offset stack that a
-mirrored A has consumed) and the gain into A's, and it writes the new state
-into a caller's array when given one, which may be the state itself. A
-kernel with no v'-part (constant, hyp2, hyp3 with no v' term) has a loss
-rate that does not depend on v, so it is an x_shape field, and its gain
-needs no velocity sum over B.
+mirrored A has consumed) and the gain into A's, and the new state goes
+into a new array or, in place, into the state itself. A kernel with no
+v'-part (constant, hyp2, hyp3 with no v' term) has a loss rate that does
+not depend on v, so it is an x_shape field, and its gain needs no velocity
+sum over B.
 
 Scattering works only on the box that f carries (DistributionField.box),
 when the positivity guard can be decided without the rate, and its result
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, density, occupied_box
+from runtumble.grid import DistributionField, PhaseGrid, density
 from runtumble.interp import interp_point, stack_on_box
 from runtumble.norms import spatial_norm
 
@@ -76,6 +76,9 @@ class KernelSpec:
     signs: tuple = (1, -1, 1, -1)
     active: tuple = (True, True, True, True)
     saturation: float = None
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.family not in FAMILIES:
@@ -139,8 +142,7 @@ def _terms(spec):
 
 
 def _inputs(spec, fields):
-    """{input name: x_shape array} of every term of a validated spec, each formed once."""
-    spec.validate()
+    """{input name: x_shape array} of every term of a spec, each formed once."""
     missing = spec.required_fields() - set(fields)
     if missing:
         raise ValueError(f"kernel family {spec.family!r} needs fields {sorted(missing)}")
@@ -220,7 +222,7 @@ def _components(spec, inputs, grid, box=None):
     c, a_terms, b_terms = _terms(spec)
     C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
     mirrored = r is not None and b_terms == [(name, -sign) for name, sign in a_terms]
-    box = (slice(None),) * grid.dim if box is None else box
+    box = box or (slice(None),) * grid.dim
     stacks = {}
 
     def stack(name, sign):
@@ -318,7 +320,7 @@ def loss_rate(spec: KernelSpec, fields, grid: PhaseGrid):
 
 
 def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
-                     rho=None, out=None) -> DistributionField:
+                     rho=None, in_place=False) -> DistributionField:
     """Explicit scattering update f + dt * (gain - loss).
 
     gain(x, v) = sum_j' w_j' T(x, v, v_j') f(x, v_j'), loss(x, v) =
@@ -328,20 +330,19 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     x-integrated gain equals x-integrated loss by the (v, v') swap
     antisymmetry of the discrete sums.
     rho, when given, must be density(f), so that it is not computed again.
-    The new state is written to `out` when given, which may be f.nodes,
-    else to a new array; nothing is written to `out` before the guard
-    passes, and f is left as it is otherwise. The result is a new field
-    that carries f's box.
+    By default the new state goes into a new array and a new field, which
+    carries f's box, and f is left as it is; with in_place it goes into
+    f.nodes, and f itself is returned, its time and box unchanged. Nothing
+    is written before the guard passes.
 
     When dt times the stack-free bound _rate_bound is below 1, the guard
     passes without the rate, and the components, the rate, the gain and
-    the update are formed only on f's box (f.box, else
-    grid.occupied_box(f.nodes) when that is None), as views of f and
-    `out`. Where f(x, .) = +0.0 the full update is (1 - dt * rate) * (+0.0)
-    + dt * (+-0.0) = +0.0, so outside the box a new `out` starts as zeros,
-    the state itself is left as it is, and any other `out` is zeroed: the
-    result is bit for bit the full update's wherever f's zeros are +0.0, as
-    in every state the solver makes. Otherwise the update runs on the whole grid and the guard takes
+    the update are formed only on f.box, as views of f and of the new
+    state. Where f(x, .) = +0.0 the full update is (1 - dt * rate) * (+0.0)
+    + dt * (+-0.0) = +0.0, so outside the box a new array starts as zeros
+    and the state itself is left as it is: the result is bit for bit the
+    full update's wherever f's zeros are +0.0, as in every state the solver
+    makes. Otherwise the update runs on the whole grid and the guard takes
     the rate's exact maximum.
 
     The rate and the gain are formed in the arrays that building the
@@ -354,10 +355,9 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     w = grid.hv ** grid.dim
     inputs = _inputs(spec, fields)
     rho = density(f) if rho is None else rho
-    carried = occupied_box(fm) if f.box is None else f.box
     whole = (slice(None),) * grid.dim
     bounded = dt * _rate_bound(spec, inputs, grid) < 1.0  # fails on a NaN bound
-    box = carried if bounded else whole
+    box = f.box if bounded else whole
     A, B, spare = _components(spec, inputs, grid, box)
     nodes_box = (slice(None),) + box
     f_box = fm[nodes_box]
@@ -377,15 +377,15 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     # out = fm * (1 - dt * rate) + dt * gain
     np.multiply(rate, dt, out=rate)
     np.subtract(1.0, rate, out=rate)
-    if out is None:
+    if in_place:
+        out = fm
+    else:
         out = np.zeros_like(fm) if box != whole or rate.shape != fm.shape else rate
-    elif box != whole and not np.may_share_memory(out, fm):
-        out.fill(0.0)
     out_box = out[nodes_box]
     np.multiply(rate, f_box, out=out_box)
     gain *= dt
     out_box += gain
-    return DistributionField.from_nodes(grid, out, t=f.t, box=carried)
+    return f if in_place else DistributionField.from_nodes(grid, out, t=f.t, box=f.box)
 
 
 def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> float:
@@ -429,7 +429,6 @@ def mixed_norm_bound_report(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p
     Bound: coefficient * |V|^(1/p2 + 1/p3) * sum over the terms of
     ||input||_p1, for kernels with no constant term (c = 0 in _terms).
     """
-    spec.validate()
     c, a_terms, b_terms = _terms(spec)
     if c:
         raise ValueError(f"the mixed-norm bound applies to kernels of S-terms only (hyp3); "

@@ -24,6 +24,9 @@ class NormSpec:
     p: float
     q: float
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         for e in (self.p, self.q):
             if not (e == INF or e >= 1):
@@ -33,7 +36,6 @@ class NormSpec:
 def mixed_norm(f: DistributionField, spec: NormSpec) -> float:
     """|| ||f(x, .)||_{L^q_v} ||_{L^p_x} with grid quadrature weights, on
     the box that f carries (compact_mixed_norm)."""
-    spec.validate()
     return compact_mixed_norm(f.nodes, f.grid, spec.p, spec.q, box=f.box)
 
 
@@ -52,11 +54,11 @@ def compact_mixed_norm(nodes, grid, p, q, box=None) -> float:
     box only, and put into an x-shaped array of zeros: outside that box
     every inner norm is +0.0 in any case. The box is `box` when given (the
     box that a field carries, DistributionField.box), else
-    grid.occupied_box(nodes).
+    grid.occupied_box(nodes), for a node array that is not a field's.
     The outer L^p_x norm is the full spatial_norm, so its sum adds the same
     array in the same order as a sweep over all positions.
     """
-    box = occupied_box(nodes) if box is None else box
+    box = box or occupied_box(nodes)
     a = np.abs(nodes[(slice(None),) + box])
     inner = np.zeros(nodes.shape[1:])
     if q == INF:

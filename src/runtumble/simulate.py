@@ -32,7 +32,6 @@ class Simulation:
     """Driver for one run on a fixed grid with a fixed kernel."""
 
     def __init__(self, grid: PhaseGrid, f0, kernel: KernelSpec, beta=1):
-        kernel.validate()
         if beta not in (0, 1):
             raise ValueError("beta must be 0 or 1")
         if beta == 0 and grid.dim != 3:
@@ -73,23 +72,22 @@ class Simulation:
                 f"(shell mass {shell:.3e} > {WRAP_TOL:.1e} * M)", self.t)
 
     def step(self):
-        # the first half-step writes a new array, the step's only copy of the
+        # the first half-step makes a new field, the step's only copy of the
         # state (self.f is left as it is); scattering and the second
-        # half-step update that array in place. The state carries its box:
-        # each half-step shifts the box it is given and hands on the box it
-        # wrote, each density sums that box and narrows it to f's occupied
-        # box, and scattering, which writes +0.0 wherever f(x, .) = 0, hands
-        # on the box it read
+        # half-step update that field in place. It carries its box: each
+        # half-step shifts its box and sets the box it wrote, each density
+        # sums the box and narrows it to f's occupied box, and scattering,
+        # which writes +0.0 wherever f(x, .) = 0, keeps it
         dt = self.grid.spec.dt
         half = dt / 2.0
         f = transport_step(self.f, half)
         rho = density(f)
         fields = self._solve_fields_for(rho)
         try:
-            f = scattering_apply(f, self.kernel, fields, dt, rho=rho, out=f.nodes)
+            scattering_apply(f, self.kernel, fields, dt, rho=rho, in_place=True)
         except PositivityError as exc:
             raise GuardAbort(str(exc), self.t) from exc
-        f = transport_step(f, half, out=f.nodes)
+        transport_step(f, half, in_place=True)
         f.t = self.t + dt
         self.f = f
         self.t += dt

@@ -6,15 +6,15 @@ f0(x - t v, v), which we exploit twice: closed-form initial data are
 sampled exactly at the shifted points, and the per-step update shifts each
 velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
-the dense array. The step shifts only the box that f carries and hands on
-the box it wrote.
+the dense array. The step shifts only the box that f carries, and its
+result carries the box it wrote.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, grow_box, occupied_box
+from runtumble.grid import DistributionField, PhaseGrid, grow_box
 from runtumble.interp import stack_reach, velocity_offset_stack
 
 
@@ -86,7 +86,7 @@ def _transport_box(grid, box, dt):
     return grow_box(box, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
 
 
-def transport_step(f: DistributionField, dt: float, out=None) -> DistributionField:
+def transport_step(f: DistributionField, dt: float, in_place=False) -> DistributionField:
     """Semi-Lagrangian update f_new(x, v) = Interp(f)(x - dt v, v).
 
     Periodic monotonized cubic per velocity node; exact when dt * v lands on
@@ -94,19 +94,17 @@ def transport_step(f: DistributionField, dt: float, out=None) -> DistributionFie
     The unlimited shift is a circular convolution with unit weight sum, so
     the only mass error comes from the limiter; a per-slab rescale restores
     the slab mass exactly, keeping total mass conserved to roundoff.
-    The new state is written to `out` when given, which may be f.nodes
-    (an in-place step), else to a new array; f is left as it is otherwise.
-    The result is a new field in either case: after an in-place step the
-    input object's box is stale, and only the result is used.
+    By default the new state goes into a new array and a new field, and f
+    is left as it is; with in_place it goes into f.nodes, f's time and box
+    are updated with it, and f itself is returned.
 
-    Only f's box is shifted: f.box, else grid.occupied_box(f.nodes) when
-    that is None, grown by the reach of the shift (_transport_box), and the
-    result carries the grown box. An all-zero stencil gives +0.0, so
-    outside that box a sweep of the whole array writes +0.0, which is what
-    the box path leaves there: the result is bit for bit the full sweep's
-    wherever f's zeros are +0.0, as in every state the solver makes. When
-    the grown box is the whole grid, the sweep writes every element, so
-    `out` is not zeroed first.
+    Only f.box is shifted, grown by the reach of the shift (_transport_box),
+    and the result carries the grown box. An all-zero stencil gives +0.0,
+    so outside that box a sweep of the whole array writes +0.0, which is
+    what the box path leaves there: the result is bit for bit the full
+    sweep's wherever f's zeros are +0.0, as in every state the solver
+    makes. When the grown box is the whole grid, the sweep writes every
+    element, so a new array is not zeroed first.
     The slab sums stay over the whole array, so that they add in the full
     sweep's order.
     """
@@ -115,16 +113,19 @@ def transport_step(f: DistributionField, dt: float, out=None) -> DistributionFie
     grid = f.grid
     spatial = tuple(range(1, grid.dim + 1))
     before = f.nodes.sum(axis=spatial)
-    box = _transport_box(grid, occupied_box(f.nodes) if f.box is None else f.box, dt)
+    box = _transport_box(grid, f.box, dt)
     whole = box == (slice(None),) * grid.dim
-    if out is None:
+    if in_place:
+        out = f.nodes
+    else:
         out = np.empty_like(f.nodes) if whole else np.zeros_like(f.nodes)
-    elif not whole and not np.may_share_memory(out, f.nodes):
-        out.fill(0.0)
     region = (slice(None),) + box
     moved = velocity_offset_stack(f.nodes[region], grid.vnodes, dt, grid.dx, out=out[region])
     np.clip(moved, 0.0, None, out=moved)
     after = out.sum(axis=spatial)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
     moved *= scale.reshape((-1,) + (1,) * grid.dim)  # +0.0 * scale is +0.0 outside the box
-    return DistributionField.from_nodes(grid, out, t=f.t + dt, box=box)
+    if not in_place:
+        return DistributionField.from_nodes(grid, out, t=f.t + dt, box=box)
+    f.t, f.box = f.t + dt, box
+    return f

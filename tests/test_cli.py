@@ -361,3 +361,16 @@ norms = 2,1; inf,1
     lines = (tmp_path / "disp" / "dispersion.csv").read_text().splitlines()
     assert lines[0].startswith("p,q,fitted_slope")
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+@pytest.mark.parametrize("velocity", ["velocity_shape = shell\nr_min = 0.5", "r_max = 0",
+                                      "r_max = -1"])
+def test_dispersion_rejects_a_velocity_set_that_is_not_a_ball(tmp_path, capsys, velocity):
+    # the grid-free quadrature is for the ball only, and the velocity keys
+    # follow GridSpec's rules: a config error, with no output directory made
+    cfg = "\n".join(["dimension = 2", "box_half_length = 8", "nx = 64", "nv = 8", "dt = 0.02",
+                     "t_end = 1", "init_width = 0.4", "norms = 2,1", velocity,
+                     f"output_dir = {tmp_path / 'disp'}"]) + "\n"
+    assert main(["dispersion", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "disp").exists()

@@ -3,6 +3,8 @@ import pytest
 
 from runtumble.grid import (DistributionField, GridSpec, boundary_shell_mass, build_grid,
                             density, field_from_compact, total_mass)
+from runtumble.kernels import KernelSpec
+from runtumble.norms import NormSpec
 
 
 def make_grid(dim=1, L=4.0, nx=16, nv=4, shape="ball", r_min=0.0, r_max=1.0, dt=0.01):
@@ -24,6 +26,20 @@ def make_grid(dim=1, L=4.0, nx=16, nv=4, shape="ball", r_min=0.0, r_max=1.0, dt=
 def test_spec_validation_rejects(bad):
     with pytest.raises(ValueError):
         GridSpec(**bad).validate()
+
+
+def test_specs_check_themselves_at_construction():
+    # making an invalid spec raises, with no call to validate()
+    with pytest.raises(ValueError, match="power of two"):
+        GridSpec(dim=1, box_half_length=1.0, nx=12, nv=4)
+    with pytest.raises(ValueError, match="r_min < r_max"):
+        GridSpec(dim=1, box_half_length=1.0, nx=16, nv=4, r_max=0.0)
+    with pytest.raises(ValueError, match="unknown kernel family"):
+        KernelSpec(family="nope")
+    with pytest.raises(ValueError, match="four signs"):
+        KernelSpec(family="hyp3", signs=(1, 2, 1, -1))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        NormSpec(p=0.5, q=1)
 
 
 def test_d1_ball_measure_exact():

@@ -311,7 +311,7 @@ _SCATTER_SPECS = [
 def test_scattering_bit_identical_to_fresh_temporaries(dim, nx, nv, r_max):
     # the update formed in the components' own arrays, into a new array or
     # into the state itself, has the bits of the formula on fresh temporaries;
-    # without `out` the state is left as it is
+    # not in place, the state is left as it is
     grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=nv, r_max=r_max))
     rng = np.random.default_rng(dim)
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
@@ -325,18 +325,21 @@ def test_scattering_bit_identical_to_fresh_temporaries(dim, nx, nv, r_max):
         assert same_bits(fresh.nodes, ref) and fresh.t == f.t, spec
         assert same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, nodes)
         g = DistributionField.from_nodes(grid, nodes.copy(), t=0.25)
-        inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), out=g.nodes)
-        assert inplace.nodes is g.nodes and same_bits(g.nodes, ref), spec
+        inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), in_place=True)
+        assert inplace is g and same_bits(g.nodes, ref), spec
 
 
 def test_scattering_guard_runs_before_any_write():
-    grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=8)
-    before = f.nodes.copy()
-    for family in ("constant", "hyp1", "hyp2", "hyp3"):
-        spec = KernelSpec(family=family, coefficient=1e4)
-        with pytest.raises(ValueError, match="positivity"):
-            scattering_apply(f, spec, fields, 0.02, out=f.nodes)
-        assert same_bits(f.nodes, before)
+    # a refused in-place update leaves f's nodes, time and box as they were,
+    # on the whole grid and on a box of part of it
+    for grid, fields, f in (make_scene(dim=2, nx=8, nv=4, seed=8)[:3],
+                            _compact_scene(2, 16, seed=8)):
+        before, t, box = f.nodes.copy(), f.t, f.box
+        for family in ("constant", "hyp1", "hyp2", "hyp3"):
+            spec = KernelSpec(family=family, coefficient=1e4)
+            with pytest.raises(ValueError, match="positivity"):
+                scattering_apply(f, spec, fields, 0.02, in_place=True)
+            assert same_bits(f.nodes, before) and f.t == t and f.box == box
 
 
 def test_nan_rate_fails_the_positivity_guard():
@@ -347,7 +350,7 @@ def test_nan_rate_fails_the_positivity_guard():
     bad = dict(fields, S=SpatialField(grid, S))
     before = f.nodes.copy()
     with pytest.raises(PositivityError):
-        scattering_apply(f, KernelSpec(family="hyp2", coefficient=0.1), bad, 0.02, out=f.nodes)
+        scattering_apply(f, KernelSpec(family="hyp2", coefficient=0.1), bad, 0.02, in_place=True)
     assert same_bits(f.nodes, before)
 
 
@@ -466,9 +469,9 @@ _BOX_SPECS = [KernelSpec(family=family, coefficient=0.4, epsilon=1.3, saturation
 @pytest.mark.parametrize("dim, nx, r_max", [(1, 32, 1.0), (2, 16, 1.0), (3, 8, 1.0),
                                             (2, 16, 0.3)])  # the last has no vreflect
 def test_scattering_box_path_bit_identical_to_full_path(monkeypatch, dim, nx, r_max):
-    # the update on the box of f's support, into a new array, into the state
-    # itself and into a caller's array, has the bits of the whole-grid update;
-    # the box is f's own, also where a subnormal f carries no density
+    # the update on the box of f's support, into a new array and into the
+    # state itself, has the bits of the whole-grid update; the box is f's
+    # own, also where a subnormal f carries no density
     grid, fields, f = _compact_scene(dim, nx, r_max, seed=dim)
     assert (grid.vreflect is None) == (r_max == 0.3)
     subnormal = f.nodes.copy()
@@ -485,10 +488,8 @@ def test_scattering_box_path_bit_identical_to_full_path(monkeypatch, dim, nx, r_
             assert on_box == [True] and same_bits(fresh.nodes, expect), spec
             assert fresh.t == f.t and same_bits(f.nodes, before)
             g = DistributionField.from_nodes(grid, nodes.copy(), t=f.t)
-            inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), out=g.nodes)
-            assert inplace.nodes is g.nodes and same_bits(g.nodes, expect), spec
-            garbage = np.full_like(nodes, np.nan)
-            assert same_bits(scattering_apply(f, spec, fields, 0.02, out=garbage).nodes, expect)
+            inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), in_place=True)
+            assert inplace is g and same_bits(g.nodes, expect), spec
 
 
 def test_scattering_on_a_whole_grid_or_one_cell_box_takes_the_full_path(monkeypatch):
@@ -574,7 +575,7 @@ def test_scattering_exact_guard_message_unchanged(monkeypatch):
         message = (f"scattering dt={dt} violates the positivity threshold: "
                    f"dt * sup rate = {dt * max_rate:.3e}, not < 1")
         with pytest.raises(PositivityError) as exc:
-            scattering_apply(f, spec, fields, dt, out=f.nodes)
+            scattering_apply(f, spec, fields, dt, in_place=True)
         assert str(exc.value) == message
         assert same_bits(f.nodes, before)
 
@@ -593,5 +594,5 @@ def test_nan_field_fails_the_guard_on_a_compact_state(monkeypatch):
             on_box.clear()
             with pytest.raises(PositivityError):
                 scattering_apply(f, KernelSpec(family=family, coefficient=0.1), bad, 0.02,
-                                 out=f.nodes)
+                                 in_place=True)
             assert on_box == [False] and same_bits(f.nodes, before)

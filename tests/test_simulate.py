@@ -77,7 +77,7 @@ def test_wrap_guard_aborts_with_valid_time():
 
 def test_scattering_guard_becomes_guard_abort():
     # huge kernel coefficient violates dt * sup rate < 1; the aborted step
-    # leaves the state, the time and the monitors as they were
+    # leaves the state, its time and box, and the monitors as they were
     class Probe:
         calls = 0
 
@@ -91,10 +91,11 @@ def test_scattering_guard_becomes_guard_abort():
         sim = make_sim(family=family, C=1e4)
         probe = Probe()
         sim.attach(probe)
-        f, nodes = sim.f, sim.f.nodes.copy()
+        f, nodes, box = sim.f, sim.f.nodes.copy(), sim.f.box
         with pytest.raises(GuardAbort):
             sim.step()
         assert sim.f is f and np.array_equal(f.nodes.view(np.int64), nodes.view(np.int64))
+        assert f.t == 0.0 and f.box == box
         assert sim.t == 0.0 and sim.step_count == 0 and probe.calls == 0
 
 
@@ -140,7 +141,8 @@ def test_finished_run_is_freed_without_the_cycle_collector(monitor):
 
 def _reference_step(sim):
     """One step of fresh arrays, composed of public calls, frozen as a
-    reference. Each call gets a field with no box, so it finds its own."""
+    reference. Each call gets a field made without a box, so each box is
+    found by its own reduction of f."""
     dt = sim.grid.spec.dt
 
     def bare(f):
@@ -211,26 +213,28 @@ def test_step_allocates_few_state_sizes(family, dim, beta, bound):
 def _check_step_boxes(monkeypatch):
     """Wrap the writers that Simulation.step calls so that each call checks
     the box its field carries: a transport result carries its input's box
-    (or occupied box) grown by the reach of the shift, a scattering result
-    its input's box, density narrows f.box to f's occupied box, and f is
-    +0.0 outside the box after every call."""
+    grown by the reach of the shift, a scattering result its input's box,
+    an in-place write returns its input, density narrows f.box to f's
+    occupied box, and f is +0.0 outside the box after every call."""
     def zero_outside(f):
         inside = np.zeros(f.grid.x_shape, dtype=bool)
         inside[f.box] = True
         rest = f.nodes[:, ~inside]
         return np.array_equal(rest.view(np.int64), np.zeros_like(rest).view(np.int64))
 
-    def transport(f, dt, out=None):
+    def transport(f, dt, in_place=False):
         grid = f.grid
-        box = occupied_box(f.nodes) if f.box is None else f.box
-        g = transport_step(f, dt, out=out)
+        box = f.box
+        g = transport_step(f, dt, in_place=in_place)
+        assert (g is f) == in_place
         assert g.box == grow_box(box, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
         assert zero_outside(g)
         return g
 
-    def scatter(f, *args, **kwargs):
+    def scatter(f, *args, in_place=False, **kwargs):
         box = f.box
-        g = scattering_apply(f, *args, **kwargs)
+        g = scattering_apply(f, *args, in_place=in_place, **kwargs)
+        assert (g is f) == in_place
         assert g.box == box and zero_outside(g)
         return g
 

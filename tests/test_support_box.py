@@ -1,12 +1,12 @@
 """The box paths against frozen copies of the full-array formulas.
 
 transport_step, density, scattering_apply and the mixed norms work only on
-the box that f carries (DistributionField.box), or on f's occupied box
-(grid.occupied_box) when f carries none; these tests compare them bit for
-bit (int64 views) with the sweeps over the whole array that they replace,
-check that every writer's result is +0.0 outside the box it carries, and
-check the box arithmetic (grid.grow_box, interp.stack_on_box) that they
-build on.
+the box that f carries (DistributionField.box), which is f's occupied box
+(grid.occupied_box) when f is made with none; these tests compare them bit
+for bit (int64 views) with the sweeps over the whole array that they
+replace, check that every writer's result is +0.0 outside the box it
+carries, and check the box arithmetic (grid.grow_box, interp.stack_on_box)
+that they build on.
 """
 
 import math
@@ -17,11 +17,12 @@ from conftest import same_bits
 
 from runtumble.fields import solve_field
 from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, density,
-                            field_mass, grow_box, occupied_box, support_box)
+                            field_from_compact, field_mass, grow_box, occupied_box,
+                            support_box)
 from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
-from runtumble.transport import transport_step
+from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
 INF = math.inf
 SUBNORMAL = 5e-324  # the smallest positive double: hv^d times it underflows to 0
@@ -126,9 +127,7 @@ def test_transport_box_path_bit_identical_to_full_sweep(dim):
         f = DistributionField.from_nodes(grid, nodes.copy())
         assert same_bits(transport_step(f, dt).nodes, expect), name
         assert same_bits(f.nodes, nodes), name
-        garbage = np.full_like(nodes, np.nan)
-        assert same_bits(transport_step(f, dt, out=garbage).nodes, expect), name
-        assert same_bits(transport_step(f, dt, out=f.nodes).nodes, expect), name
+        assert same_bits(transport_step(f, dt, in_place=True).nodes, expect), name
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -243,6 +242,47 @@ def test_density_carries_the_occupied_box(dim):
             assert on_part.box == f.box, name
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fields_are_made_with_their_occupied_box(dim):
+    # every way of making a field without a box gives it occupied_box(nodes)
+    grid = _grid(dim)
+    for name, nodes in _states(grid).items():
+        dense = DistributionField.from_nodes(grid, nodes).values
+        for f in (DistributionField(grid, dense), DistributionField.from_nodes(grid, nodes),
+                  field_from_compact(grid, np.moveaxis(nodes, 0, -1))):
+            assert f.box == occupied_box(f.nodes) and same_bits(f.nodes, nodes), name
+    # a cube's support is a box of part of the grid; a Gaussian's is the whole grid
+    for f0, t, partial in ((SeparableData(width=1.0, kind="cube"), 0.0, True),
+                           (SeparableData(width=1.0, kind="cube"), 2.0, True),
+                           (SeparableData(width=1.0), 0.0, False)):
+        f = exact_free_solution(f0, grid, t)
+        assert f.box == occupied_box(f.nodes), (f0.kind, t)
+        assert (f.box != (slice(None),) * dim) == partial, (f0.kind, t)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_in_place_writers_return_their_input_with_the_written_box_and_time(dim):
+    # in place, transport_step and scattering_apply write f's own array and
+    # return f, with the box and the time of the new field that the same
+    # call not in place returns
+    grid = _grid(dim)
+    dt = grid.spec.dt
+    for name, nodes in _states(grid).items():
+        rho, fields = _scatter_fields(grid, nodes)
+        f = DistributionField.from_nodes(grid, nodes, t=0.5)
+        calls = [lambda g, **kw: transport_step(g, dt, **kw)]
+        calls += [lambda g, spec=spec, **kw: scattering_apply(g, spec, fields, SCATTER_DT,
+                                                              rho=rho, **kw)
+                  for spec in SCATTER_KERNELS]
+        for i, call in enumerate(calls):
+            new = call(f)
+            g = DistributionField.from_nodes(grid, nodes.copy(), t=0.5)
+            array = g.nodes
+            assert call(g, in_place=True) is g and g.nodes is array, (name, i)
+            assert g.box == new.box and g.t == new.t and same_bits(g.nodes, new.nodes), (name, i)
+            assert new is not f and same_bits(f.nodes, nodes), (name, i)
+
+
 def _scatter_fields(grid, nodes):
     """density(f) and the beta = 1 fields that both SCATTER_KERNELS read."""
     rho = density(DistributionField.from_nodes(grid, nodes))
@@ -259,28 +299,26 @@ def _zero_outside_box(f):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_writers_carry_a_box_outside_which_f_is_zero(dim):
-    # transport_step (into a new array, a caller's array, or in place) and
-    # scattering_apply (new array or in place) return fields that are +0.0
-    # outside the box they carry: f's occupied box grown by the reach of
-    # the shift, or f's occupied box itself. density narrows that box to
-    # the result's occupied box
+    # transport_step and scattering_apply (into a new array or in place)
+    # return fields that are +0.0 outside the box they carry: f's occupied
+    # box grown by the reach of the shift, or f's occupied box itself.
+    # density narrows that box to the result's occupied box
     grid = _grid(dim)
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
         occupied = occupied_box(nodes)
-        boxes = [grow_box(occupied, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)] * 3
+        boxes = [grow_box(occupied, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)] * 2
         boxes += [occupied] * (2 * len(SCATTER_KERNELS))
         f = DistributionField.from_nodes(grid, nodes)
-        in_place = DistributionField.from_nodes(grid, nodes.copy())
         results = [transport_step(f, dt),
-                   transport_step(f, dt, out=np.full_like(nodes, np.nan)),
-                   transport_step(in_place, dt, out=in_place.nodes)]
+                   transport_step(DistributionField.from_nodes(grid, nodes.copy()), dt,
+                                  in_place=True)]
         rho, fields = _scatter_fields(grid, nodes)
         for spec in SCATTER_KERNELS:
             in_place = DistributionField.from_nodes(grid, nodes.copy())
             results += [scattering_apply(f, spec, fields, SCATTER_DT, rho=rho),
                         scattering_apply(in_place, spec, fields, SCATTER_DT, rho=rho,
-                                         out=in_place.nodes)]
+                                         in_place=True)]
         for i, (g, box) in enumerate(zip(results, boxes)):
             assert g.box == box and _zero_outside_box(g), (name, i)
             density(g)
@@ -288,30 +326,32 @@ def test_writers_carry_a_box_outside_which_f_is_zero(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_a_field_with_no_box_gives_the_bits_of_one_with_a_known_box(dim):
-    # a known box, f's occupied box or a wider one, gives the bits that a
-    # field with box None gives, where each call finds f's occupied box
+def test_a_field_made_without_a_box_gives_the_bits_of_one_with_a_wider_box(dim):
+    # a field made without a box carries f's occupied box, and gives the
+    # bits that a field made with a wider box gives
     grid = _grid(dim)
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
         occupied = occupied_box(nodes)
         rho, fields = _scatter_fields(grid, nodes)
-        for box in (occupied, grow_box(occupied, 2, grid.x_shape)):
-            def bare():
-                return DistributionField.from_nodes(grid, nodes)
+        box = grow_box(occupied, 2, grid.x_shape)
 
-            def known():
-                return DistributionField.from_nodes(grid, nodes, box=box)
+        def bare():
+            return DistributionField.from_nodes(grid, nodes)
 
-            assert same_bits(transport_step(bare(), dt).nodes,
-                             transport_step(known(), dt).nodes), (name, box)
-            f, g = bare(), known()
-            assert same_bits(density(f).values, density(g).values), (name, box)
-            assert f.box == g.box == occupied, (name, box)
-            for spec in SCATTER_KERNELS:
-                assert same_bits(scattering_apply(bare(), spec, fields, SCATTER_DT, rho=rho).nodes,
-                                 scattering_apply(known(), spec, fields, SCATTER_DT,
-                                                  rho=rho).nodes), (name, box, spec.family)
-            for p, q in NORM_PAIRS:
-                spec = NormSpec(p=p, q=q)
-                assert same_bits(mixed_norm(bare(), spec), mixed_norm(known(), spec)), (name, p, q)
+        def known():
+            return DistributionField.from_nodes(grid, nodes, box=box)
+
+        assert bare().box == occupied, name
+        assert same_bits(transport_step(bare(), dt).nodes,
+                         transport_step(known(), dt).nodes), name
+        f, g = bare(), known()
+        assert same_bits(density(f).values, density(g).values), name
+        assert f.box == g.box == occupied, name
+        for spec in SCATTER_KERNELS:
+            assert same_bits(scattering_apply(bare(), spec, fields, SCATTER_DT, rho=rho).nodes,
+                             scattering_apply(known(), spec, fields, SCATTER_DT,
+                                              rho=rho).nodes), (name, spec.family)
+        for p, q in NORM_PAIRS:
+            spec = NormSpec(p=p, q=q)
+            assert same_bits(mixed_norm(bare(), spec), mixed_norm(known(), spec)), (name, p, q)

@@ -402,9 +402,9 @@ def test_transport_step_rejects_bad_dt():
 
 
 def test_velocity_offset_stack_and_transport_step_write_into_out():
-    # a node-first stack and a transport step written into `out`, the input
-    # itself included, are bit-identical to the fresh array; without `out`
-    # the input is left as it is
+    # a node-first stack written into `out`, the input itself included, and
+    # a transport step in place are bit-identical to the fresh array; not in
+    # place, the input is left as it is
     rng = np.random.default_rng(4)
     for dim, nx, nv in ((1, 32, 8), (2, 16, 8), (3, 8, 4)):
         grid = make_grid(dim=dim, nx=nx, nv=nv, dt=0.013)
@@ -422,9 +422,9 @@ def test_velocity_offset_stack_and_transport_step_write_into_out():
         fresh = transport_step(f, grid.spec.dt)
         assert same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, f.nodes)
         g = DistributionField.from_nodes(grid, nodes.copy(), t=0.5)
-        stepped = transport_step(g, grid.spec.dt, out=g.nodes)
-        assert stepped.nodes is g.nodes and stepped.t == fresh.t
-        assert same_bits(stepped.nodes, fresh.nodes)
+        stepped = transport_step(g, grid.spec.dt, in_place=True)
+        assert stepped is g and g.t == fresh.t and g.box == fresh.box
+        assert same_bits(g.nodes, fresh.nodes)
     with pytest.raises(ValueError, match="node-first"):
         velocity_offset_stack(rng.random(grid.x_shape), grid.vnodes, 0.1, grid.dx,
                               out=np.empty((grid.n_vnodes,) + grid.x_shape))
