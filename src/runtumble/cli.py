@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from runtumble.estimator import (BootstrapMonitor, GronwallMonitor, TermTracker,
                                  dispersion_decay_fit)
-from runtumble.exponents import (ExponentQuadruple, admissible_region, solve_numerology,
-                                 strichartz_admissible)
+from runtumble.exponents import (ExponentQuadruple, admissible_region, exponent_ge,
+                                 solve_numerology, strichartz_admissible)
 from runtumble.freeflow import GaussianBallData
 from runtumble.grid import GridSpec, build_grid, field_mass
 from runtumble.kernels import KernelSpec
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
-_REQUIRED = None  # the default of a key that every config must set
+_REQUIRED = None  # the default of a key that a config must set if its subcommand reads it
 
 # key: (type, default or _REQUIRED)
 _CONFIG = {
@@ -76,6 +76,14 @@ _MONITORS = {
 }
 
 
+class _Config(dict):
+    """A parsed config. Reading a key with no default that the file does not
+    set is a config error, so each subcommand requires the keys it reads."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required key {key!r}")
+
+
 def parse_exponent(token):
     """One exponent token: 'inf', an integer/decimal, or a fraction 'a/b'."""
     token = token.strip()
@@ -88,7 +96,8 @@ def parse_exponent(token):
 
 
 def parse_config(path):
-    """Read a flat key=value config; strict schema, typed values, finite floats."""
+    """Read a flat key=value config; strict schema, typed values, finite floats.
+    A key with no default is checked only when a subcommand reads it (_Config)."""
     raw = {}
     try:
         with open(path) as fh:
@@ -113,13 +122,9 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
         if kind is float and not math.isfinite(raw[key]):
             raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
-    cfg = {key: raw.get(key, default) for key, (_, default) in _CONFIG.items()}
-    for key, value in cfg.items():
-        if value is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-    for key in ("init_width", "t_end"):
-        if not cfg[key] > 0:
-            raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
+    cfg = _Config((key, default) for key, (_, default) in _CONFIG.items()
+                  if default is not _REQUIRED)
+    cfg.update(raw)
     if cfg["snapshot_every"] < 0:
         raise ConfigError(f"snapshot_every must be >= 0, got {cfg['snapshot_every']}")
     return cfg
@@ -138,7 +143,7 @@ def parse_norm_list(text):
             NormSpec(p=p, q=q)
         except ValueError as exc:
             raise ConfigError(f"norms entry {item!r}: {exc}") from exc
-        if q != math.inf and p != math.inf and p < q:
+        if not exponent_ge(p, q):
             raise ConfigError(f"norms entry {item!r}: mixed norms here use p >= q")
         if any((p, q) == (seen[2], seen[3]) for seen in out):
             raise ConfigError(f"norms entry {item!r} repeats an earlier entry")
@@ -154,29 +159,20 @@ def parse_signs(text):
     return tuple(table[p] for p in parts)
 
 
-def _grid_spec(cfg):
-    """The GridSpec of a parsed config; its rules failing are a config error."""
+def build_scene(cfg):
+    """Grid, kernel and initial data from a parsed config; their rules
+    failing are a config error."""
     try:
-        return GridSpec(dim=cfg["dimension"], box_half_length=cfg["box_half_length"],
+        spec = GridSpec(dim=cfg["dimension"], box_half_length=cfg["box_half_length"],
                         nx=cfg["nx"], nv=cfg["nv"], velocity_shape=cfg["velocity_shape"],
                         r_min=cfg["r_min"], r_max=cfg["r_max"], dt=cfg["dt"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_scene(cfg):
-    """Grid, kernel and initial data from a parsed config."""
-    grid = build_grid(_grid_spec(cfg))
-    try:
         kernel = KernelSpec(family=cfg["kernel_family"], coefficient=cfg["kernel_C"],
                             epsilon=cfg["memory_epsilon"], signs=parse_signs(cfg["kernel_signs"]))
-        if cfg["init_kind"] not in ("gaussian", "cube"):
-            raise ConfigError(f"unknown init_kind {cfg['init_kind']!r}")
         f0 = SeparableData(amplitude=cfg["init_amplitude"], width=cfg["init_width"],
                            kind=cfg["init_kind"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return grid, kernel, f0
+    return build_grid(spec), kernel, f0
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +227,8 @@ def _snapshot(sim, coordinates, step, outdir):
 
 def run_simulate(config_path):
     cfg = parse_config(config_path)
+    if not cfg["t_end"] > 0:
+        raise ConfigError(f"t_end must be > 0, got {cfg['t_end']}")
     grid, kernel, f0 = build_scene(cfg)
     norm_list = parse_norm_list(cfg["norms"])
 
@@ -344,14 +342,16 @@ def run_dispersion(config_path):
     norm_list = parse_norm_list(cfg["norms"])
     if not norm_list:
         raise ConfigError("dispersion needs at least one 'p,q' entry in norms")
-    spec = _grid_spec(cfg)
-    if spec.velocity_shape != "ball":
-        raise ConfigError("dispersion fits use the ball velocity set, "
-                          f"not {spec.velocity_shape!r}")
+    if cfg["velocity_shape"] != "ball" or cfg["r_min"] != 0.0:
+        raise ConfigError("dispersion fits use the ball velocity set with r_min = 0, "
+                          f"not {cfg['velocity_shape']!r} with r_min = {cfg['r_min']}")
     if cfg["init_kind"] != "gaussian":
         raise ConfigError("dispersion fits use gaussian initial data")
-    data = GaussianBallData(amplitude=cfg["init_amplitude"], sigma=cfg["init_width"],
-                            R=spec.r_max, d=spec.dim)
+    try:
+        data = GaussianBallData(amplitude=cfg["init_amplitude"], sigma=cfg["init_width"],
+                                R=cfg["r_max"], d=cfg["dimension"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     header = ["p", "q", "fitted_slope", "theoretical_slope", "relative_deviation",

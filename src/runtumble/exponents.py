@@ -46,6 +46,12 @@ def conjugate(p):
     return 1 / (one - ip)
 
 
+def exponent_ge(p, q):
+    """p >= q for Lebesgue exponents, with inf above every finite one.
+    Exact when p and q are Fractions or ints."""
+    return p == INF or (q != INF and p >= q)
+
+
 def harmonic_mean(p, q):
     """HM(p, q) = 2 / (1/p + 1/q). Symmetric, HM(p, p) = p."""
     s = inv(p) + inv(q)
@@ -79,7 +85,7 @@ def strichartz_admissible(quad):
     gap = inv(q) - inv(p)
     decay = d * gap
 
-    cond_order = inv(p) <= inv(q)
+    cond_order = exponent_ge(p, q)
     if exact:
         cond_rate = (2 * inv(r) == decay) and decay < 1
         cond_mean = inv(a) * 2 == inv(p) + inv(q) and inv(a) * 2 >= 1

@@ -1,9 +1,9 @@
 """Chemoattractant field solves and the potential-theory bounds.
 
-The screened/unscreened equation beta*S - Lap S = rho is solved spectrally
-on the periodic box. For the unscreened d=3 case the Newtonian potential is
-also available as a direct convolution with the tabulated kernel
-1/(4 pi |x|), split into its short (|x| <= 1) and long (|x| >= 1) parts;
+The screened equation S - Lap S = rho (beta = 1) is solved spectrally on
+the periodic box. The unscreened d=3 equation (beta = 0) is solved by the
+Newtonian potential, a direct convolution with the tabulated kernel
+1/(4 pi |x|), which also splits into short (|x| <= 1) and long (|x| >= 1) parts;
 the truncated kernels are bounded by 1/(4 pi), which is what makes the long
 parts a-priori bounded by the mass. Each tabulated kernel is transformed
 once per grid and kept, read-only, in a small cache, as are the
@@ -40,37 +40,19 @@ def gradient_from_hat(hat, grid):
     return [SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * hat).real) for a in range(grid.dim)]
 
 
-def solve_field(rho: SpatialField, beta, want=("S",), project_mean=True) -> dict:
-    """Spectral solve of beta*S - Lap S = rho with requested derivatives.
+def solve_field(rho: SpatialField, want=("S",)) -> dict:
+    """Spectral solve of the screened equation S - Lap S = rho with requested derivatives.
 
-    want is a subset of {"S", "grad", "hess"}. For beta=0 the zero mode is
-    projected out (torus solvability); with project_mean=False a nonzero-mean
-    rho is rejected instead. Returns a dict with "S", optionally "grad"
-    (list of d components) and "hess" (d x d nested list).
+    want is a subset of {"S", "grad", "hess"}. Returns a dict with "S",
+    optionally "grad" (list of d components) and "hess" (d x d nested list).
     """
     grid = rho.grid
-    if beta not in (0, 1):
-        raise ValueError("beta must be 0 or 1")
-    if beta == 0 and grid.dim < 2:
-        raise ValueError("beta=0 is only supported for d >= 2")
     unknown = set(want) - {"S", "grad", "hess"}
     if unknown:
         raise ValueError(f"unknown derivative requests {sorted(unknown)}")
 
-    rho_hat = np.fft.fftn(rho.values)
     kmesh, k2 = _wavenumbers(grid.spec)
-    denom = beta + k2
-    if beta == 0:
-        mean = rho_hat.flat[0].real / rho.values.size
-        if not project_mean:
-            if abs(mean) > 1e-13 * max(1.0, np.abs(rho.values).max()):
-                raise ValueError(
-                    f"beta=0 with nonzero-mean rho (mean={mean:.3e}): "
-                    "the torus problem is unsolvable without zero-mode projection")
-        rho_hat.flat[0] = 0.0
-        denom.flat[0] = 1.0
-
-    s_hat = rho_hat / denom
+    s_hat = np.fft.fftn(rho.values) / (1 + k2)
     out = {}
     if "S" in want:
         out["S"] = SpatialField(grid, np.fft.ifftn(s_hat).real)
@@ -84,8 +66,6 @@ def solve_field(rho: SpatialField, beta, want=("S",), project_mean=True) -> dict
             ]
             for a in range(grid.dim)
         ]
-    if beta == 0:
-        out["removed_mean"] = mean
     return out
 
 
@@ -133,22 +113,25 @@ def _newton_kernel_hat(spec, order, part):
     return hat
 
 
-def _convolve_hat(rho_hat, grid, order, part):
-    """Real part of the circular convolution with the tabulated kernel, from rho's FFT."""
-    return np.fft.ifftn(rho_hat * _newton_kernel_hat(grid.spec, order, part)).real * grid.x_weight
-
-
-def _check_split_box(grid):
+def _newton(rho, kernels):
+    """Real parts of the circular convolutions of rho with each tabulated
+    (order, part) kernel of `kernels`, from one FFT of rho; d = 3."""
+    grid = rho.grid
     if grid.dim != 3:
         raise ValueError("short/long potential split is specific to d = 3")
     if grid.spec.box_half_length <= 2.0:
         raise ValueError("short/long split needs box_half_length > 2 to resolve the |x| <= 1 cutoff")
+    rho_hat = np.fft.fftn(rho.values)
+    out = []
+    for order, part in kernels:
+        conv = np.fft.ifftn(rho_hat * _newton_kernel_hat(grid.spec, order, part)).real
+        out.append(SpatialField(grid, conv * grid.x_weight))
+    return tuple(out)
 
 
 def newtonian_potential(rho: SpatialField, order=0) -> SpatialField:
     """Convolution of rho with the full tabulated kernel 1/(4 pi |x|^(1+order)), d=3."""
-    _check_split_box(rho.grid)
-    return SpatialField(rho.grid, _convolve_hat(np.fft.fftn(rho.values), rho.grid, order, "full"))
+    return _newton(rho, ((order, "full"),))[0]
 
 
 def split_short_long(rho: SpatialField, order=0):
@@ -158,11 +141,7 @@ def split_short_long(rho: SpatialField, order=0):
     1/(4 pi |x|^2)). The parts sum to the full tabulated-kernel potential
     exactly (same FFTs, linearity).
     """
-    _check_split_box(rho.grid)
-    grid = rho.grid
-    rho_hat = np.fft.fftn(rho.values)
-    return tuple(SpatialField(grid, _convolve_hat(rho_hat, grid, order, part))
-                 for part in ("short", "long"))
+    return _newton(rho, ((order, "short"), (order, "long")))
 
 
 def newton_parts(rho: SpatialField):
@@ -170,11 +149,7 @@ def newton_parts(rho: SpatialField):
     and order-1 splits, bit for bit newtonian_potential(rho),
     split_short_long(rho, 0)[0] and split_short_long(rho, 1)[0], from one
     FFT of rho."""
-    _check_split_box(rho.grid)
-    grid = rho.grid
-    rho_hat = np.fft.fftn(rho.values)
-    return tuple(SpatialField(grid, _convolve_hat(rho_hat, grid, order, part))
-                 for order, part in ((0, "full"), (0, "short"), (1, "short")))
+    return _newton(rho, ((0, "full"), (0, "short"), (1, "short")))
 
 
 def _bessel_radial(r, order, d):
@@ -244,7 +219,7 @@ def gradient_bound_check(rho: SpatialField, p) -> dict:
     mass = field_mass(rho)
     if mass == 0.0:
         return {"ratio": 0.0, "passed": True, "mass": 0.0}
-    sol = solve_field(rho, beta=1, want=("grad",))
+    sol = solve_field(rho, want=("grad",))
     gradmag = np.sqrt(sum(g.values**2 for g in sol["grad"]))
     lhs = spatial_norm(gradmag, grid, p)
     bessel_norm = bessel_potential_norms(p, order=1, d=d)
@@ -261,7 +236,7 @@ def calderon_zygmund_check(rho: SpatialField, p) -> dict:
     if not (1.0 < p < np.inf):
         raise ValueError("Calderon-Zygmund check needs 1 < p < inf")
     grid = rho.grid
-    sol = solve_field(rho, beta=1, want=("S", "hess"))
+    sol = solve_field(rho, want=("S", "hess"))
     lap = sum(sol["hess"][a][a].values for a in range(grid.dim))
     lap_norm = spatial_norm(lap, grid, p)
     if lap_norm == 0.0:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, i0e
 
+from runtumble.exponents import exponent_ge
+
 INF = math.inf
 N_RADIAL = 800  # trapezoid nodes in |x| of free_mixed_norm
 N_RHO = 400     # trapezoid nodes in |u| of the d = 2 ball mass
@@ -34,6 +36,13 @@ class GaussianBallData:
     sigma: float = 1.0
     R: float = 1.0
     d: int = 3
+
+    def __post_init__(self):
+        for name in ("amplitude", "sigma", "R"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.d not in (1, 2, 3):
+            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
 
     @property
     def ball_volume(self):
@@ -56,8 +65,8 @@ class GaussianBallData:
 
 
 def gaussian_ball_mass(r0, a, s, d):
-    """int_{|u| <= a} exp(-|u - r0 e|^2 / (2 s^2)) du for an array of center offsets r0;
-    in d = 2 a trapezoid over N_RHO = 400 radii."""
+    """int_{|u| <= a} exp(-|u - r0 e|^2 / (2 s^2)) du for an array of center offsets r0,
+    d = 1, 2 or 3 (GaussianBallData's d); in d = 2 a trapezoid over N_RHO = 400 radii."""
     r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     c = np.sqrt(2.0) * s
     if d == 1:
@@ -68,17 +77,15 @@ def gaussian_ball_mass(r0, a, s, d):
         z = rho * rr / s**2
         integrand = rho * np.exp(-((rho - rr) ** 2) / (2.0 * s**2)) * i0e(z)
         return 2.0 * np.pi * np.trapezoid(integrand, rho[0], axis=1)
-    if d == 3:
-        rr = np.maximum(r0, 1e-9 * max(s, a))
+    rr = np.maximum(r0, 1e-9 * max(s, a))
 
-        def F(center):
-            return (s**2 * (np.exp(-(center**2) / (2.0 * s**2))
-                            - np.exp(-((a - center) ** 2) / (2.0 * s**2)))
-                    + center * np.sqrt(np.pi / 2.0) * s
-                    * (erf((a - center) / c) + erf(center / c)))
+    def F(center):
+        return (s**2 * (np.exp(-(center**2) / (2.0 * s**2))
+                        - np.exp(-((a - center) ** 2) / (2.0 * s**2)))
+                + center * np.sqrt(np.pi / 2.0) * s
+                * (erf((a - center) / c) + erf(center / c)))
 
-        return 2.0 * np.pi * s**2 / rr * (F(rr) - F(-rr))
-    raise ValueError(f"unsupported dimension {d}")
+    return 2.0 * np.pi * s**2 / rr * (F(rr) - F(-rr))
 
 
 def free_mixed_norm(data: GaussianBallData, t, p, q) -> float:
@@ -86,7 +93,7 @@ def free_mixed_norm(data: GaussianBallData, t, p, q) -> float:
     a trapezoid over N_RADIAL = 800 radii in |x|."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if q != INF and p != INF and p < q:
+    if not exponent_ge(p, q):
         raise ValueError("dispersion-side norms need p >= q")
     if t == 0.0:
         return data.initial_norm(p, q)

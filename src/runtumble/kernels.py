@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from runtumble.exponents import exponent_ge
 from runtumble.grid import DistributionField, PhaseGrid, density
 from runtumble.interp import interp_point, stack_on_box
 from runtumble.norms import spatial_norm
@@ -394,12 +395,7 @@ def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> 
     Requires p1 >= p2 and p1 >= p3, the direction in which Minkowski's
     inequality controls the norm by ||S||_p1 + ||grad S||_p1.
     """
-    inf = np.inf
-
-    def ge(a, b):
-        return a == inf or (b != inf and a >= b)
-
-    if not (ge(p1, p2) and ge(p1, p3)):
+    if not (exponent_ge(p1, p2) and exponent_ge(p1, p3)):
         raise ValueError(f"need p1 >= p2 and p1 >= p3, got ({p1}, {p2}, {p3})")
     K = grid.n_vnodes
     A, B, _ = _components(spec, _inputs(spec, fields), grid)
@@ -410,15 +406,15 @@ def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> 
     mid = np.zeros(A.shape[1])
     for j in range(K):
         T = np.abs(A[j] + B)  # T[j', x] = |A(x, v_j) + B(x, v_j')|
-        if p3 == inf:
+        if p3 == np.inf:
             inner = T.max(axis=0)
         else:
             inner = (w * np.sum(T**p3, axis=0)) ** (1.0 / p3)
-        if p2 == inf:
+        if p2 == np.inf:
             mid = np.maximum(mid, inner)
         else:
             mid += w * inner**p2
-    if p2 != inf:
+    if p2 != np.inf:
         mid = mid ** (1.0 / p2)
     return spatial_norm(mid.reshape(grid.x_shape), grid, p1)
 

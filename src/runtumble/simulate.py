@@ -3,9 +3,9 @@
 Each step is transport(dt/2) -> field solve -> scattering(dt) ->
 transport(dt/2). The chemoattractant is refreshed from the current density
 every step: spectrally for the screened equation (beta=1), and through the
-min-image Newtonian kernel for beta=0 so that S stays nonnegative (the
-zero-mean spectral surrogate can go negative, which would break the sign
-of the turning kernel).
+min-image Newtonian kernel for beta=0, which keeps S nonnegative, as the
+sign of the turning kernel needs (a zero-mean spectral solve of the
+unscreened equation can go negative).
 
 Monitors are pure observers: they read the state after each step and never
 mutate it, so a run with monitors attached produces bit-identical fields
@@ -101,7 +101,7 @@ class Simulation:
     def _solve_fields_for(self, rho):
         if self.beta == 1:
             want = {"S", "grad"} | self.kernel.required_fields()
-            return solve_field(rho, beta=1, want=tuple(want))
+            return solve_field(rho, want=tuple(want))
         out = {"S": newtonian_potential(rho, order=0)}
         out["grad"] = gradient_from_hat(np.fft.fftn(out["S"].values), self.grid)
         return out

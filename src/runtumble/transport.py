@@ -36,14 +36,21 @@ class SeparableData:
     v_profile: str = "uniform"
     v_width: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("gaussian", "cube"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.v_profile not in ("uniform", "gaussian"):
+            raise ValueError(f"unknown v_profile {self.v_profile!r}")
+        for name in ("width", "v_width"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
     def eval_v(self, vnodes):
         """Evaluate h at masked velocity nodes, shape (K, d) -> (K,)."""
         if self.v_profile == "uniform":
             return np.ones(vnodes.shape[0])
-        if self.v_profile == "gaussian":
-            r2 = np.sum(vnodes**2, axis=1)
-            return np.exp(-r2 / (2.0 * self.v_width**2))
-        raise ValueError(f"velocity profile {self.v_profile!r} is not point-evaluable")
+        r2 = np.sum(vnodes**2, axis=1)
+        return np.exp(-r2 / (2.0 * self.v_width**2))
 
 
 def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> DistributionField:
@@ -57,8 +64,6 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if f0.kind not in ("gaussian", "cube"):
-        raise ValueError(f"descriptor kind {f0.kind!r} is not point-evaluable")
     d, K, nx = grid.dim, grid.n_vnodes, grid.spec.nx
     if len(f0.center) not in (0, d):
         raise ValueError(f"center has {len(f0.center)} entries on a {d}-D grid, need 0 or {d}")

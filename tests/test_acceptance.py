@@ -206,7 +206,7 @@ def test_criterion_06_field_solver():
     kx = np.pi / 4.0
     S = np.cos(kx * mesh[0]) * np.cos(kx * mesh[1])
     rho = SpatialField(grid, S + 2 * kx**2 * S)
-    residual = np.abs(solve_field(rho, beta=1)["S"].values - S).max()
+    residual = np.abs(solve_field(rho)["S"].values - S).max()
 
     # short/long split of the unscreened potential
     g3 = build_grid(GridSpec(dim=3, box_half_length=4.0, nx=16, nv=4))
@@ -239,7 +239,7 @@ def test_criterion_07_scattering(mass_run, gronwall_run, term_run, bootstrap_run
     grid = build_grid(GridSpec(dim=1, box_half_length=4.0, nx=16, nv=2))
     rng = np.random.default_rng(4)
     rho_vals = rng.random(grid.x_shape) * np.exp(-grid.x_mesh()[0] ** 2)
-    fields = solve_field(SpatialField(grid, rho_vals), beta=1, want=("S", "grad", "hess"))
+    fields = solve_field(SpatialField(grid, rho_vals), want=("S", "grad", "hess"))
     fvals = rng.random(grid.x_shape + grid.v_shape) * grid.vmask
     f = DistributionField(grid, fvals)
     oracle_err = 0.0
@@ -274,7 +274,7 @@ def test_criterion_08_kernel_mixed_norm_bound():
     p3 = float(conjugate(F(9, 7)))
     for _ in range(50):
         rho = SpatialField(grid, rng.random(grid.x_shape) * np.exp(-r2))
-        fields = solve_field(rho, beta=1, want=("S", "grad"))
+        fields = solve_field(rho, want=("S", "grad"))
         rep = mixed_norm_bound_report(KernelSpec(family="hyp3", coefficient=0.5),
                                       fields, grid, 4.5, 1.8, p3)
         worst = max(worst, rep["ratio"])

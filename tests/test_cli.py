@@ -58,8 +58,10 @@ def test_parse_config_strictness(tmp_path):
         parse_config(write_config(tmp_path, BASE_CONFIG + "bogus_key = 1\n"))
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, BASE_CONFIG + "dt = 0.05\n"))
-    with pytest.raises(ConfigError):
-        parse_config(write_config(tmp_path, "dimension = 1\n"))  # missing required keys
+    # a key with no default is required where a subcommand reads it
+    sparse = parse_config(write_config(tmp_path, "dimension = 1\n"))
+    with pytest.raises(ConfigError, match="missing required key 'box_half_length'"):
+        build_scene(sparse)
     with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "missing.cfg"))
     cfg = parse_config(write_config(tmp_path, BASE_CONFIG))
@@ -85,8 +87,9 @@ def test_simulate_rejects_bad_config_exit_code(tmp_path):
     rc = main(["simulate", write_config(tmp_path, BASE_CONFIG + "beta = 7\n")])
     assert rc == EXIT_CONFIG
     # p < q mixed norm is a config error
-    bad = BASE_CONFIG.replace("norms = 2,1; inf,1", "norms = 1,2")
-    assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
+    for norms in ("1,2", "2,inf"):
+        bad = BASE_CONFIG.replace("norms = 2,1; inf,1", f"norms = {norms}")
+        assert main(["simulate", write_config(tmp_path, bad)]) == EXIT_CONFIG
     # hyp2 needs the Hessian, which the beta=0 Newtonian solve does not give
     bad = BASE_CONFIG.replace("dimension = 1", "dimension = 3").replace("nx = 64", "nx = 8") \
         .replace("nv = 8", "nv = 4") + "beta = 0\n" + f"output_dir = {tmp_path / 'b0'}\n"
@@ -361,6 +364,29 @@ norms = 2,1; inf,1
     lines = (tmp_path / "disp" / "dispersion.csv").read_text().splitlines()
     assert lines[0].startswith("p,q,fitted_slope")
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_dispersion_reads_no_grid_keys(tmp_path):
+    # the fits are grid-free: t_end, dt, nx, nv and box_half_length may be left out
+    cfg = f"dimension = 3\ninit_width = 0.4\nnorms = 2,1\noutput_dir = {tmp_path / 'disp'}\n"
+    assert main(["dispersion", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert (tmp_path / "disp" / "dispersion.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["norms = 2,inf", "init_amplitude = -1", "init_amplitude = 0",
+                                  "init_width = 0", "dimension = 4"])
+def test_dispersion_rejects_bad_exponents_and_data(tmp_path, capsys, line):
+    # a p < q pair and data that GaussianBallData rejects are config errors
+    # that make no output directory (2,inf and a nonpositive amplitude once
+    # went on to print a fit)
+    key = line.split(" = ")[0]
+    lines = [item for item in ["dimension = 2", "box_half_length = 8", "nx = 64", "nv = 8",
+                               "dt = 0.02", "t_end = 1", "init_width = 0.4", "norms = 2,1"]
+             if not item.startswith(key + " ")]
+    cfg = "\n".join(lines + [line, f"output_dir = {tmp_path / 'disp'}"]) + "\n"
+    assert main(["dispersion", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "disp").exists()
 
 
 @pytest.mark.parametrize("velocity", ["velocity_shape = shell\nr_min = 0.5", "r_max = 0",

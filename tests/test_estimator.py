@@ -52,6 +52,8 @@ def test_decay_fit_matches_theory():
     with pytest.raises(ValueError):
         dispersion_decay_fit(data, 1.0, 2.0)
     with pytest.raises(ValueError):
+        dispersion_decay_fit(data, 2.0, INF)
+    with pytest.raises(ValueError):
         dispersion_decay_fit(data, 2.0, 1.0, times=[0.1])
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from runtumble.exponents import (ExponentQuadruple, admissible_region, conjugate,
-                                 harmonic_mean, numerology_delta, region_member,
+                                 exponent_ge, harmonic_mean, numerology_delta, region_member,
                                  solve_numerology, strichartz_admissible,
                                  theorem3_exponents)
 
@@ -22,6 +22,12 @@ def test_conjugate_and_harmonic_mean():
     # symmetry and idempotence on the diagonal
     assert harmonic_mean(3, 5) == harmonic_mean(5, 3)
     assert harmonic_mean(F(7, 3), F(7, 3)) == F(7, 3)
+
+
+def test_exponent_order_puts_inf_above_every_finite_exponent():
+    assert exponent_ge(INF, 2) and exponent_ge(INF, INF) and not exponent_ge(2, INF)
+    assert exponent_ge(F(9, 5), F(9, 7)) and not exponent_ge(F(9, 7), F(9, 5))
+    assert exponent_ge(F(3, 2), 1.5) and exponent_ge(2, 2)
 
 
 def test_admissible_reference_quadruples():

@@ -28,11 +28,11 @@ def manufactured(grid, beta):
     return S, SpatialField(grid, rho)
 
 
-@pytest.mark.parametrize("dim,beta", [(1, 1), (2, 1), (2, 0), (3, 1), (3, 0)])
+@pytest.mark.parametrize("dim,beta", [(1, 1), (2, 1), (3, 1)])
 def test_spectral_solver_manufactured_solution(dim, beta):
     grid = make_grid(dim=dim, nx=32 if dim < 3 else 16)
     S_exact, rho = manufactured(grid, beta)
-    sol = solve_field(rho, beta=beta, want=("S", "grad", "hess"))
+    sol = solve_field(rho, want=("S", "grad", "hess"))
     assert np.abs(sol["S"].values - S_exact).max() <= 1e-10
     # spectral derivatives of a single-mode product are exact too
     L = grid.spec.box_half_length
@@ -44,17 +44,6 @@ def test_spectral_solver_manufactured_solution(dim, beta):
     assert np.abs(sol["grad"][0].values - dS0).max() <= 1e-10
     lap = sum(sol["hess"][a][a].values for a in range(dim))
     assert np.abs(lap - (-dim * kx**2 * S_exact)).max() <= 1e-9
-
-
-def test_beta0_mean_handling():
-    grid = make_grid(dim=2, nx=16)
-    rho = SpatialField(grid, np.ones(grid.x_shape) + 0.1 * np.cos(np.pi / 4.0 * grid.x_mesh()[0]))
-    out = solve_field(rho, beta=0)
-    assert out["removed_mean"] == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        solve_field(rho, beta=0, project_mean=False)
-    with pytest.raises(ValueError):
-        solve_field(SpatialField(make_grid(dim=1), np.zeros(32)), beta=0)
 
 
 def _random_rho3(L=4.0, nx=16, seed=0):

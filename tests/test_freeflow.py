@@ -61,6 +61,18 @@ def test_free_norm_rejects_bad_arguments():
         free_mixed_norm(data, -1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         free_mixed_norm(data, 1.0, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        free_mixed_norm(data, 1.0, 2.0, INF)
+
+
+@pytest.mark.parametrize("make, kwargs", [
+    (SeparableData, {"width": -1.0}), (SeparableData, {"kind": "ring"}),
+    (SeparableData, {"v_profile": "ring"}), (SeparableData, {"v_width": 0.0}),
+    (GaussianBallData, {"amplitude": 0.0}), (GaussianBallData, {"sigma": -1.0}),
+    (GaussianBallData, {"R": math.nan}), (GaussianBallData, {"d": 4})])
+def test_initial_data_descriptors_reject_bad_parameters(make, kwargs):
+    with pytest.raises(ValueError):
+        make(**kwargs)
 
 
 def test_grid_solver_cross_check():

@@ -13,13 +13,12 @@ from runtumble.kernels import (KernelSpec, PositivityError, evaluate_kernel, ker
 from runtumble.norms import spatial_norm
 
 
-def make_scene(dim=1, L=4.0, nx=16, nv=2, seed=0, beta=1):
+def make_scene(dim=1, L=4.0, nx=16, nv=2, seed=0):
     grid = build_grid(GridSpec(dim=dim, box_half_length=L, nx=nx, nv=nv))
     rng = np.random.default_rng(seed)
     mesh = grid.x_mesh()
     rho_vals = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in mesh))
-    fields = solve_field(SpatialField(grid, rho_vals), beta=beta,
-                         want=("S", "grad", "hess"))
+    fields = solve_field(SpatialField(grid, rho_vals), want=("S", "grad", "hess"))
     f_vals = rng.random(grid.x_shape + grid.v_shape) * grid.vmask
     f = DistributionField(grid, f_vals)
     return grid, fields, f, rng
@@ -128,7 +127,7 @@ def test_evaluate_kernel_matches_components_at_nodes():
     # both: with |S| above 1 and only the first hyp3 term on, T tops out at 0.5
     grid = build_grid(GridSpec(dim=1, box_half_length=4.0, nx=32, nv=2))
     rho = SpatialField(grid, 5.0 * np.exp(-grid.x**2))
-    fields = solve_field(rho, beta=1, want=("S", "grad"))
+    fields = solve_field(rho, want=("S", "grad"))
     spec = KernelSpec(family="hyp3", coefficient=1.0, epsilon=0.0,
                       active=(True, False, False, False), saturation=1.0)
     assert np.abs(fields["S"].values).max() > 1.0
@@ -164,7 +163,7 @@ def _hyp3_scene(dim, nx, r_max, seed=0):
     grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=4, r_max=r_max))
     rng = np.random.default_rng(seed)
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
-    return grid, solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad"))
+    return grid, solve_field(SpatialField(grid, rho), want=("S", "grad"))
 
 
 @pytest.mark.parametrize("dim, nx, r_max", [(1, 16, 1.0), (2, 8, 1.0), (3, 8, 1.0),
@@ -213,7 +212,7 @@ def test_hyp1_hyp2_components_bit_identical_to_fresh_formula(family, dim, nx):
     grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=4))
     rng = np.random.default_rng(dim)
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
-    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad", "hess"))
+    fields = solve_field(SpatialField(grid, rho), want=("S", "grad", "hess"))
     for eps, sat in ((1.3, None), (1.3, 0.02), (4.0, None)):  # eps = 4: whole cells
         spec = KernelSpec(family=family, coefficient=0.7, epsilon=eps, saturation=sat)
         got = kernel_components(spec, fields, grid)
@@ -315,7 +314,7 @@ def test_scattering_bit_identical_to_fresh_temporaries(dim, nx, nv, r_max):
     grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=nv, r_max=r_max))
     rng = np.random.default_rng(dim)
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
-    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad", "hess"))
+    fields = solve_field(SpatialField(grid, rho), want=("S", "grad", "hess"))
     nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
     f = DistributionField.from_nodes(grid, nodes, t=0.25)
     before = nodes.copy()
@@ -429,7 +428,7 @@ def _compact_scene(dim, nx, r_max=1.0, seed=0):
     grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=4, r_max=r_max))
     rng = np.random.default_rng(seed)
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
-    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad", "hess"))
+    fields = solve_field(SpatialField(grid, rho), want=("S", "grad", "hess"))
     nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
     cube = (slice(None),) + (slice(nx // 2 - 1, nx // 2 + 2),) * dim
     nodes[cube] = rng.random(nodes[cube].shape)
@@ -501,7 +500,7 @@ def test_scattering_on_a_whole_grid_or_one_cell_box_takes_the_full_path(monkeypa
     assert grid.n_vnodes == 208
     rng = np.random.default_rng(12)
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
-    fields = solve_field(SpatialField(grid, rho), beta=1, want=("S", "grad"))
+    fields = solve_field(SpatialField(grid, rho), want=("S", "grad"))
     on_box = _box_spy(monkeypatch)
     for cells, box_path in ((((0, 0), (15, 15)), False), (((8, 8),), False),
                             (((8, 8), (8, 9)), True)):

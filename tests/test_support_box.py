@@ -286,7 +286,7 @@ def test_in_place_writers_return_their_input_with_the_written_box_and_time(dim):
 def _scatter_fields(grid, nodes):
     """density(f) and the beta = 1 fields that both SCATTER_KERNELS read."""
     rho = density(DistributionField.from_nodes(grid, nodes))
-    return rho, solve_field(rho, beta=1, want=("S", "grad", "hess"))
+    return rho, solve_field(rho, want=("S", "grad", "hess"))
 
 
 def _zero_outside_box(f):
