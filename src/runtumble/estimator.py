@@ -345,7 +345,8 @@ class TermTracker:
         # midpoint-in-s quadrature of the history integrals. Each summand is
         # zero outside its step's box, so it is formed on that box, placed in
         # zeros of the box grown by the reach of the transport shift
-        # x - s v_j, shifted there and added there
+        # x - s v_j, shifted there (each axis on the box grown along the
+        # axes shifted so far) and added there
         for m in range(n):
             s_mid = (m + 0.5) * dt
             rho, s_short, g_short, H, box = self.history[n - 1 - m]
@@ -360,7 +361,7 @@ class TermTracker:
                     w = np.zeros((grid.n_vnodes,) + rho[grown].shape)
                     np.multiply(stack_on_box(field, vn, -1.0, dx, box), rho[box],
                                 out=w[every_node + inner])
-                    velocity_offset_stack(w, vn, s_mid, dx, out=w)
+                    velocity_offset_stack(w, vn, s_mid, dx, out=w, box=inner)
                 w *= dt
                 f[every_node + grown] += w
 

@@ -237,11 +237,12 @@ def grow_box(box, cells, shape):
 
 
 def nest_box(box, cells, shape):
-    """(grown, inner): grow_box(box, cells, shape) for cells >= 1, and `box`
-    within it, slice(cells, -cells) on each grown axis and box's own slice
-    on each whole one."""
+    """(grown, inner): grow_box(box, cells, shape), and `box` within it,
+    slice(cells, cells + its length) on each grown axis and box's own slice
+    on each whole one. Growing inner by `cells` within the grown box gives
+    all of it."""
     grown = grow_box(box, cells, shape)
-    return grown, tuple(b if g == slice(None) else slice(cells, -cells)
+    return grown, tuple(b if g == slice(None) else slice(cells, cells + b.stop - b.start)
                         for b, g in zip(box, grown))
 
 

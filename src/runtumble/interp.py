@@ -31,11 +31,15 @@ per call.
 
 Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
 DistributionField's state: position axis a of a stack is array axis a + 1.
-velocity_offset_stack makes one per-row axis_shift call per position axis
-for the whole stack. A stack reads nothing past stack_reach cells a side,
-so stack_on_box builds it on a box of positions from the field on that box
-grown by the reach only (grid.grow_box), bit for bit the whole stack's part
-on the box.
+A stack is one per-row axis_shift call per position axis, and it reads
+nothing past stack_reach cells a side, so each call works only on the box
+that its axis reaches, bit for bit the whole-grid stack there:
+- a node-first input that is +0.0 outside a box (velocity_offset_stack's
+  box) shifts axis a on that box grown by the reach along axes 0..a only;
+  a line of zeros shifts to +0.0, which is the stack everywhere else;
+- stack_on_box, the stack of a spatial field on a box, reads the field on
+  the box grown by the reach, and cuts each axis to the box as it shifts
+  it (axis_shift's keep), so it returns a box-shaped array.
 """
 
 import functools
@@ -43,7 +47,7 @@ import math
 
 import numpy as np
 
-from runtumble.grid import nest_box
+from runtumble.grid import grow_box, nest_box
 
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 _PLANS = 64       # entries of each shift-plan table (_row_plan, _stack_plan)
@@ -88,18 +92,15 @@ def _pad_runs(starts, src):
         j = k
 
 
-def _roll_row(src, dst, m, axis):
-    """dst = src rolled by m along axis: an exact whole-cell shift."""
+def _roll_row(src, dst, m, axis, lo):
+    """dst = src rolled by m along axis, from cell lo on: an exact whole-cell shift."""
     n = src.shape[axis]
-    k = m % n
-    if np.may_share_memory(src, dst):  # dst is src itself
-        if k:
-            dst[...] = np.roll(src, k, axis=axis)
+    if np.may_share_memory(src, dst):  # dst is src itself, and lo = 0
+        if m % n:
+            dst[...] = np.roll(src, m, axis=axis)
         return
-    # the two rolled slices, straight into dst
-    lead = (slice(None),) * axis
-    dst[lead + (slice(k, n),)] = src[lead + (slice(0, n - k),)]
-    dst[lead + (slice(0, k),)] = src[lead + (slice(n - k, n),)]
+    # the rolled slices, straight into dst
+    _wrap_pad(src, dst, (lo - m) % n, axis)
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -155,16 +156,18 @@ def _row_plan(cells, src, row_shape, axis, dtype):
     return whole, nb * math.prod(bshape), tuple(parts), tuple(blocks)
 
 
-def _shift_rows(a, s, out, axis, limit, src):
-    """out[i] = a[src[i]] shifted by s[i] cells along axis (>= 1): the body of axis_shift."""
+def _shift_rows(a, s, out, axis, limit, src, keep):
+    """out[i] = a[src[i]] shifted by s[i] cells along axis (>= 1), cells
+    keep = slice(lo, hi) of it along axis: the body of axis_shift."""
     n = a.shape[axis]
+    lo, hi, _ = keep.indices(n)
     whole, buffer, parts, blocks = _row_plan(
         np.ascontiguousarray(s, dtype=np.float64).tobytes(),
         np.ascontiguousarray(src, dtype=np.int64).tobytes(), a.shape[1:], axis, out.dtype)
 
     # whole-cell and zero rows: exact copies, one row at a time
     for i, j, m in whole:
-        _roll_row(a[j], out[i], m, axis - 1)
+        _roll_row(a[j], out[i], m, axis - 1, lo)
     if not blocks:
         return
 
@@ -180,7 +183,7 @@ def _shift_rows(a, s, out, axis, limit, src):
             P, T = size // k, math.prod(pshape[axis + 1:])  # per padded row; per line index
 
             def lines(buf):
-                return buf[:size].reshape(pshape)[lead + (slice(0, n),)]
+                return buf[:size].reshape(pshape)[lead + (slice(lo, hi),)]
 
             pad = pbuf[:size].reshape(pshape)
             for j, jend, rows, start in runs:
@@ -207,12 +210,15 @@ def _shift_rows(a, s, out, axis, limit, src):
             np.copyto(dst, lines(rbuf))
 
 
-def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None):
+def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None, keep=slice(None)):
     """Values of a periodic field shifted along one axis: out(x) = a(x - disp).
 
     a is sampled on a uniform periodic grid of spacing dx along `axis`.
     When disp/dx is an integer the result is an exact roll. With
     limit=True the cubic value is clamped to the local bracketing range.
+    `keep`, a slice of `axis` with step 1, names the cells of the shifted
+    field that the result holds (all of them by default); the others are
+    not written.
 
     Per-row form: disp may be a 1-D array with one displacement per output
     row (array axis 0; `axis` must then be >= 1), and `rows` an optional
@@ -223,10 +229,11 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None):
 
     The result is written to `out` when given, else to a new array, and
     returned. `out` may be `a` itself (or a view of exactly its elements),
-    which shifts in place, provided `rows` is None or the identity; any
-    other `out` must not overlap `a`. Whole-cell and zero rows are exact
-    copies, one row at a time: the two rolled slices go straight into `out`,
-    or through a temporary when it is `a`. Other rows are processed in
+    which shifts in place, provided `rows` is None or the identity and
+    `keep` holds every cell; any other `out` must not overlap `a`.
+    Whole-cell and zero rows are exact copies, one row at a time: the
+    rolled slices go straight into `out`, or through a temporary when it
+    is `a`. Other rows are processed in
     blocks of about _BLOCK elements, whole rows or parts of one row along
     another axis, so that a block's wrap-padded copy and two work buffers
     stay in cache. The padded copy reads each row from its source row, one
@@ -242,9 +249,9 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None):
     """
     if np.ndim(disp) == 0:  # the per-row form on a one-row view
         if out is None:
-            out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+            out = np.empty(_kept(a.shape, axis, keep), dtype=np.result_type(a, 1.0))
         _shift_rows(a[None], np.array([disp], dtype=float) / dx, out[None], axis + 1,
-                    limit, np.zeros(1, dtype=int))
+                    limit, np.zeros(1, dtype=int), keep)
         return out
     s = np.asarray(disp, dtype=float) / dx
     if axis < 1 or s.ndim != 1:
@@ -253,11 +260,17 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None):
     if len(src) != len(s):
         raise ValueError("rows and disp must have one entry per output row")
     if out is None:
-        out = np.empty((len(s),) + a.shape[1:], dtype=np.result_type(a, 1.0))
+        out = np.empty(_kept((len(s),) + a.shape[1:], axis, keep),
+                       dtype=np.result_type(a, 1.0))
     elif np.may_share_memory(a, out) and not np.array_equal(src, np.arange(len(a))):
         raise ValueError("out may be the input only when each row reads its own row")
-    _shift_rows(a, s, out, axis, limit, src)
+    _shift_rows(a, s, out, axis, limit, src, keep)
     return out
+
+
+def _kept(shape, axis, keep):
+    """`shape` with axis cut to the cells of `keep`."""
+    return shape[:axis] + (len(range(shape[axis])[keep]),) + shape[axis + 1:]
 
 
 def shift_spatial(values, disp, dx):
@@ -273,59 +286,63 @@ def shift_spatial(values, disp, dx):
     return out
 
 
-def velocity_offset_stack(values, vnodes, factor, dx, out=None):
+def velocity_offset_stack(values, vnodes, factor, dx, out=None, box=None):
     """Per-node limited shifted copies out[j](x) = values(x - factor * v_j), node-first.
 
     values: a spatial array x_shape, or a node-first array (K,) + x_shape.
-    Returns a new (K,) + x_shape array, or for a node-first input `out` when
-    given, which may be `values` itself: its rows map one to one onto the
-    stack's, so every axis shifts in place. Each node gets the axis shifts of
-    shift_spatial in the same order, so the result is bit-identical to
-    shifting node by node. Shifts are shared: after axis a the stack holds
-    one row per distinct (row, v_a) pair, so a spatial input is shifted
-    once per distinct prefix (v_0, ..., v_a) rather than once per node.
-    Each axis is one per-row axis_shift call over the whole stack, each
-    row reading its parent row of the previous stack.
+    A spatial input gives stack_on_box(values, ...) on the whole grid. Each
+    node gets the axis shifts of shift_spatial in the same order, so the
+    result is bit-identical to shifting node by node.
+
+    A node-first input gives a (K,) + x_shape array: `out` when given,
+    which may be `values` itself (its rows map one to one onto the
+    stack's, so every axis shifts in place), else a new array. `box`, when
+    given, is a box of positions outside which `values` is +0.0; position
+    axis a is then shifted only on the box grown by stack_reach along axes
+    0..a (grid.grow_box). A line of +0.0 shifts to +0.0, so that is the
+    whole stack outside those regions, which `out` must already hold there:
+    a new array starts as zeros unless box is the whole grid.
     """
     K, d = vnodes.shape
     if values.ndim == d:
-        if out is not None:
-            raise ValueError("out needs a node-first input")
-        rows = values[None]
-    elif values.ndim == d + 1 and values.shape[0] == K:
-        rows = values
-    else:
+        if out is not None or box is not None:
+            raise ValueError("out and box need a node-first input")
+        return stack_on_box(values, vnodes, factor, dx, (slice(None),) * d)
+    if values.ndim != d + 1 or values.shape[0] != K:
         raise ValueError("values must be x_shape or (K,) + x_shape")
-    axes, owner = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d,
-                              values.ndim == d)
-    for a, (comps, parent, in_place) in enumerate(axes):
-        # the first axis writes into `out`; from the second axis on, rows that
-        # map one to one onto the next stack are shifted in place, as they are
-        # a copy of the input by then
-        dest = out if a == 0 else rows if in_place else None
-        rows = axis_shift(rows, factor * comps, dx, axis=a + 1, rows=parent, out=dest)
-    return rows if owner is None else rows[owner]
+    whole = (slice(None),) * d
+    box = whole if box is None else box
+    if out is None:
+        out = np.empty_like(values) if box == whole else np.zeros_like(values)
+    grown = grow_box(box, stack_reach(vnodes, factor, dx), values.shape[1:])
+    axes, _ = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d, False)
+    src = values
+    for a, (comps, parent) in enumerate(axes):
+        # the first axis reads `values`, the others shift `out` in place
+        region = (slice(None),) + grown[:a + 1] + box[a + 1:]
+        axis_shift(src[region], factor * comps, dx, axis=a + 1, rows=parent, out=out[region])
+        src = out
+    return out
 
 
 @functools.lru_cache(maxsize=_PLANS)
 def _stack_plan(vnodes, K, d, spatial):
-    """The rows of velocity_offset_stack, from the bytes of the (K, d) float64
+    """The rows of an offset stack, from the bytes of the (K, d) float64
     nodes and whether the input is spatial (one row) or node-first: per axis
-    a, (each new row's component v_a, its parent row in the previous stack,
-    whether the rows map one to one onto the previous stack's), and the row
-    of each node in the last stack (None when row j is node j)."""
+    a, (each new row's component v_a, its parent row in the previous
+    stack), and the row of each node in the last stack (None when row j is
+    node j). A spatial input is shifted once per distinct prefix
+    (v_0, ..., v_a) of the nodes, not once per node."""
     vnodes = np.frombuffer(vnodes).reshape(K, d)
     owner = np.zeros(K, dtype=int) if spatial else np.arange(K)
-    n_rows = 1 if spatial else K
     axes = []
     for a in range(d):
         comps, col = np.unique(vnodes[:, a], return_inverse=True)
         # rows of the next stack: distinct (current row, component) pairs
         keys, owner = np.unique(owner * len(comps) + col, return_inverse=True)
         parent, comp = np.divmod(keys, len(comps))
-        axes.append((comps[comp], parent, len(keys) == n_rows))
-        n_rows = len(keys)
-    for comps, parent, _ in axes:
+        axes.append((comps[comp], parent))
+    for comps, parent in axes:
         comps.flags.writeable = parent.flags.writeable = False
     if np.array_equal(owner, np.arange(K)):
         return tuple(axes), None
@@ -341,14 +358,22 @@ def stack_reach(vnodes, factor, dx):
 
 
 def stack_on_box(values, vnodes, factor, dx, box):
-    """The offset stack of a spatial field on a box of positions, bit for bit
-    velocity_offset_stack(values, ...)[:, box], from a shift of the field on
-    the box grown by the stack's reach only. On the whole grid it is the
-    stack itself, a new array, not a view of one."""
+    """The offset stack of a spatial field on a box of positions, a new
+    (K,) + box shape array, bit for bit the whole grid's stack on the box.
+
+    The field is read on the box grown by the stack's reach (grid.nest_box),
+    and each axis is cut to the box as it is shifted (axis_shift's keep), so
+    axis a shifts the box grown along axes a..d-1 only. Shifts are shared:
+    after axis a the stack holds one row per distinct (row, v_a) pair, each
+    row reading its parent row of the previous stack.
+    """
+    K, d = vnodes.shape
     grown, inner = nest_box(box, stack_reach(vnodes, factor, dx), values.shape)
-    stack = velocity_offset_stack(values[grown], vnodes, factor, dx)
-    # only the whole grid grows into itself
-    return stack if grown == box else stack[(slice(None),) + inner]
+    axes, owner = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d, True)
+    rows = values[grown][None]
+    for a, (comps, parent) in enumerate(axes):
+        rows = axis_shift(rows, factor * comps, dx, axis=a + 1, rows=parent, keep=inner[a])
+    return rows if owner is None else rows[owner]
 
 
 def interp_point(values, x0, dx, points, limit=True):

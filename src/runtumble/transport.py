@@ -6,8 +6,9 @@ f0(x - t v, v), which we exploit twice: closed-form initial data are
 sampled exactly at the shifted points, and the per-step update shifts each
 velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
-the dense array. The step shifts only the box that f carries, and its
-result carries the box it wrote.
+the dense array. The step shifts each axis only on the box that f carries,
+grown along the axes shifted so far, and its result carries the box it
+wrote.
 """
 
 from dataclasses import dataclass
@@ -103,13 +104,14 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
     is left as it is; with in_place it goes into f.nodes, f's time and box
     are updated with it, and f itself is returned.
 
-    Only f.box is shifted, grown by the reach of the shift (_transport_box),
-    and the result carries the grown box. An all-zero stencil gives +0.0,
-    so outside that box a sweep of the whole array writes +0.0, which is
-    what the box path leaves there: the result is bit for bit the full
-    sweep's wherever f's zeros are +0.0, as in every state the solver
-    makes. When the grown box is the whole grid, the sweep writes every
-    element, so a new array is not zeroed first.
+    Position axis a is shifted only on f.box grown by the reach of the
+    shift along axes 0..a (velocity_offset_stack's box), and the result
+    carries f.box grown along every axis (_transport_box). A line of zeros
+    shifts to +0.0, so outside those regions a sweep of the whole array
+    writes +0.0, which is what the box path leaves there: the result is
+    bit for bit the full sweep's wherever f's zeros are +0.0, as in every
+    state the solver makes. A new array is zeroed first unless f.box is
+    the whole grid, when the first axis writes every element.
     The slab sums stay over the whole array, so that they add in the full
     sweep's order.
     """
@@ -119,13 +121,9 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
     spatial = tuple(range(1, grid.dim + 1))
     before = f.nodes.sum(axis=spatial)
     box = _transport_box(grid, f.box, dt)
-    whole = box == (slice(None),) * grid.dim
-    if in_place:
-        out = f.nodes
-    else:
-        out = np.empty_like(f.nodes) if whole else np.zeros_like(f.nodes)
-    region = (slice(None),) + box
-    moved = velocity_offset_stack(f.nodes[region], grid.vnodes, dt, grid.dx, out=out[region])
+    out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx,
+                                out=f.nodes if in_place else None, box=f.box)
+    moved = out[(slice(None),) + box]
     np.clip(moved, 0.0, None, out=moved)
     after = out.sum(axis=spatial)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from conftest import same_bits
 
+from runtumble import interp
 from runtumble.fields import solve_field
 from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, density,
                             field_from_compact, field_mass, grow_box, occupied_box,
@@ -66,8 +67,10 @@ def _states(grid):
     """Node arrays: compact support, support touching the periodic edge on
     axis 0 (a full-axis fallback there), full support, the empty state,
     compact support with subnormal values in one node, a few cells away,
-    one cell whose node values differ from one another, and a box that is
-    part of the grid but holds more than a quarter of it."""
+    one cell whose node values differ from one another, a box that is part
+    of the grid but holds more than a quarter of it, a box whose growth by
+    a transport step's reach is the whole grid, and a box one cell thick
+    along axis 0."""
     rng = np.random.default_rng(grid.dim)
     shape = (grid.n_vnodes,) + grid.x_shape
     nx = grid.spec.nx
@@ -93,6 +96,16 @@ def _states(grid):
     cube = (slice(None),) + (slice(2, 2 + 3 * nx // 4),) * grid.dim
     large[cube] = rng.random(large[cube].shape)
     states["large"] = large
+    # one cell in from the periodic edge, so that growing by 2 or more
+    # crosses it on every axis
+    grown_whole = np.zeros(shape)
+    cube = (slice(None),) + (slice(1, 4),) * grid.dim
+    grown_whole[cube] = rng.random(grown_whole[cube].shape)
+    states["grown_whole"] = grown_whole
+    thin = np.zeros(shape)
+    cube = (slice(None), slice(nx // 2, nx // 2 + 1)) + (slice(nx // 2 - 2, nx // 2 + 1),) * (grid.dim - 1)
+    thin[cube] = rng.random(thin[cube].shape)
+    states["thin"] = thin
     return states
 
 
@@ -203,6 +216,62 @@ def test_stack_on_box_is_the_whole_stack_on_the_box():
                         (slice(0, 3),) + (slice(5, 9),) * (dim - 1)):
                 got = stack_on_box(values, grid.vnodes, factor, grid.dx, box)
                 assert same_bits(got, full[(slice(None),) + box]), (dim, factor, box)
+
+
+def test_states_cover_a_whole_grown_box_and_a_thin_box():
+    # the two cases the per-axis regions of a transport step single out
+    for dim in (2, 3):
+        grid = _grid(dim)
+        whole = (slice(None),) * dim
+        states = _states(grid)
+        reach = stack_reach(grid.vnodes, grid.spec.dt, grid.dx)
+        box = occupied_box(states["grown_whole"])
+        assert box != whole and grow_box(box, reach, grid.x_shape) == whole
+        box = occupied_box(states["thin"])
+        assert box != whole and box[0] == slice(grid.spec.nx // 2, grid.spec.nx // 2 + 1)
+
+
+def _shift_shapes(monkeypatch):
+    """Record (input shape, output shape) of every interp.axis_shift call."""
+    calls, axis_shift = [], interp.axis_shift
+
+    def recorded(a, *args, **kwargs):
+        out = axis_shift(a, *args, **kwargs)
+        calls.append((a.shape, out.shape))
+        return out
+
+    monkeypatch.setattr(interp, "axis_shift", recorded)
+    return calls
+
+
+def test_each_axis_is_shifted_only_on_the_box_it_reaches(monkeypatch):
+    # a transport step shifts axis a on f's box grown along axes 0..a; a
+    # stack on a box reads the box grown by its reach, cuts each axis to
+    # the box as it shifts it, and returns a box-shaped array
+    grid = _grid(3)
+    nx, K, dt = grid.spec.nx, grid.n_vnodes, grid.spec.dt
+    nodes = _states(grid)["compact"]
+    f = DistributionField.from_nodes(grid, nodes)
+    assert f.box == (slice(nx // 2 - 2, nx // 2 + 1),) * 3
+    b = 3
+    g = b + 2 * stack_reach(grid.vnodes, dt, grid.dx)
+    calls = _shift_shapes(monkeypatch)
+    moved = transport_step(f, dt)
+    assert calls == [((K, g, b, b), (K, g, b, b)), ((K, g, g, b), (K, g, g, b)),
+                     ((K, g, g, g), (K, g, g, g))]
+    assert same_bits(moved.nodes, _full_transport(nodes, grid, dt))
+
+    values = np.random.default_rng(3).random(grid.x_shape)
+    factor = 0.7
+    g = b + 2 * stack_reach(grid.vnodes, factor, grid.dx)
+    calls.clear()
+    stack = stack_on_box(values, grid.vnodes, factor, grid.dx, f.box)
+    rows = [len(np.unique(grid.vnodes[:, :a + 1], axis=0)) for a in range(3)]
+    assert calls == [((1, g, g, g), (rows[0], b, g, g)), ((rows[0], b, g, g), (rows[1], b, b, g)),
+                     ((rows[1], b, b, g), (rows[2], b, b, b))]
+    assert stack.shape == (K, b, b, b) and stack.flags.c_contiguous
+    full = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+    assert same_bits(stack, full[(slice(None),) + f.box])
 
 
 def test_occupied_box_rule():
