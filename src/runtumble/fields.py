@@ -7,12 +7,24 @@ Newtonian potential, a direct convolution with the tabulated kernel
 the truncated kernels are bounded by 1/(4 pi), which is what makes the long
 parts a-priori bounded by the mass. Each tabulated kernel is transformed
 once per grid and kept, read-only, in a small cache, as are the
-wavenumbers of the spectral solve.
+wavenumber factors of the spectral solve.
+
+Every field is real, so every transform is a real one (scipy.fft's rfftn
+and irfftn on the half spectrum, the last axis cut to nx // 2 + 1), which
+equals the real part of the complex transforms up to roundoff when three
+rules keep the half spectrum's factors Hermitian:
+- a first-derivative factor i k_a is 0 at the Nyquist index of axis a,
+  where the real part of the complex inverse cancels it;
+- a mixed second-derivative factor -k_a k_b is 0 where exactly one of
+  its two indices is at Nyquist, for the same reason;
+- the last axis keeps fftfreq's -pi/dx at Nyquist, so that a mixed factor
+  with both indices there has the complex formula's sign.
 """
 
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfftn, rfftn
 from scipy.special import kv
 
 from runtumble.freeflow import SPHERE_AREA
@@ -24,48 +36,59 @@ BESSEL_R_MAX = 80.0  # outer radius of the radial quadrature of bessel_potential
 
 @lru_cache(maxsize=16)
 def _wavenumbers(spec):
-    """(k mesh, |k|^2) on the grid of `spec`, read-only; one per spec."""
+    """Half-spectrum factors on the grid of `spec`, read-only, one per spec:
+    (1 + |k|^2, the first-derivative factors i k_a, and the second-derivative
+    factors -k_a k_b for a <= b), with the module's Nyquist rules. Each
+    factor of one or two axes is an open mesh that broadcasts over the
+    half spectrum."""
     grid = build_grid(spec)
-    mesh = np.meshgrid(*([grid.k] * grid.dim), indexing="ij")
-    k2 = sum(c * c for c in mesh)
-    for a in (*mesh, k2):
-        a.flags.writeable = False
-    return mesh, k2
+    d, n = grid.dim, spec.nx
+    sizes = (n,) * (d - 1) + (n // 2 + 1,)
+    k, nyquist = [], []
+    for a, m in enumerate(sizes):
+        shape = (1,) * a + (m,) + (1,) * (d - a - 1)
+        k.append(grid.k[:m].reshape(shape))
+        nyquist.append((np.arange(m) == n // 2).reshape(shape))
+    denom = 1.0 + sum(c * c for c in k)
+    grad = [np.where(nyquist[a], 0.0, 1j * k[a]) for a in range(d)]
+    hess = {(a, b): np.where(nyquist[a] != nyquist[b], 0.0, -k[a] * k[b])
+            for a in range(d) for b in range(a, d)}
+    for x in (denom, *grad, *hess.values()):
+        x.flags.writeable = False
+    return denom, grad, hess
 
 
 def gradient_from_hat(hat, grid):
-    """The spectral gradient [ifftn(i k_a hat).real for each axis a] of the
-    field whose FFT is hat."""
-    kmesh, _ = _wavenumbers(grid.spec)
-    return [SpatialField(grid, np.fft.ifftn(1j * kmesh[a] * hat).real) for a in range(grid.dim)]
+    """The spectral gradient [irfftn(i k_a hat) for each axis a] of the field
+    whose real transform rfftn is hat, the factor 0 at axis a's Nyquist index."""
+    _, grad, _ = _wavenumbers(grid.spec)
+    return [SpatialField(grid, irfftn(g * hat, s=grid.x_shape)) for g in grad]
 
 
 def solve_field(rho: SpatialField, want=("S",)) -> dict:
     """Spectral solve of the screened equation S - Lap S = rho with requested derivatives.
 
     want is a subset of {"S", "grad", "hess"}. Returns a dict with "S",
-    optionally "grad" (list of d components) and "hess" (d x d nested list).
+    optionally "grad" (list of d components) and "hess" (d x d nested list,
+    whose entries [a][b] and [b][a] are one field).
     """
     grid = rho.grid
     unknown = set(want) - {"S", "grad", "hess"}
     if unknown:
         raise ValueError(f"unknown derivative requests {sorted(unknown)}")
 
-    kmesh, k2 = _wavenumbers(grid.spec)
-    s_hat = np.fft.fftn(rho.values) / (1 + k2)
+    denom, _, hess = _wavenumbers(grid.spec)
+    s_hat = rfftn(rho.values) / denom
     out = {}
     if "S" in want:
-        out["S"] = SpatialField(grid, np.fft.ifftn(s_hat).real)
+        out["S"] = SpatialField(grid, irfftn(s_hat, s=grid.x_shape))
     if "grad" in want:
         out["grad"] = gradient_from_hat(s_hat, grid)
     if "hess" in want:
-        out["hess"] = [
-            [
-                SpatialField(grid, np.fft.ifftn(-kmesh[a] * kmesh[b] * s_hat).real)
-                for b in range(grid.dim)
-            ]
-            for a in range(grid.dim)
-        ]
+        parts = {ab: SpatialField(grid, irfftn(h * s_hat, s=grid.x_shape))
+                 for ab, h in hess.items()}
+        out["hess"] = [[parts[min(a, b), max(a, b)] for b in range(grid.dim)]
+                       for a in range(grid.dim)]
     return out
 
 
@@ -107,25 +130,26 @@ def _newton_kernel(grid, order, part):
 
 @lru_cache(maxsize=16)
 def _newton_kernel_hat(spec, order, part):
-    """FFT of _newton_kernel on the grid of `spec`, read-only; one per (spec, order, part)."""
-    hat = np.fft.fftn(_newton_kernel(build_grid(spec), order, part))
+    """rfftn of _newton_kernel on the grid of `spec`, read-only; one per (spec, order, part)."""
+    hat = rfftn(_newton_kernel(build_grid(spec), order, part))
     hat.flags.writeable = False
     return hat
 
 
 def _newton(rho, kernels):
-    """Real parts of the circular convolutions of rho with each tabulated
-    (order, part) kernel of `kernels`, from one FFT of rho; d = 3."""
+    """The circular convolutions of rho with each tabulated (order, part)
+    kernel of `kernels`, from one real transform of rho; d = 3."""
     grid = rho.grid
     if grid.dim != 3:
         raise ValueError("short/long potential split is specific to d = 3")
     if grid.spec.box_half_length <= 2.0:
         raise ValueError("short/long split needs box_half_length > 2 to resolve the |x| <= 1 cutoff")
-    rho_hat = np.fft.fftn(rho.values)
+    rho_hat = rfftn(rho.values)
     out = []
     for order, part in kernels:
-        conv = np.fft.ifftn(rho_hat * _newton_kernel_hat(grid.spec, order, part)).real
-        out.append(SpatialField(grid, conv * grid.x_weight))
+        conv = irfftn(rho_hat * _newton_kernel_hat(grid.spec, order, part), s=grid.x_shape)
+        conv *= grid.x_weight
+        out.append(SpatialField(grid, conv))
     return tuple(out)
 
 
@@ -148,7 +172,7 @@ def newton_parts(rho: SpatialField):
     """The full order-0 potential and the short-range parts of the order-0
     and order-1 splits, bit for bit newtonian_potential(rho),
     split_short_long(rho, 0)[0] and split_short_long(rho, 1)[0], from one
-    FFT of rho."""
+    real transform of rho."""
     return _newton(rho, ((0, "full"), (0, "short"), (1, "short")))
 
 

@@ -13,6 +13,7 @@ to a run without.
 """
 
 import numpy as np
+from scipy.fft import rfftn
 
 from runtumble.fields import gradient_from_hat, newtonian_potential, solve_field
 from runtumble.grid import WRAP_TOL, PhaseGrid, density, field_mass, shell_mass
@@ -103,7 +104,7 @@ class Simulation:
             want = {"S", "grad"} | self.kernel.required_fields()
             return solve_field(rho, want=tuple(want))
         out = {"S": newtonian_potential(rho, order=0)}
-        out["grad"] = gradient_from_hat(np.fft.fftn(out["S"].values), self.grid)
+        out["grad"] = gradient_from_hat(rfftn(out["S"].values), self.grid)
         return out
 
     def run(self, n_steps):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-
+import scipy.fft
 from scipy.special import kv
 
 from runtumble.fields import (_bessel_radial, _newton_kernel, _newton_kernel_hat,
@@ -67,11 +67,11 @@ def test_newton_kernels_transformed_once_per_grid():
     # the cached, read-only transform gives the bits of transforming the
     # tabulated kernel on every call
     grid, rho = _random_rho3(seed=4)
-    rho_hat = np.fft.fftn(rho.values)
+    rho_hat = scipy.fft.rfftn(rho.values)
 
     def direct(order, part):
-        ker_hat = np.fft.fftn(_newton_kernel(grid, order, part))
-        return np.fft.ifftn(rho_hat * ker_hat).real * grid.x_weight
+        ker_hat = scipy.fft.rfftn(_newton_kernel(grid, order, part))
+        return scipy.fft.irfftn(rho_hat * ker_hat, s=grid.x_shape) * grid.x_weight
 
     for order in (0, 1):
         S = newtonian_potential(rho, order=order)
@@ -86,13 +86,55 @@ def test_newton_kernels_transformed_once_per_grid():
 
 def test_gradient_from_hat_is_the_spectral_gradient():
     # solve_field's gradient and the gradient of the Newtonian S share one
-    # formula, ifftn(i k_a hat).real over the grid's wavenumber mesh
+    # formula, irfftn(i k_a hat) over the grid's half-spectrum wavenumbers,
+    # the factor 0 at the Nyquist index of axis a
     grid, rho = _random_rho3(seed=5)
-    kmesh = np.meshgrid(*([grid.k] * 3), indexing="ij")
-    for hat in (np.fft.fftn(rho.values), np.fft.fftn(newtonian_potential(rho).values)):
+    n = grid.spec.nx
+    kmesh = np.meshgrid(grid.k, grid.k, grid.k[:n // 2 + 1], indexing="ij")
+    for hat in (scipy.fft.rfftn(rho.values),
+                scipy.fft.rfftn(newtonian_potential(rho).values)):
         for a, got in enumerate(gradient_from_hat(hat, grid)):
-            expect = np.fft.ifftn(1j * kmesh[a] * hat).real
+            factor = np.where(np.indices(hat.shape)[a] == n // 2, 0.0, 1j * kmesh[a])
+            expect = scipy.fft.irfftn(factor * hat, s=grid.x_shape)
             assert np.array_equal(got.values.view(np.int64), expect.view(np.int64))
+
+
+def _nyquist_rich(grid, seed):
+    """White noise plus the pure Nyquist mode (-1)^(i_0 + ... + i_(d-1))."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.x_shape)
+    values += (-1.0) ** np.indices(grid.x_shape).sum(axis=0)
+    return SpatialField(grid, values)
+
+
+def _close(got, expect, rtol=1e-13):
+    return np.abs(got - expect).max() <= rtol * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("dim, nx", [(1, 64), (2, 32), (3, 16)])
+def test_real_transforms_give_the_complex_formulas(dim, nx):
+    # S, grad and hess from the half spectrum equal the real parts of the
+    # complex formulas to roundoff on a field with every Nyquist mode
+    grid = make_grid(dim=dim, nx=nx)
+    rho = _nyquist_rich(grid, seed=dim)
+    kmesh = np.meshgrid(*([grid.k] * dim), indexing="ij")
+    s_hat = np.fft.fftn(rho.values) / (1 + sum(c * c for c in kmesh))
+    sol = solve_field(rho, want=("S", "grad", "hess"))
+    assert _close(sol["S"].values, np.fft.ifftn(s_hat).real)
+    for a in range(dim):
+        assert _close(sol["grad"][a].values, np.fft.ifftn(1j * kmesh[a] * s_hat).real), a
+        for b in range(dim):
+            expect = np.fft.ifftn(-kmesh[a] * kmesh[b] * s_hat).real
+            assert _close(sol["hess"][a][b].values, expect), (a, b)
+
+
+def test_newton_parts_give_the_complex_convolutions():
+    grid = build_grid(GridSpec(dim=3, box_half_length=4.0, nx=16, nv=4))
+    rho = _nyquist_rich(grid, seed=6)
+    rho_hat = np.fft.fftn(rho.values)
+    for got, (order, part) in zip(newton_parts(rho), ((0, "full"), (0, "short"), (1, "short"))):
+        ker_hat = np.fft.fftn(_newton_kernel(grid, order, part))
+        assert _close(got.values, np.fft.ifftn(rho_hat * ker_hat).real * grid.x_weight), part
 
 
 def test_long_range_part_bounded_by_mass():
