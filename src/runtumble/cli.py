@@ -159,19 +159,32 @@ def parse_signs(text):
     return tuple(table[p] for p in parts)
 
 
+# the fields of each spec that a config builds, and the config key of each
+_GRID_KEYS = {"dim": "dimension", "box_half_length": "box_half_length", "nx": "nx", "nv": "nv",
+              "velocity_shape": "velocity_shape", "r_min": "r_min", "r_max": "r_max", "dt": "dt"}
+_KERNEL_KEYS = {"family": "kernel_family", "coefficient": "kernel_C",
+                "epsilon": "memory_epsilon", "signs": "kernel_signs"}
+_DATA_KEYS = {"kind": "init_kind", "amplitude": "init_amplitude", "width": "init_width"}
+_BALL_KEYS = {"amplitude": "init_amplitude", "sigma": "init_width", "R": "r_max", "d": "dimension"}
+
+
+def _spec(cls, cfg, keys, **values):
+    """cls built from the config keys of `keys` (field: key), with `values`
+    in place of a key's raw text; its rules failing are a config error whose
+    message starts with those keys."""
+    args = {field: cfg[key] for field, key in keys.items()} | values
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(keys.values())}: {exc}") from exc
+
+
 def build_scene(cfg):
     """Grid, kernel and initial data from a parsed config; their rules
     failing are a config error."""
-    try:
-        spec = GridSpec(dim=cfg["dimension"], box_half_length=cfg["box_half_length"],
-                        nx=cfg["nx"], nv=cfg["nv"], velocity_shape=cfg["velocity_shape"],
-                        r_min=cfg["r_min"], r_max=cfg["r_max"], dt=cfg["dt"])
-        kernel = KernelSpec(family=cfg["kernel_family"], coefficient=cfg["kernel_C"],
-                            epsilon=cfg["memory_epsilon"], signs=parse_signs(cfg["kernel_signs"]))
-        f0 = SeparableData(amplitude=cfg["init_amplitude"], width=cfg["init_width"],
-                           kind=cfg["init_kind"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _spec(GridSpec, cfg, _GRID_KEYS)
+    kernel = _spec(KernelSpec, cfg, _KERNEL_KEYS, signs=parse_signs(cfg["kernel_signs"]))
+    f0 = _spec(SeparableData, cfg, _DATA_KEYS)
     return build_grid(spec), kernel, f0
 
 
@@ -347,11 +360,7 @@ def run_dispersion(config_path):
                           f"not {cfg['velocity_shape']!r} with r_min = {cfg['r_min']}")
     if cfg["init_kind"] != "gaussian":
         raise ConfigError("dispersion fits use gaussian initial data")
-    try:
-        data = GaussianBallData(amplitude=cfg["init_amplitude"], sigma=cfg["init_width"],
-                                R=cfg["r_max"], d=cfg["dimension"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    data = _spec(GaussianBallData, cfg, _BALL_KEYS)
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     header = ["p", "q", "fitted_slope", "theoretical_slope", "relative_deviation",

@@ -109,6 +109,24 @@ def test_simulate_rejects_non_finite_and_empty_runs(tmp_path, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, line, keys, message", [
+    ("simulate", "init_kind = ring", "init_kind, init_amplitude, init_width",
+     "unknown kind 'ring'"),
+    ("simulate", "kernel_C = -1", "kernel_family, kernel_C, memory_epsilon, kernel_signs",
+     "coefficient must be >= 0"),
+    ("dispersion", "init_width = 0", "init_amplitude, init_width, r_max, dimension",
+     "sigma must be > 0")])
+def test_config_errors_name_the_config_keys(tmp_path, capsys, command, line, keys, message):
+    # a spec's own rule failing names the config keys that built the spec,
+    # not only the spec's field (the dispersion fits take gaussian data)
+    drop = {line.split(" = ")[0]} | ({"init_kind"} if command == "dispersion" else set())
+    lines = [item for item in BASE_CONFIG.splitlines() if item.split(" = ")[0] not in drop]
+    cfg = "\n".join(lines + [line, f"output_dir = {tmp_path / 'o'}"]) + "\n"
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"config error: {keys}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_negative_snapshot_every_is_config_error(tmp_path, capsys):
     # a negative period once ran to the end, wrote no snapshot and exited 0
     bad = BASE_CONFIG.replace("snapshot_every = 5", "snapshot_every = -5") + \
