@@ -233,10 +233,9 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None, keep=slice(
     `keep` holds every cell; any other `out` must not overlap `a`.
     Whole-cell and zero rows are exact copies, one row at a time: the
     rolled slices go straight into `out`, or through a temporary when it
-    is `a`. Other rows are processed in
-    blocks of about _BLOCK elements, whole rows or parts of one row along
-    another axis, so that a block's wrap-padded copy and two work buffers
-    stay in cache. The padded copy reads each row from its source row, one
+    is `a`. Other rows are processed in blocks of about _BLOCK elements,
+    whole rows or parts of one row along another axis, so that a block's
+    wrap-padded copy and two work buffers stay in cache. The padded copy reads each row from its source row, one
     set of slice copies per run of rows with the same integer part and one
     or consecutive source rows. Each block is padded before its part of
     `out` is written, and reads only its own part of `a` when shifting in

@@ -39,9 +39,10 @@ stencil's range, so no offset stack exceeds the maximum of its input, and
 the same operations as the components on the inputs' maxima bound sup_x
 of the rate without building any stack (_rate_bound). When dt times that
 bound is below 1, the guard passes, and the components, the rate, the
-gain and the update are formed only on that box, each stack shifting its
-input on the box grown by its reach (interp.stack_on_box); outside it f
-is +0.0 and so is the full update.
+gain and the update are formed only on that box, each stack reading its
+input on the box grown by its reach and cutting each axis to the box as
+it shifts it (interp.stack_on_box); outside it f is +0.0 and so is the
+full update.
 Otherwise (a large dt or coefficient, or a NaN field) the update runs on
 the whole grid with the exact guard. loss_rate, kernel_components and
 kernel_mixed_norm always work on the whole grid.
@@ -203,8 +204,8 @@ def _components(spec, inputs, grid, box=None):
 
     Every array is built only on `box`, a tuple of slices of the position
     grid (the whole grid when None), (K,) + that box's shape, bit for bit
-    the full arrays' [:, box]: each offset stack shifts its input on the
-    box grown by the stack's reach only (stack_on_box).
+    the full arrays' [:, box]: each offset stack reads its input on the
+    box grown by the stack's reach only, and is box-shaped (stack_on_box).
 
     A is an array of the caller's own, or a read-only broadcast (a part
     with no terms, such as the constant kernel's). B is None when no term
