@@ -15,8 +15,8 @@ import numpy as np
 from runtumble.exponents import exponent_ge, strichartz_admissible, theorem3_exponents
 from runtumble.fields import newton_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField, density, nest_box
-from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
+from runtumble.grid import DistributionField, density, grow_box, nest_box
+from runtumble.interp import stack_on_box, stack_reach, stack_spread, velocity_offset_stack
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
 
@@ -346,15 +346,20 @@ class TermTracker:
         # zero outside its step's box, so it is formed on that box, placed in
         # zeros of the box grown by the reach of the transport shift
         # x - s v_j, shifted there (each axis on the box grown along the
-        # axes shifted so far) and added there
+        # axes shifted so far), and added on the box grown by the shift's
+        # spread, outside which its stack is +0.0
         for m in range(n):
             s_mid = (m + 0.5) * dt
             rho, s_short, g_short, H, box = self.history[n - 1 - m]
             grown, inner = nest_box(box, stack_reach(vn, s_mid, dx), grid.x_shape)
+            spread = stack_spread(vn, s_mid, dx)
+            # the summand's box grown by the spread: in the grid, and in `grown`
+            written = grow_box(box, spread, grid.x_shape)
+            kept = grow_box(inner, spread, rho[grown].shape)
             for f, field in ((f1, s_short), (f3, g_short), (f2, None)):
                 if field is None:
                     # one spatial field, whose stack shares shifts between nodes
-                    w = velocity_offset_stack(H[grown], vn, s_mid, dx)
+                    w = stack_on_box(H[grown], vn, s_mid, dx, kept)
                 else:
                     # the per-node offsets x + v_j of the field times rho: a
                     # signed zero where rho is 0, which adds nothing to the sum
@@ -362,8 +367,9 @@ class TermTracker:
                     np.multiply(stack_on_box(field, vn, -1.0, dx, box), rho[box],
                                 out=w[every_node + inner])
                     velocity_offset_stack(w, vn, s_mid, dx, out=w, box=inner)
+                    w = w[every_node + kept]
                 w *= dt
-                f[every_node + grown] += w
+                f[every_node + written] += w
 
         norms = [compact_mixed_norm(f, grid, self.p, self.q) for f in (f1, f2, f3)]
         hist = _midpoints(np.array(self.fnorm[: n + 1])[::-1])  # the last interval first

@@ -31,12 +31,16 @@ per call.
 
 Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
 DistributionField's state: position axis a of a stack is array axis a + 1.
-A stack is one per-row axis_shift call per position axis, and it reads
-nothing past stack_reach cells a side, so each call works only on the box
-that its axis reaches, bit for bit the whole-grid stack there:
+A stack is one per-row axis_shift call per position axis. It reads
+nothing past stack_reach cells a side, and the stack of a field that is
++0.0 outside a box is +0.0 past stack_spread cells a side of it (the
+clamp of a limited shift between two +0.0 cells is +0.0), so each call
+works only on the box that its axis reaches, bit for bit the whole-grid
+stack there:
 - a node-first input that is +0.0 outside a box (velocity_offset_stack's
-  box) shifts axis a on that box grown by the reach along axes 0..a only;
-  a line of zeros shifts to +0.0, which is the stack everywhere else;
+  box) shifts axis a reading that box grown by the reach along axis a,
+  and writes it grown by the spread along axes 0..a only (axis_shift's
+  keep); +0.0 is the stack everywhere else;
 - stack_on_box, the stack of a spatial field on a box, reads the field on
   the box grown by the reach, and cuts each axis to the box as it shifts
   it (axis_shift's keep), so it returns a box-shaped array.
@@ -51,6 +55,7 @@ from runtumble.grid import grow_box, nest_box
 
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 _PLANS = 64       # entries of each shift-plan table (_row_plan, _stack_plan)
+_MARGIN = 3       # cells a shift reads past its spread: two of the stencil, one to spare
 
 
 def _cubic_weights(u):
@@ -95,10 +100,10 @@ def _pad_runs(starts, src):
 def _roll_row(src, dst, m, axis, lo):
     """dst = src rolled by m along axis, from cell lo on: an exact whole-cell shift."""
     n = src.shape[axis]
-    if np.may_share_memory(src, dst):  # dst is src itself, and lo = 0
-        if m % n:
-            dst[...] = np.roll(src, m, axis=axis)
-        return
+    if np.may_share_memory(src, dst):  # dst is src's own cells from lo on
+        if not m % n:
+            return
+        src = src.copy()
     # the rolled slices, straight into dst
     _wrap_pad(src, dst, (lo - m) % n, axis)
 
@@ -228,14 +233,15 @@ def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None, keep=slice(
     is bit for bit axis_shift(a[rows[i]], disp[i], dx, axis=axis - 1).
 
     The result is written to `out` when given, else to a new array, and
-    returned. `out` may be `a` itself (or a view of exactly its elements),
-    which shifts in place, provided `rows` is None or the identity and
-    `keep` holds every cell; any other `out` must not overlap `a`.
-    Whole-cell and zero rows are exact copies, one row at a time: the
-    rolled slices go straight into `out`, or through a temporary when it
-    is `a`. Other rows are processed in blocks of about _BLOCK elements,
-    whole rows or parts of one row along another axis, so that a block's
-    wrap-padded copy and two work buffers stay in cache. The padded copy reads each row from its source row, one
+    returned. `out` may be the cells of `keep` of `a` itself (`a` itself
+    when keep holds every cell, or a view of exactly those elements),
+    which shifts in place, provided `rows` is None or the identity; any
+    other `out` must not overlap `a`. Whole-cell and zero rows are exact
+    copies, one row at a time: the rolled slices go straight into `out`,
+    or through a copy of the row when `out` is in `a`. Other rows are
+    processed in blocks of about _BLOCK elements, whole rows or parts of
+    one row along another axis, so that a block's wrap-padded copy and two
+    work buffers stay in cache. The padded copy reads each row from its source row, one
     set of slice copies per run of rows with the same integer part and one
     or consecutive source rows. Each block is padded before its part of
     `out` is written, and reads only its own part of `a` when shifting in
@@ -296,11 +302,12 @@ def velocity_offset_stack(values, vnodes, factor, dx, out=None, box=None):
     A node-first input gives a (K,) + x_shape array: `out` when given,
     which may be `values` itself (its rows map one to one onto the
     stack's, so every axis shifts in place), else a new array. `box`, when
-    given, is a box of positions outside which `values` is +0.0; position
-    axis a is then shifted only on the box grown by stack_reach along axes
-    0..a (grid.grow_box). A line of +0.0 shifts to +0.0, so that is the
-    whole stack outside those regions, which `out` must already hold there:
-    a new array starts as zeros unless box is the whole grid.
+    given, is a box of positions outside which `values` is +0.0. Position
+    axis a is then read on the box grown by stack_reach along axis a, as
+    the periodic pad needs, and written on the box grown by stack_spread
+    (axis_shift's keep), along axes 0..a only (grid.grow_box): the stack
+    is +0.0 past the spread, which `out` must already hold there. A new
+    array starts as zeros unless box is the whole grid.
     """
     K, d = vnodes.shape
     if values.ndim == d:
@@ -312,14 +319,18 @@ def velocity_offset_stack(values, vnodes, factor, dx, out=None, box=None):
     whole = (slice(None),) * d
     box = whole if box is None else box
     if out is None:
-        out = np.empty_like(values) if box == whole else np.zeros_like(values)
-    grown = grow_box(box, stack_reach(vnodes, factor, dx), values.shape[1:])
+        out = (np.empty if box == whole else np.zeros)(values.shape, dtype=values.dtype)
+    written = grow_box(box, stack_spread(vnodes, factor, dx), values.shape[1:])
+    read, keep = nest_box(written, _MARGIN, values.shape[1:])
     axes, _ = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d, False)
     src = values
     for a, (comps, parent) in enumerate(axes):
-        # the first axis reads `values`, the others shift `out` in place
-        region = (slice(None),) + grown[:a + 1] + box[a + 1:]
-        axis_shift(src[region], factor * comps, dx, axis=a + 1, rows=parent, out=out[region])
+        # the first axis reads `values`, the others shift `out` in place;
+        # the axes before a are +0.0 past the written box, the axes after a
+        # past the input's box
+        done, todo = (slice(None),) + written[:a], box[a + 1:]
+        axis_shift(src[done + (read[a],) + todo], factor * comps, dx, axis=a + 1, rows=parent,
+                   out=out[done + (written[a],) + todo], keep=keep[a])
         src = out
     return out
 
@@ -349,11 +360,19 @@ def _stack_plan(vnodes, K, d, spatial):
     return tuple(axes), owner
 
 
+def stack_spread(vnodes, factor, dx):
+    """Cells a side, ceil(max |factor v_j| / dx), past which the offset
+    stack of a field that is +0.0 outside a box is +0.0: a limited shift
+    by s cells clamps cell i between cells i - m - 1 and i - m of its
+    input, m = floor(s), and a clamp between two +0.0 gives +0.0."""
+    return math.ceil(abs(factor) * np.abs(vnodes).max() / dx)
+
+
 def stack_reach(vnodes, factor, dx):
-    """Cells a side, 3 + ceil(max |factor v_j| / dx), past which
+    """Cells a side, stack_spread + 3, past which
     velocity_offset_stack(values, vnodes, factor, dx) reads nothing: the
     shift, the two cells of the 4-point stencil beyond it, and one to spare."""
-    return 3 + math.ceil(abs(factor) * np.abs(vnodes).max() / dx)
+    return _MARGIN + stack_spread(vnodes, factor, dx)
 
 
 def stack_on_box(values, vnodes, factor, dx, box):

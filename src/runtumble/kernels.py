@@ -382,7 +382,7 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     if in_place:
         out = fm
     else:
-        out = np.zeros_like(fm) if box != whole or rate.shape != fm.shape else rate
+        out = np.zeros(fm.shape) if box != whole or rate.shape != fm.shape else rate
     out_box = out[nodes_box]
     np.multiply(rate, f_box, out=out_box)
     gain *= dt

@@ -7,8 +7,8 @@ sampled exactly at the shifted points, and the per-step update shifts each
 velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
 the dense array. The step shifts each axis only on the box that f carries,
-grown along the axes shifted so far, and its result carries the box it
-wrote.
+grown along the axes shifted so far by the cells a shift can write (the
+spread), and its result carries the box it wrote.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from runtumble.grid import DistributionField, PhaseGrid, grow_box
-from runtumble.interp import stack_reach, velocity_offset_stack
+from runtumble.interp import stack_spread, velocity_offset_stack
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
 
 def _transport_box(grid, box, dt):
     """The box that a transport step by dt writes when f is +0.0 outside
-    `box`: `box` grown by the stencil and one step of motion (stack_reach,
+    `box`: `box` grown by the spread of one step of motion (stack_spread,
     grid.grow_box)."""
-    return grow_box(box, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
+    return grow_box(box, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)
 
 
 def transport_step(f: DistributionField, dt: float, in_place=False) -> DistributionField:
@@ -104,14 +104,14 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
     is left as it is; with in_place it goes into f.nodes, f's time and box
     are updated with it, and f itself is returned.
 
-    Position axis a is shifted only on f.box grown by the reach of the
-    shift along axes 0..a (velocity_offset_stack's box), and the result
-    carries f.box grown along every axis (_transport_box). A line of zeros
-    shifts to +0.0, so outside those regions a sweep of the whole array
-    writes +0.0, which is what the box path leaves there: the result is
-    bit for bit the full sweep's wherever f's zeros are +0.0, as in every
-    state the solver makes. A new array is zeroed first unless f.box is
-    the whole grid, when the first axis writes every element.
+    Position axis a is read on f.box grown by the reach of the shift along
+    axis a, and written on f.box grown by its spread along axes 0..a
+    (velocity_offset_stack's box); the result carries f.box grown by the
+    spread along every axis (_transport_box). Past the spread the full
+    sweep writes +0.0, which is what the box path leaves there: the
+    result is bit for bit the full sweep's wherever f's zeros are +0.0,
+    as in every state the solver makes. A new array is zeroed first unless
+    f.box is the whole grid, when the first axis writes every element.
     The slab sums stay over the whole array, so that they add in the full
     sweep's order.
     """

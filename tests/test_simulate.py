@@ -9,7 +9,7 @@ import runtumble.simulate
 from runtumble.estimator import BootstrapMonitor, GronwallMonitor, TermTracker
 from runtumble.grid import (DistributionField, GridSpec, build_grid, density, grow_box,
                             occupied_box, support_box, total_mass)
-from runtumble.interp import stack_reach
+from runtumble.interp import stack_spread
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.simulate import GuardAbort, Simulation
 from runtumble.transport import SeparableData, transport_step
@@ -213,7 +213,7 @@ def test_step_allocates_few_state_sizes(family, dim, beta, bound):
 def _check_step_boxes(monkeypatch):
     """Wrap the writers that Simulation.step calls so that each call checks
     the box its field carries: a transport result carries its input's box
-    grown by the reach of the shift, a scattering result its input's box,
+    grown by the spread of the shift, a scattering result its input's box,
     an in-place write returns its input, density narrows f.box to f's
     occupied box, and f is +0.0 outside the box after every call."""
     def zero_outside(f):
@@ -227,7 +227,7 @@ def _check_step_boxes(monkeypatch):
         box = f.box
         g = transport_step(f, dt, in_place=in_place)
         assert (g is f) == in_place
-        assert g.box == grow_box(box, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)
+        assert g.box == grow_box(box, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)
         assert zero_outside(g)
         return g
 

@@ -20,7 +20,7 @@ from runtumble.fields import solve_field
 from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, density,
                             field_from_compact, field_mass, grow_box, occupied_box,
                             support_box)
-from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
+from runtumble.interp import stack_on_box, stack_reach, stack_spread, velocity_offset_stack
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import SeparableData, exact_free_solution, transport_step
@@ -144,6 +144,36 @@ def test_transport_box_path_bit_identical_to_full_sweep(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+def test_whole_cell_rows_keep_the_written_box(dim):
+    # a stack on a box whose rows shift by whole cells, all of them or
+    # some, into a new array and in place: each axis is read on the reach
+    # and written on the spread, and a whole-cell row in place is rolled
+    # into its own cells of the written box
+    grid = _grid(dim)
+    dx, vn = grid.dx, grid.vnodes
+    aligned = grid.alignment_time()
+    mixed = aligned / 3.0  # +-1/3 of a cell for the inner components, +-1 for the outer
+    assert np.any(np.abs(mixed * vn / dx) == 1.0) and np.any(np.abs(mixed * vn / dx) < 1.0)
+    for name, nodes in _states(grid).items():
+        box = occupied_box(nodes)
+        for factor in (aligned, -aligned, 2.0 * aligned, mixed, -mixed):
+            expect = velocity_offset_stack(nodes, vn, factor, dx)
+            assert same_bits(velocity_offset_stack(nodes, vn, factor, dx, box=box),
+                             expect), (name, factor)
+            in_place = nodes.copy()
+            assert velocity_offset_stack(in_place, vn, factor, dx, out=in_place,
+                                         box=box) is in_place
+            assert same_bits(in_place, expect), (name, factor)
+            written = grow_box(box, stack_spread(vn, factor, dx), grid.x_shape)
+            assert _zero_outside_box(DistributionField.from_nodes(grid, expect, box=written))
+        f = DistributionField.from_nodes(grid, nodes.copy())
+        assert same_bits(transport_step(f, aligned).nodes,
+                         _full_transport(nodes, grid, aligned)), name
+        assert same_bits(transport_step(f, aligned, in_place=True).nodes,
+                         _full_transport(nodes, grid, aligned)), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mixed_norm_box_path_bit_identical_to_full_sweep(dim):
     grid = _grid(dim)
     for name, nodes in _states(grid).items():
@@ -245,7 +275,8 @@ def _shift_shapes(monkeypatch):
 
 
 def test_each_axis_is_shifted_only_on_the_box_it_reaches(monkeypatch):
-    # a transport step shifts axis a on f's box grown along axes 0..a; a
+    # a transport step shifts axis a reading f's box grown by the reach
+    # along axis a and writing it grown by the spread along axes 0..a; a
     # stack on a box reads the box grown by its reach, cuts each axis to
     # the box as it shifts it, and returns a box-shaped array
     grid = _grid(3)
@@ -254,11 +285,14 @@ def test_each_axis_is_shifted_only_on_the_box_it_reaches(monkeypatch):
     f = DistributionField.from_nodes(grid, nodes)
     assert f.box == (slice(nx // 2 - 2, nx // 2 + 1),) * 3
     b = 3
-    g = b + 2 * stack_reach(grid.vnodes, dt, grid.dx)
+    r = b + 2 * stack_reach(grid.vnodes, dt, grid.dx)
+    w = b + 2 * stack_spread(grid.vnodes, dt, grid.dx)
+    assert w < r
     calls = _shift_shapes(monkeypatch)
     moved = transport_step(f, dt)
-    assert calls == [((K, g, b, b), (K, g, b, b)), ((K, g, g, b), (K, g, g, b)),
-                     ((K, g, g, g), (K, g, g, g))]
+    assert calls == [((K, r, b, b), (K, w, b, b)), ((K, w, r, b), (K, w, w, b)),
+                     ((K, w, w, r), (K, w, w, w))]
+    assert moved.box == (slice(nx // 2 - 2 - (w - b) // 2, nx // 2 + 1 + (w - b) // 2),) * 3
     assert same_bits(moved.nodes, _full_transport(nodes, grid, dt))
 
     values = np.random.default_rng(3).random(grid.x_shape)
@@ -370,13 +404,13 @@ def _zero_outside_box(f):
 def test_writers_carry_a_box_outside_which_f_is_zero(dim):
     # transport_step and scattering_apply (into a new array or in place)
     # return fields that are +0.0 outside the box they carry: f's occupied
-    # box grown by the reach of the shift, or f's occupied box itself.
+    # box grown by the spread of the shift, or f's occupied box itself.
     # density narrows that box to the result's occupied box
     grid = _grid(dim)
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
         occupied = occupied_box(nodes)
-        boxes = [grow_box(occupied, stack_reach(grid.vnodes, dt, grid.dx), grid.x_shape)] * 2
+        boxes = [grow_box(occupied, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)] * 2
         boxes += [occupied] * (2 * len(SCATTER_KERNELS))
         f = DistributionField.from_nodes(grid, nodes)
         results = [transport_step(f, dt),
