@@ -8,7 +8,8 @@ velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
 the dense array. The step shifts each axis only on the box that f carries,
 grown along the axes shifted so far by the cells a shift can write (the
-spread), and its result carries the box it wrote.
+spread), and its result carries the box it wrote. Its slab sums are
+taken on boxes too, by a rule that gives every box the whole array's bits.
 """
 
 from dataclasses import dataclass
@@ -92,11 +93,33 @@ def _transport_box(grid, box, dt):
     return grow_box(box, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)
 
 
+def slab_sums(nodes, box):
+    """Per-node sums over position of a node-first array, (K,) + x_shape,
+    that is +0.0 outside `box`: the same bits for every such box.
+
+    NumPy sums each whole plane of the position axes after the first (a
+    contiguous block), for the planes of the box along the first axis;
+    the plane sums are then added one at a time, in order along that
+    axis, from +0.0. A plane outside the box sums to +0.0 and would leave
+    the running sum as it is, so a box gives the whole grid's bits. The
+    additions are explicit: NumPy reduces an axis of a view with a
+    length-1 axis in another order.
+    """
+    lo, hi, _ = box[0].indices(nodes.shape[1])
+    planes = nodes[:, lo:hi].sum(axis=tuple(range(2, nodes.ndim)))
+    total = np.zeros(len(nodes))
+    for i in range(hi - lo):
+        total += planes[:, i]
+    return total
+
+
 def transport_step(f: DistributionField, dt: float, in_place=False) -> DistributionField:
     """Semi-Lagrangian update f_new(x, v) = Interp(f)(x - dt v, v).
 
     Periodic monotonized cubic per velocity node; exact when dt * v lands on
-    grid nodes. The limiter keeps values in the local range, hence >= 0.
+    grid nodes. The limiter keeps values in the local range, hence >= 0,
+    and the cubic of cells >= +0.0 is never -0.0 (its terms on the two
+    bracketing cells have positive weights), so no clip follows it.
     The unlimited shift is a circular convolution with unit weight sum, so
     the only mass error comes from the limiter; a per-slab rescale restores
     the slab mass exactly, keeping total mass conserved to roundoff.
@@ -112,22 +135,20 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
     result is bit for bit the full sweep's wherever f's zeros are +0.0,
     as in every state the solver makes. A new array is zeroed first unless
     f.box is the whole grid, when the first axis writes every element.
-    The slab sums stay over the whole array, so that they add in the full
-    sweep's order.
+    The slab sums (slab_sums) are taken on f.box and on the written box,
+    with the bits of the same rule on the whole array.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = f.grid
-    spatial = tuple(range(1, grid.dim + 1))
-    before = f.nodes.sum(axis=spatial)
+    before = slab_sums(f.nodes, f.box)
     box = _transport_box(grid, f.box, dt)
     out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx,
                                 out=f.nodes if in_place else None, box=f.box)
-    moved = out[(slice(None),) + box]
-    np.clip(moved, 0.0, None, out=moved)
-    after = out.sum(axis=spatial)
+    after = slab_sums(out, box)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
-    moved *= scale.reshape((-1,) + (1,) * grid.dim)  # +0.0 * scale is +0.0 outside the box
+    moved = out[(slice(None),) + box]
+    moved *= scale.reshape((-1,) + (1,) * grid.dim)  # +0.0 * scale is +0.0 where f is
     if not in_place:
         return DistributionField.from_nodes(grid, out, t=f.t + dt, box=box)
     f.t, f.box = f.t + dt, box

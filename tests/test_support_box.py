@@ -23,7 +23,7 @@ from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, 
 from runtumble.interp import stack_on_box, stack_reach, stack_spread, velocity_offset_stack
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
-from runtumble.transport import SeparableData, exact_free_solution, transport_step
+from runtumble.transport import SeparableData, exact_free_solution, slab_sums, transport_step
 
 INF = math.inf
 SUBNORMAL = 5e-324  # the smallest positive double: hv^d times it underflows to 0
@@ -35,13 +35,22 @@ SCATTER_KERNELS = (KernelSpec(family="hyp3", coefficient=0.5),
 SCATTER_DT = 0.02
 
 
+def _full_slab_sums(nodes):
+    """slab_sums over the whole array: NumPy's sums of the whole planes of
+    the position axes after the first, added in order along the first."""
+    planes = nodes.sum(axis=tuple(range(2, nodes.ndim)))
+    total = np.zeros(len(nodes))
+    for i in range(planes.shape[1]):
+        total += planes[:, i]
+    return total
+
+
 def _full_transport(nodes, grid, dt):
     """transport_step as a sweep over the whole array."""
-    spatial = tuple(range(1, grid.dim + 1))
-    before = nodes.sum(axis=spatial)
+    before = _full_slab_sums(nodes)
     out = velocity_offset_stack(nodes, grid.vnodes, dt, grid.dx)
     np.clip(out, 0.0, None, out=out)
-    after = out.sum(axis=spatial)
+    after = _full_slab_sums(out)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
     out *= scale.reshape((-1,) + (1,) * grid.dim)
     return out
@@ -141,6 +150,31 @@ def test_transport_box_path_bit_identical_to_full_sweep(dim):
         assert same_bits(transport_step(f, dt).nodes, expect), name
         assert same_bits(f.nodes, nodes), name
         assert same_bits(transport_step(f, dt, in_place=True).nodes, expect), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_slab_sums_give_the_whole_array_bits_on_every_box(dim):
+    # on f's occupied box, on its support box (one cell, or one cell thick
+    # along axis 0, on some states), on boxes with a length-1 axis and on
+    # grown ones, slab_sums gives the bits of the whole-array rule
+    grid = _grid(dim)
+    whole = (slice(None),) * dim
+    nx = grid.spec.nx
+    states = _states(grid)
+    rng = np.random.default_rng(10 + dim)
+    for a in range(dim):
+        for lo, hi in ((0, 1), (nx - 1, nx), (nx // 2, nx // 2 + 1), (3, 9)):
+            box = tuple(slice(lo, hi) if b == a else slice(5, 8) for b in range(dim))
+            nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+            inside = (slice(None),) + box
+            nodes[inside] = rng.random(nodes[inside].shape)
+            states[f"axis{a}_{lo}_{hi}"] = nodes
+    for name, nodes in states.items():
+        expect = _full_slab_sums(nodes)
+        assert same_bits(slab_sums(nodes, whole), expect), name
+        support = support_box(np.any(nodes, axis=0))
+        for box in (occupied_box(nodes), support, grow_box(support, 2, grid.x_shape)):
+            assert same_bits(slab_sums(nodes, box), expect), (name, box)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
