@@ -67,9 +67,7 @@ class KernelSpec:
 
     signs applies to hyp3 only: offsets (S at x+s1*eps*v, S at x+s2*eps*v',
     |grad S| at x+s3*eps*v, |grad S| at x+s4*eps*v'), each entry +1 or -1.
-    active masks the four hyp3 terms in the same order. saturation, when
-    set, clamps each of the two kernel components at saturation/2 so that
-    T <= saturation pointwise.
+    active masks the four hyp3 terms in the same order.
     """
 
     family: str = "constant"
@@ -77,7 +75,6 @@ class KernelSpec:
     epsilon: float = 1.0
     signs: tuple = (1, -1, 1, -1)
     active: tuple = (True, True, True, True)
-    saturation: float = None
 
     def __post_init__(self):
         self.validate()
@@ -90,8 +87,6 @@ class KernelSpec:
             raise ValueError("coefficient must be >= 0")
         if not self.epsilon >= 0:
             raise ValueError("memory scale epsilon must be >= 0")
-        if self.saturation is not None and not self.saturation >= 0:
-            raise ValueError("saturation must be >= 0")
         if self.family == "hyp3":
             if len(self.signs) != 4 or any(s not in (-1, 1) for s in self.signs):
                 raise ValueError("hyp3 needs four signs in {-1, +1}")
@@ -179,7 +174,7 @@ def _rate_bound(spec, inputs, grid):
 
     The limiter keeps every shifted value inside its stencil's range, so no
     offset stack exceeds its input's maximum. _components' operations on
-    the stacks (sums in the same order, + c, * C >= 0, the saturation) are
+    the stacks (sums in the same order, + c, * C >= 0) are
     monotone, also in floating point, so the same operations on the
     maxima bound each part: a for A and b for B. The rate w sum_j A_j +
     |V| B is then at most |V| (a + b), up to the rounding of the velocity
@@ -190,7 +185,7 @@ def _rate_bound(spec, inputs, grid):
     peak = {name: float(values.max()) for name, values in inputs.items()}
 
     def part(terms, c):
-        return _saturate((sum(peak[name] for name, _ in terms) + c) * spec.coefficient, spec)
+        return (sum(peak[name] for name, _ in terms) + c) * spec.coefficient
 
     a, b = part(a_terms, c), part(b_terms, 0.0)
     vm = grid.velocity_measure
@@ -198,7 +193,7 @@ def _rate_bound(spec, inputs, grid):
 
 
 def _components(spec, inputs, grid, box=None):
-    """Node-first, saturated (A, B, spare) of the split T = A(x, v) + B(x, v'),
+    """Node-first (A, B, spare) of the split T = A(x, v) + B(x, v'),
     built from _terms and the formed inputs (_inputs), bit for bit
     C * (c + term + term) per part.
 
@@ -218,8 +213,8 @@ def _components(spec, inputs, grid, box=None):
     r, a term whose opposite-sign stack exists is the view [r] of it:
     negating a displacement is exact, so stack(-sign)[j] and stack(sign)[r[j]]
     agree bit for bit. When B's terms mirror A's, B is A[r] itself, a
-    read-only view; the coefficient and saturation are elementwise, so they
-    commute with the reordering.
+    read-only view; the coefficient is elementwise, so it commutes with the
+    reordering.
     """
     c, a_terms, b_terms = _terms(spec)
     C, eps, r = spec.coefficient, spec.epsilon, grid.vreflect
@@ -252,14 +247,14 @@ def _components(spec, inputs, grid, box=None):
         return total
 
     # a mirrored B is A[r], so then no other part reads A's stacks
-    A = _saturate(part(a_terms, c, [] if mirrored else b_terms), spec)
+    A = part(a_terms, c, [] if mirrored else b_terms)
     if not b_terms:
         return A, None, None
     if mirrored:
         B = A[r]
         B.flags.writeable = False
         return A, B, stacks[a_terms[1]] if len(a_terms) == 2 else None
-    B = _saturate(part(b_terms, 0.0, a_terms), spec)
+    B = part(b_terms, 0.0, a_terms)
     return A, B, B
 
 
@@ -273,22 +268,15 @@ def kernel_components(spec: KernelSpec, fields, grid: PhaseGrid):
     """
     A, B, _ = _components(spec, _inputs(spec, fields), grid)
     if B is None:
-        B = _saturate(np.broadcast_to(0.0, A.shape), spec)
+        B = np.broadcast_to(0.0, A.shape)
     elif B.base is A:  # a mirrored B
         A.flags.writeable = False
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
 
-def _saturate(part, spec):
-    return part if spec.saturation is None else np.minimum(part, spec.saturation / 2.0)
-
-
 def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> float:
-    """Pointwise kernel value T(x, v, v') with periodic cubic offset sampling.
-
-    Saturation clamps the v-part and the v'-part at saturation/2 each, as
-    kernel_components does, so T equals A + B at the grid nodes.
-    """
+    """Pointwise kernel value T(x, v, v') = A(x, v) + B(x, v') with periodic
+    cubic offset sampling, from the same _terms as kernel_components."""
     inputs = _inputs(spec, fields)
     C, eps = spec.coefficient, spec.epsilon
     x = np.asarray(x, dtype=float)
@@ -305,9 +293,6 @@ def evaluate_kernel(spec: KernelSpec, fields, grid: PhaseGrid, x, v, vp) -> floa
 
     a = C * (total(a_terms, v) + c)
     b = C * total(b_terms, vp)
-    if spec.saturation is not None:
-        a = min(a, spec.saturation / 2.0)
-        b = min(b, spec.saturation / 2.0)
     return float(a + b)
 
 

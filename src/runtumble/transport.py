@@ -22,37 +22,24 @@ from runtumble.interp import stack_spread, velocity_offset_stack
 
 @dataclass(frozen=True)
 class SeparableData:
-    """Closed-form initial data f0(x, v) = g(x) h(v), point-evaluable anywhere.
+    """Closed-form initial data f0(x, v) = g(x) on V, point-evaluable anywhere.
 
     kind "gaussian": g(x) = amplitude * exp(-|x - center|^2 / (2 width^2));
     kind "cube":     g(x) = amplitude * 1{|x - center|_inf <= width}.
-    center is () (the origin) or one coordinate per position axis.
-    h(v) is the indicator of V ("uniform") or a radial Gaussian
-    exp(-|v|^2 / (2 v_width^2)) restricted to V ("gaussian").
+    center is () (the origin) or one coordinate per position axis. The data
+    do not depend on v: every velocity node of V carries the same g.
     """
 
     amplitude: float = 1.0
     width: float = 1.0
     kind: str = "gaussian"
     center: tuple = ()
-    v_profile: str = "uniform"
-    v_width: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "cube"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.v_profile not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown v_profile {self.v_profile!r}")
-        for name in ("width", "v_width"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-
-    def eval_v(self, vnodes):
-        """Evaluate h at masked velocity nodes, shape (K, d) -> (K,)."""
-        if self.v_profile == "uniform":
-            return np.ones(vnodes.shape[0])
-        r2 = np.sum(vnodes**2, axis=1)
-        return np.exp(-r2 / (2.0 * self.v_width**2))
+        if not self.width > 0:
+            raise ValueError(f"width must be > 0, got {self.width}")
 
 
 def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> DistributionField:
@@ -61,8 +48,8 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
     Both descriptor kinds factorize over position axes, so the per-node
     spatial factor is an outer product of one-dimensional profiles; only
     the distinct velocity components along each axis need evaluating. The
-    velocity amplitudes are multiplied into that product in place, so the
-    node-first state is the one state-sized array made.
+    amplitude is multiplied into that product in place, so the node-first
+    state is the one state-sized array made.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -82,7 +69,7 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
         else:
             profile = (np.abs(xa) <= f0.width).astype(float)
         g = g * profile[col].reshape((K,) + (1,) * a + (nx,) + (1,) * (d - a - 1))
-    g *= (f0.amplitude * f0.eval_v(grid.vnodes)).reshape((K,) + (1,) * d)
+    g *= f0.amplitude
     return DistributionField.from_nodes(grid, g, t=float(t))
 
 

@@ -282,8 +282,9 @@ def test_term_tracker_on_one_cell_equals_full_grid_sums():
     # the node axis of a (K, 1, 1, 1) box pairwise, where the whole-grid
     # sums add the K rows one by one, so the tracker takes the whole grid
     grid = build_grid(GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.02))
-    f0 = SeparableData(amplitude=0.5, width=0.3, kind="cube", v_profile="gaussian",
-                       v_width=0.4)
+    f0 = np.zeros((grid.n_vnodes,) + grid.x_shape)
+    f0[:, 16, 16, 16] = 0.5 * np.exp(-np.sum(grid.vnodes**2, axis=1) / (2.0 * 0.4**2))
+    f0 = DistributionField.from_nodes(grid, f0)
     sim = Simulation(grid, f0, KernelSpec(family="hyp1", coefficient=0.2), beta=0)
     mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0)
     sim.attach(mon)

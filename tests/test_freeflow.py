@@ -67,7 +67,7 @@ def test_free_norm_rejects_bad_arguments():
 
 @pytest.mark.parametrize("make, kwargs", [
     (SeparableData, {"width": -1.0}), (SeparableData, {"kind": "ring"}),
-    (SeparableData, {"v_profile": "ring"}), (SeparableData, {"v_width": 0.0}),
+    (SeparableData, {"width": 0.0}), (SeparableData, {"width": math.nan}),
     (GaussianBallData, {"amplitude": 0.0}), (GaussianBallData, {"sigma": -1.0}),
     (GaussianBallData, {"R": math.nan}), (GaussianBallData, {"d": 4})])
 def test_initial_data_descriptors_reject_bad_parameters(make, kwargs):

@@ -33,7 +33,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(family="hyp3", signs=(1, 2, 1, -1)).validate()
     nan = float("nan")
-    for bad in (dict(coefficient=nan), dict(epsilon=nan), dict(saturation=nan)):
+    for bad in (dict(coefficient=nan), dict(epsilon=nan)):
         with pytest.raises(ValueError):
             KernelSpec(family="hyp1", **bad).validate()
 
@@ -123,28 +123,10 @@ def test_evaluate_kernel_matches_components_at_nodes():
                                           grid.vnodes[j], grid.vnodes[jp])
                     assert val == pytest.approx(T[i, j, jp], abs=1e-12)
 
-    # saturation clamps the v-part and the v'-part at saturation/2 each, in
-    # both: with |S| above 1 and only the first hyp3 term on, T tops out at 0.5
-    grid = build_grid(GridSpec(dim=1, box_half_length=4.0, nx=32, nv=2))
-    rho = SpatialField(grid, 5.0 * np.exp(-grid.x**2))
-    fields = solve_field(rho, want=("S", "grad"))
-    spec = KernelSpec(family="hyp3", coefficient=1.0, epsilon=0.0,
-                      active=(True, False, False, False), saturation=1.0)
-    assert np.abs(fields["S"].values).max() > 1.0
-    A, B = kernel_components(spec, fields, grid)
-    T = _dense_matrix(A, B, grid)
-    assert T.max() == 0.5
-    for i in range(grid.spec.nx):
-        for j in range(grid.n_vnodes):
-            for jp in range(grid.n_vnodes):
-                val = evaluate_kernel(spec, fields, grid, [grid.x[i]],
-                                      grid.vnodes[j], grid.vnodes[jp])
-                assert val == pytest.approx(T[i, j, jp], abs=1e-12)
-
 
 def _hyp3_reference(spec, fields, grid):
     """hyp3 components term by term, frozen as a reference: four offset
-    stacks added into zeros, then the coefficient and the saturation."""
+    stacks added into zeros, then the coefficient."""
     shape = (grid.n_vnodes,) + grid.x_shape
     Sabs = np.abs(fields["S"].values)
     gmag = np.sqrt(sum(g.values**2 for g in fields["grad"]))
@@ -154,8 +136,6 @@ def _hyp3_reference(spec, fields, grid):
             part += velocity_offset_stack(values, grid.vnodes, -spec.signs[i] * spec.epsilon,
                                           grid.dx)
     A, B = spec.coefficient * A, spec.coefficient * B
-    if spec.saturation is not None:
-        A, B = np.minimum(A, spec.saturation / 2.0), np.minimum(B, spec.saturation / 2.0)
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
 
@@ -173,9 +153,9 @@ def test_hyp3_components_bit_identical_to_term_by_term_formula(dim, nx, r_max):
     assert (grid.vreflect is None) == (r_max == 0.3)
     for signs in itertools.product((1, -1), repeat=4):
         for active in _HYP3_MASKS:
-            for eps, sat in ((1.3, None), (1.3, 0.02), (4.0, None)):  # eps = 4: whole cells
+            for eps in (1.3, 4.0):  # eps = 4: whole cells
                 spec = KernelSpec(family="hyp3", coefficient=0.7, epsilon=eps, signs=signs,
-                                  active=active, saturation=sat)
+                                  active=active)
                 got = kernel_components(spec, fields, grid)
                 ref = _hyp3_reference(spec, fields, grid)
                 assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1]), spec
@@ -183,7 +163,7 @@ def test_hyp3_components_bit_identical_to_term_by_term_formula(dim, nx, r_max):
 
 def _hyp12_reference(spec, fields, grid):
     """hyp1 and hyp2 components, frozen as a reference: C * (1.0 + stack)
-    and C * stack from fresh temporaries, then the saturation."""
+    and C * stack from fresh temporaries."""
     C = spec.coefficient
 
     def stack(values, sign):
@@ -201,8 +181,6 @@ def _hyp12_reference(spec, fields, grid):
             for h in row:
                 w = w + np.abs(h.values)
         A, B = C * (1.0 + stack(w, +1)), np.zeros((grid.n_vnodes,) + grid.x_shape)
-    if spec.saturation is not None:
-        A, B = np.minimum(A, spec.saturation / 2.0), np.minimum(B, spec.saturation / 2.0)
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
 
@@ -213,8 +191,8 @@ def test_hyp1_hyp2_components_bit_identical_to_fresh_formula(family, dim, nx):
     rng = np.random.default_rng(dim)
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
     fields = solve_field(SpatialField(grid, rho), want=("S", "grad", "hess"))
-    for eps, sat in ((1.3, None), (1.3, 0.02), (4.0, None)):  # eps = 4: whole cells
-        spec = KernelSpec(family=family, coefficient=0.7, epsilon=eps, saturation=sat)
+    for eps in (1.3, 4.0):  # eps = 4: whole cells
+        spec = KernelSpec(family=family, coefficient=0.7, epsilon=eps)
         got = kernel_components(spec, fields, grid)
         ref = _hyp12_reference(spec, fields, grid)
         assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1]), spec
@@ -241,14 +219,6 @@ def test_hyp3_mirrored_b_is_a_view_of_a(monkeypatch):
     A, B = kernel_components(spec, fields, grid)
     assert same_bits(B, A[..., grid.vreflect])
     assert np.shares_memory(A, B) and not A.flags.writeable and not B.flags.writeable
-
-
-def test_saturation_caps_kernel():
-    grid, fields, f, _ = make_scene(seed=6)
-    spec = KernelSpec(family="hyp1", coefficient=5.0, saturation=0.3)
-    A, B = kernel_components(spec, fields, grid)
-    T = _dense_matrix(A, B, grid)
-    assert T.max() <= 0.3 + 1e-14
 
 
 def test_mixed_norm_rejects_bad_exponent_order():
@@ -298,10 +268,6 @@ _SCATTER_SPECS = [
     KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, signs=(1, 1, 1, 1)),
     KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, signs=(1, 1, -1, 1),
                active=(True, False, True, True)),
-    KernelSpec(family="constant", coefficient=0.4, saturation=0.5),
-    KernelSpec(family="hyp1", coefficient=0.4, epsilon=1.3, saturation=0.5),
-    KernelSpec(family="hyp2", coefficient=0.4, epsilon=1.3, saturation=0.5),
-    KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, saturation=0.02),
 ]
 
 
@@ -366,8 +332,6 @@ def test_loss_rate_of_kernels_without_a_v_prime_part():
     rate = loss_rate(KernelSpec(family="hyp3", coefficient=0.6, active=_HYP3_ONE_SIDED[1]),
                      fields, grid)
     assert rate.strides[0] != 0
-    with pytest.raises(ValueError, match="saturation"):
-        KernelSpec(family="hyp2", saturation=-1.0).validate()
 
 
 @pytest.mark.parametrize("family, active", _FAMILY_CASES)
@@ -407,10 +371,9 @@ def _view_kernel_mixed_norm(spec, fields, grid, p1, p2, p3):
 
 
 @pytest.mark.parametrize("family", ["constant", "hyp1", "hyp2", "hyp3"])
-@pytest.mark.parametrize("saturation", [None, 0.05])
-def test_kernel_mixed_norm_bit_identical_to_view_formula(family, saturation):
+def test_kernel_mixed_norm_bit_identical_to_view_formula(family):
     grid, fields, f, _ = make_scene(dim=2, nx=8, nv=4, seed=11)
-    spec = KernelSpec(family=family, coefficient=0.6, epsilon=1.3, saturation=saturation)
+    spec = KernelSpec(family=family, coefficient=0.6, epsilon=1.3)
     for p1, p2, p3 in ((4.5, 1.8, 4.5), (2.0, 1.0, 1.0), (np.inf, 2.0, np.inf),
                        (np.inf, np.inf, np.inf)):
         got = kernel_mixed_norm(spec, fields, grid, p1, p2, p3)
@@ -457,12 +420,10 @@ def _full_path(monkeypatch, f, spec, fields, dt, **kwargs):
         return scattering_apply(f, spec, fields, dt, **kwargs)
 
 
-_BOX_SPECS = [KernelSpec(family=family, coefficient=0.4, epsilon=1.3, saturation=sat)
-              for family in ("constant", "hyp1", "hyp2") for sat in (None, 0.5)] + \
-    [KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, signs=signs, active=active,
-                saturation=sat)
-     for signs in itertools.product((1, -1), repeat=4) for active in _HYP3_MASKS
-     for sat in (None, 0.02)]
+_BOX_SPECS = [KernelSpec(family=family, coefficient=0.4, epsilon=1.3)
+              for family in ("constant", "hyp1", "hyp2")] + \
+    [KernelSpec(family="hyp3", coefficient=0.4, epsilon=1.3, signs=signs, active=active)
+     for signs in itertools.product((1, -1), repeat=4) for active in _HYP3_MASKS]
 
 
 @pytest.mark.parametrize("dim, nx, r_max", [(1, 32, 1.0), (2, 16, 1.0), (3, 8, 1.0),

@@ -161,9 +161,6 @@ _STEP_KERNELS = [
     KernelSpec(family="hyp2", coefficient=0.5),
     KernelSpec(family="hyp3", coefficient=0.5),
     KernelSpec(family="hyp3", coefficient=0.5, signs=(1, 1, -1, -1)),
-    KernelSpec(family="hyp1", coefficient=0.3, saturation=0.4),
-    KernelSpec(family="hyp2", coefficient=0.5, saturation=0.4),
-    KernelSpec(family="hyp3", coefficient=0.5, saturation=0.05),
 ]
 
 

@@ -340,8 +340,7 @@ def test_exact_free_solution_needs_no_center_or_one_entry_per_axis():
 
 def test_exact_free_solution_matches_direct_sampling():
     grid = make_grid(dim=2, nx=16, nv=4)
-    f0 = SeparableData(amplitude=0.7, width=0.8, kind="gaussian", center=(0.5, -0.25),
-                       v_profile="gaussian", v_width=0.6)
+    f0 = SeparableData(amplitude=0.7, width=0.8, kind="gaussian", center=(0.5, -0.25))
     t = 0.37
     f = exact_free_solution(f0, grid, t)
     X, Y = grid.x_mesh()
@@ -350,8 +349,7 @@ def test_exact_free_solution_matches_direct_sampling():
         v = grid.vnodes[j]
         xa = np.mod(X - t * v[0] - 0.5 + L, 2 * L) - L
         ya = np.mod(Y - t * v[1] + 0.25 + L, 2 * L) - L
-        hv = np.exp(-np.sum(v**2) / (2 * 0.6**2))
-        ref = 0.7 * np.exp(-(xa**2 + ya**2) / (2 * 0.8**2)) * hv
+        ref = 0.7 * np.exp(-(xa**2 + ya**2) / (2 * 0.8**2))
         vidx = tuple(ax[j] for ax in grid.vindex)
         assert np.allclose(f.values[(slice(None), slice(None)) + vidx], ref, atol=1e-13)
 
