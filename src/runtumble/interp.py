@@ -55,7 +55,7 @@ from runtumble.grid import grow_box, nest_box
 
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 _PLANS = 64       # entries of each shift-plan table (_row_plan, _stack_plan)
-_MARGIN = 3       # cells a shift reads past its spread: two of the stencil, one to spare
+_MARGIN = 1       # cells a shift reads past its spread: the outer node of the 4-point stencil
 
 
 def _cubic_weights(u):
@@ -369,9 +369,11 @@ def stack_spread(vnodes, factor, dx):
 
 
 def stack_reach(vnodes, factor, dx):
-    """Cells a side, stack_spread + 3, past which
-    velocity_offset_stack(values, vnodes, factor, dx) reads nothing: the
-    shift, the two cells of the 4-point stencil beyond it, and one to spare."""
+    """Cells a side, stack_spread + 1, past which
+    velocity_offset_stack(values, vnodes, factor, dx) reads nothing: a
+    shift by s cells that is not whole reads the 4-point stencil on cells
+    i - m - 2 to i - m + 1 of its input, m = floor(s), at most ceil(|s|) + 1
+    cells from i, and a whole-cell shift reads cell i - s only."""
     return _MARGIN + stack_spread(vnodes, factor, dx)
 
 

@@ -321,15 +321,14 @@ def test_term_tracker_on_whole_grid_boxes_equals_full_grid_sums(monkeypatch):
 def test_term_tracker_box_sums_equal_full_grid_sums(nx, center, edge):
     # the tracker shifts each history summand, and the fields that it
     # multiplies, only on boxes around its support: on 16^3 a cube off the
-    # centre, whose boxes reach the periodic edge on the first axis (a
-    # full-axis fallback there) and not on the last; on 32^3 no box does
-    grid, mon, states = _tracked_hyp1_run(6, stride=3, nx=nx, center=center)
+    # centre, whose support reaches the rim on the first axis by step 13, so
+    # that the last evaluation reads that step's summand on a box that
+    # reaches the periodic edge on the first axis (a full-axis fallback
+    # there) and not on the last; on 32^3 no box does
+    grid, mon, states = _tracked_hyp1_run(14, stride=7, nx=nx, center=center)
     reach = stack_reach(grid.vnodes, grid.spec.dt / 2.0, grid.dx)
-    box = grow_box(support_box(states[-1][1] != 0.0), reach, grid.x_shape)
+    box = grow_box(mon.history[13][4], reach, grid.x_shape)
     assert (box[0] == slice(None)) == edge and box[2] != slice(None)
-    grown = grow_box(support_box(states[-1][1] != 0.0),
-                     reach + stack_reach(grid.vnodes, 1.0, grid.dx), grid.x_shape)
-    assert (grown[2] == slice(None)) == edge
     H, fnorm, norms = _tracker_reference(grid, mon, states)
     # the box sums leave +0.0 where the full sums may hold -0.0, so the
     # fields compare by value and the norms and integrals bit for bit
