@@ -62,14 +62,15 @@ class Simulation:
         monitor.start(self)
         self.monitors.append(monitor)
 
-    def _check_wrap(self):
-        """Abort once the rim, WRAP_WIDTH = 2 cells a side, holds over WRAP_TOL = 1e-6 of M."""
+    def _check_wrap(self, rho):
+        """Abort when rho's rim, WRAP_WIDTH = 2 cells a side, holds over
+        WRAP_TOL = 1e-6 of M; the message names self.t, the last valid time."""
         if self.mass0 <= 0:
             return
-        shell = shell_mass(self.rho)
+        shell = shell_mass(rho)
         if shell > WRAP_TOL * self.mass0:
             raise GuardAbort(
-                f"support reached the box boundary at t={self.t:.6g} "
+                f"support reached the box boundary in the step after t={self.t:.6g} "
                 f"(shell mass {shell:.3e} > {WRAP_TOL:.1e} * M)", self.t)
 
     def step(self):
@@ -78,7 +79,9 @@ class Simulation:
         # half-step update that field in place. It carries its box: each
         # half-step shifts its box and sets the box it wrote, each density
         # sums the box and narrows it to f's occupied box, and scattering,
-        # which writes +0.0 wherever f(x, .) = 0, keeps it
+        # which writes +0.0 wherever f(x, .) = 0, keeps it. Either guard
+        # raises before the run takes the new state, so an aborted step
+        # leaves the state, its time and the monitors as they were
         dt = self.grid.spec.dt
         half = dt / 2.0
         f = transport_step(self.f, half)
@@ -87,15 +90,16 @@ class Simulation:
         try:
             scattering_apply(f, self.kernel, fields, dt, rho=rho, in_place=True)
         except PositivityError as exc:
-            raise GuardAbort(str(exc), self.t) from exc
+            raise GuardAbort(f"{exc}, in the step after t={self.t:.6g}", self.t) from exc
         transport_step(f, half, in_place=True)
+        rho = density(f)
+        self._check_wrap(rho)
         f.t = self.t + dt
         self.f = f
         self.t += dt
         self.step_count += 1
-        self.rho = density(self.f)
+        self.rho = rho
         self.fields = fields
-        self._check_wrap()
         for mon in self.monitors:
             mon.after_step(self)
 

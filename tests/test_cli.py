@@ -192,6 +192,21 @@ def test_simulate_gronwall_abort_at_first_step(tmp_path):
     assert lines[1].split(",")[-2] == "pass"
 
 
+def test_simulate_wrap_abort_names_the_last_row_time(tmp_path, capsys):
+    # the support reaches the rim of a small box mid-run: the abort message
+    # names the time of the last row written, the last valid state
+    cfg = "\n".join(["dimension = 2", "box_half_length = 4", "nx = 16", "nv = 4", "dt = 0.05",
+                     "t_end = 3", "kernel_family = hyp2", "kernel_C = 0.3", "init_kind = cube",
+                     "monitors = gronwall_thm2", f"output_dir = {tmp_path / 'w'}"]) + "\n"
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert "support reached the box boundary" in err
+    lines = (tmp_path / "w" / "timeseries.csv").read_text().splitlines()
+    assert lines[0].split(",")[-2] == "cert_gronwall" and len(lines) > 10
+    t_last = lines[-1].split(",")[0]
+    assert f"after t={float(t_last):.6g} " in err
+
+
 TERMS_CONFIG = """\
 dimension = 3
 box_half_length = 8

@@ -68,11 +68,21 @@ def test_monitors_do_not_perturb_the_run():
 
 
 def test_wrap_guard_aborts_with_valid_time():
-    # data touching the box rim trips the boundary-shell guard immediately
-    sim = make_sim(L=4.0, nx=16, nv=8, width=3.9, kind="cube")
+    # on a small box the support reaches the rim after some steps: the
+    # aborted step leaves the run at the last completed step, whose time
+    # the message names, with its state, density and box as they were
+    sim = make_sim(L=4.0, nx=16, nv=4, dt=0.05, width=1.0)
+    times = []
     with pytest.raises(GuardAbort) as exc:
-        sim.run(50)
-    assert exc.value.t_valid <= 50 * 0.02
+        for _ in range(100):
+            f, nodes, rho, box = sim.f, sim.f.nodes.copy(), sim.rho, sim.f.box
+            sim.step()
+            times.append(sim.t)
+    assert len(times) > 10
+    assert exc.value.t_valid == sim.t == times[-1] == f.t
+    assert f"after t={sim.t:.6g} " in str(exc.value)
+    assert sim.f is f and np.array_equal(f.nodes.view(np.int64), nodes.view(np.int64))
+    assert sim.rho is rho and f.box == box and sim.step_count == len(times)
 
 
 def test_scattering_guard_becomes_guard_abort():
