@@ -295,7 +295,7 @@ def run_simulate(config_path):
 
     header = ["t", "mass", "min_f", "max_f"]
     header += [f"norm_{ptok}_{qtok}" for ptok, qtok, _, _ in norm_list]
-    for name, cols in _monitor_columns(monitors, len(rows)):
+    for name, cols in _monitor_columns(monitors):
         header.append(name)
         for row, value in zip(rows, cols, strict=True):
             row.append(value)
@@ -308,9 +308,12 @@ def run_simulate(config_path):
     return EXIT_OK
 
 
-def _monitor_columns(monitors, n_rows):
-    """Each monitor's CSV columns (name, one raw value per row), in order."""
-    return [col for _, mon in monitors for col in mon.columns(n_rows)]
+def _monitor_columns(monitors):
+    """Each monitor's CSV columns (name, one raw value per row), in order. A
+    monitor records at attach and after each completed step, as `record`
+    does, and a guard raises before after_step, so its columns have one
+    value per row."""
+    return [col for _, mon in monitors for col in mon.columns()]
 
 
 # ---------------------------------------------------------------------------

@@ -270,12 +270,11 @@ class GronwallMonitor:
             ],
         }
 
-    def columns(self, n_rows):
-        """CSV columns (name, one value per row): each row's verdict and bound."""
-        recs = self.certify()["records"][:n_rows]
-        pad = [""] * (n_rows - len(recs))
-        return [("cert_gronwall", ["pass" if r["ok"] else "fail" for r in recs] + pad),
-                ("bound_gronwall", [r["rhs"] for r in recs] + pad)]
+    def columns(self):
+        """CSV columns (name, one value per record): each record's verdict and bound."""
+        recs = self.certify()["records"]
+        return [("cert_gronwall", ["pass" if r["ok"] else "fail" for r in recs]),
+                ("bound_gronwall", [r["rhs"] for r in recs])]
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +405,18 @@ class TermTracker:
             out["passed"] = out["passed"] and bool(np.all(ok))
         return out
 
-    def columns(self, n_rows):
-        """CSV columns (name, one value per row): the terms and their bounds on
-        the evaluated rows, and the verdict on the last row."""
+    def columns(self):
+        """CSV columns (name, one value per stored step): the terms and their
+        bounds on the evaluated steps, and the verdict on the last step."""
         by_step = {e["step"]: e for e in self.evaluations}
-        evs = [by_step.get(s) for s in range(n_rows)]
+        evs = [by_step.get(s) for s in range(len(self.fnorm))]
         out = [(f"term_f{i + 1}", ["" if e is None else e["norms"][i] for e in evs])
                for i in range(3)]
         out += [(f"bound_{kind}", ["" if e is None else e["integrals"][kind] for e in evs])
                 for kind in ("shifted", "plain")]
         # a guard abort can end the run before the first evaluation
         verdict = ("pass" if self.certify()["passed"] else "fail") if by_step else ""
-        return out + [("cert_terms", [""] * (n_rows - 1) + [verdict])]
+        return out + [("cert_terms", [""] * (len(evs) - 1) + [verdict])]
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +446,11 @@ class BootstrapMonitor:
     def _record(self, sim):
         self.fnorm.append(mixed_norm(sim.f, self.spec))
 
-    def series(self):
-        """Running X(T_n) over the recorded steps."""
-        return _running_norm(self.fnorm, self.r, self.dt)
-
     def report(self):
-        """X(T) and its quadratic fit; stable when X grows by at most STABILITY_TOL = 0.02
-        of X(T) over the last STABILITY_WINDOW = 0.25 of the steps."""
-        X = self.series()
+        """X(T_n), the running norm over the recorded steps, and its quadratic
+        fit; stable when X grows by at most STABILITY_TOL = 0.02 of X(T) over
+        the last STABILITY_WINDOW = 0.25 of the steps."""
+        X = _running_norm(self.fnorm, self.r, self.dt)
         n = len(X) - 1
         i0 = int((1.0 - STABILITY_WINDOW) * n)
         increment = (X[-1] - X[i0]) / X[-1] if X[-1] > 0 else 0.0
@@ -472,10 +468,10 @@ class BootstrapMonitor:
             "residual_rms": float(np.sqrt(np.mean(resid**2))),
         }
 
-    def columns(self, n_rows):
-        """CSV columns (name, one value per row): X(T) on each row and the
-        verdict on the last."""
+    def columns(self):
+        """CSV columns (name, one value per record): X(T) on each record and
+        the verdict on the last."""
         rep = self.report()
-        X = list(rep["X"][:n_rows])
-        return [("term_X", X + [""] * (n_rows - len(X))),
-                ("cert_bootstrap", [""] * (n_rows - 1) + ["pass" if rep["stable"] else "fail"])]
+        X = list(rep["X"])
+        return [("term_X", X),
+                ("cert_bootstrap", [""] * (len(X) - 1) + ["pass" if rep["stable"] else "fail"])]
