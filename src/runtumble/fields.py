@@ -229,6 +229,11 @@ def bessel_potential_norms(p, order=0, d=3, n_radial=400, r_min=1e-6) -> float:
     return float((np.trapezoid(integrand, u) + tail) ** (1.0 / p))
 
 
+def grad_magnitude(fields):
+    """|grad S| at each position, from the "grad" entry of a field solve."""
+    return np.sqrt(sum(g.values**2 for g in fields["grad"]))
+
+
 def gradient_bound_check(rho: SpatialField, p) -> dict:
     """Young-inequality check ||grad S||_p <= M ||grad G||_p for the beta=1 solve.
 
@@ -243,9 +248,7 @@ def gradient_bound_check(rho: SpatialField, p) -> dict:
     mass = field_mass(rho)
     if mass == 0.0:
         return {"ratio": 0.0, "passed": True, "mass": 0.0}
-    sol = solve_field(rho, want=("grad",))
-    gradmag = np.sqrt(sum(g.values**2 for g in sol["grad"]))
-    lhs = spatial_norm(gradmag, grid, p)
+    lhs = spatial_norm(grad_magnitude(solve_field(rho, want=("grad",))), grid, p)
     bessel_norm = bessel_potential_norms(p, order=1, d=d)
     ratio = lhs / (mass * bessel_norm)
     return {"ratio": ratio, "passed": ratio <= 1.02, "mass": mass, "kernel_norm": bessel_norm}

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from runtumble.exponents import exponent_ge
+from runtumble.fields import grad_magnitude
 from runtumble.grid import DistributionField, PhaseGrid, density
 from runtumble.interp import interp_point, stack_on_box
 from runtumble.norms import spatial_norm
@@ -98,10 +99,6 @@ class KernelSpec:
         return set().union(*(_INPUTS[name][0] for name, _ in a_terms + b_terms))
 
 
-def _grad_magnitude(fields):
-    return np.sqrt(sum(g.values**2 for g in fields["grad"]))
-
-
 def _hyp2_weight(fields):
     w = np.abs(fields["S"].values)
     for g in fields["grad"]:
@@ -116,8 +113,8 @@ def _hyp2_weight(fields):
 _INPUTS = {
     "S": ({"S"}, lambda fields: fields["S"].values),
     "|S|": ({"S"}, lambda fields: np.abs(fields["S"].values)),
-    "|grad S|": ({"grad"}, _grad_magnitude),
-    "S + |grad S|": ({"S", "grad"}, lambda fields: fields["S"].values + _grad_magnitude(fields)),
+    "|grad S|": ({"grad"}, grad_magnitude),
+    "S + |grad S|": ({"S", "grad"}, lambda fields: fields["S"].values + grad_magnitude(fields)),
     "|S| + |DS|_1 + |D2S|_1": ({"S", "grad", "hess"}, _hyp2_weight),
 }
 
