@@ -6,8 +6,8 @@ Subcommands:
   dispersion <config>  decay-rate fits for free transport
 
 Configs are flat "key = value" text with '#' comments and a strict schema:
-unknown keys are errors. Exit codes: 0 success, 1 config error, 2 runtime
-guard abort, 3 check failed.
+unknown keys are errors. Exit codes: 0 success, 1 config error (a bad
+invocation is one too), 2 runtime guard abort, 3 check failed.
 """
 
 import argparse
@@ -322,7 +322,10 @@ def _monitor_columns(monitors):
 
 def run_exponents_solve(args):
     q = parse_exponent(args.q)
-    chain = solve_numerology(q)
+    try:
+        chain = solve_numerology(q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for label, value in (("p", chain.p), ("lambda", chain.lam), ("theta", chain.theta),
                          ("c", chain.c), ("b", chain.b), ("eps_interp", chain.eps_interp)):
         print(f"{label} = {_fmt(value)}")
@@ -330,7 +333,10 @@ def run_exponents_solve(args):
 
 
 def run_exponents_region(args):
-    qs, ps, mask = admissible_region(step=args.step)
+    try:
+        qs, ps, mask = admissible_region(step=args.step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     header = ["q_prime", "p_prime", "in_region"]
     rows = [(q, p, int(mask[i, j])) for i, q in enumerate(qs) for j, p in enumerate(ps)]
     write_csv(args.output, header, rows)
@@ -387,8 +393,16 @@ def run_dispersion(config_path):
 # argument wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1):
+    argparse's own exit code for them, 2, is a guard abort's here."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="runtumble",
         description="Phase-space transport-scattering laboratory with estimate certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -416,8 +430,8 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.command == "simulate":
             return run_simulate(args.config)
         if args.command == "exponents":

@@ -15,8 +15,8 @@ import numpy as np
 from runtumble.exponents import exponent_ge, strichartz_admissible, theorem3_exponents
 from runtumble.fields import newton_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
-from runtumble.grid import DistributionField, density, grow_box, nest_box
-from runtumble.interp import stack_on_box, stack_reach, stack_spread, velocity_offset_stack
+from runtumble.grid import DistributionField, density, nest_box
+from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack, written_box
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import exact_free_solution
 
@@ -98,7 +98,7 @@ def dispersion_inequality_check(h: DistributionField, p, q, k_align=1) -> dict:
         raise ValueError("not an exact-shift time for this grid")
     shifted = np.stack([np.roll(h.nodes[j], tuple(cells_int[j]), axis=tuple(range(d)))
                         for j in range(grid.n_vnodes)])
-    moved = DistributionField.from_nodes(grid, shifted, t=t)
+    moved = DistributionField(grid, shifted, t=t)
     lhs = mixed_norm(moved, NormSpec(p=p, q=q))
     rhs = t ** (-decay_rate(d, p, q)) * mixed_norm(h, NormSpec(p=q, q=p))
     return {"t": t, "lhs": lhs, "rhs": rhs,
@@ -351,10 +351,9 @@ class TermTracker:
             s_mid = (m + 0.5) * dt
             rho, s_short, g_short, H, box = self.history[n - 1 - m]
             grown, inner = nest_box(box, stack_reach(vn, s_mid, dx), grid.x_shape)
-            spread = stack_spread(vn, s_mid, dx)
             # the summand's box grown by the spread: in the grid, and in `grown`
-            written = grow_box(box, spread, grid.x_shape)
-            kept = grow_box(inner, spread, rho[grown].shape)
+            written = written_box(box, vn, s_mid, dx, grid.x_shape)
+            kept = written_box(inner, vn, s_mid, dx, rho[grown].shape)
             for f, field in ((f1, s_short), (f3, g_short), (f2, None)):
                 if field is None:
                     # one spatial field, whose stack shares shifts between nodes

@@ -9,9 +9,13 @@ approximation of |V| otherwise.
 
 A distribution function is held node-first: one contiguous (K,) + x_shape
 array over the K masked velocity nodes, so a node's spatial block is a
-plain slice and velocity sums reduce over the leading axis. The dense
-x_shape + v_shape array is only built on request. Where the lattice is
-exactly symmetric, PhaseGrid.vreflect pairs each node v with its mirror -v.
+plain slice and velocity sums reduce over the leading axis. A field is
+made from such an array only (DistributionField(grid, nodes, t, box));
+the dense x_shape + v_shape array is only built on request (.values).
+build_grid lists the masked nodes in C order of the velocity lattice,
+which the offset stacks' plans rely on (interp._stack_plan). Where the
+lattice is exactly symmetric, PhaseGrid.vreflect pairs each node v with
+its mirror -v.
 
 f is +0.0 outside a box around its support, and the state carries that
 box (DistributionField.box), which work on f reads to skip the zeros
@@ -50,9 +54,6 @@ class GridSpec:
     dt: float = 0.01
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.box_half_length <= 0:
@@ -160,37 +161,18 @@ class DistributionField:
 
     The state is node-first: `nodes` has shape (K,) + x_shape, one
     contiguous spatial block per masked velocity node, in the order of
-    grid.vnodes. Values outside V are not stored. The constructor takes a
-    dense x_shape + v_shape array and rejects nonzero values outside V;
-    `from_nodes` wraps a node array without copying it.
+    grid.vnodes. Values outside V are not stored. The field holds `nodes`
+    as its state, without copying it.
 
-    `box` is a tuple of position slices outside which the nodes are +0.0.
-    Both constructors set it, to occupied_box(nodes) unless `from_nodes` is
-    given one. The writers (transport_step, scattering_apply) update it
-    with the nodes they write, and density(f) narrows it to f's occupied
-    box. A write into `nodes` behind the field's back leaves it stale.
+    `box` is a tuple of position slices outside which the nodes are +0.0:
+    the caller's, or occupied_box(nodes) when none is given. The writers
+    (transport_step, scattering_apply) update it with the nodes they
+    write, and density(f) narrows it to f's occupied box. A write into
+    `nodes` behind the field's back leaves it stale.
     """
 
-    def __init__(self, grid: PhaseGrid, values, t=0.0):
-        values = np.asarray(values, dtype=float)
-        expected = grid.x_shape + grid.v_shape
-        if values.shape != expected:
-            raise ValueError(f"field shape {values.shape} != grid shape {expected}")
-        if np.any(values[..., ~grid.vmask] != 0.0):
-            raise ValueError("values at masked velocity nodes must be exactly zero")
-        self.grid = grid
-        self.nodes = np.ascontiguousarray(np.moveaxis(values[(Ellipsis,) + grid.vindex], -1, 0))
-        self.t = t
-        self.box = occupied_box(self.nodes)
-
-    @classmethod
-    def from_nodes(cls, grid: PhaseGrid, nodes, t=0.0, box=None):
-        """Field holding `nodes`, shape (K,) + x_shape, as its state (no copy),
-        with `box`, a box outside which the nodes are +0.0, or
-        occupied_box(nodes) when none is given."""
-        f = cls.__new__(cls)
-        f.grid, f.nodes, f.t, f.box = grid, nodes, t, box or occupied_box(nodes)
-        return f
+    def __init__(self, grid: PhaseGrid, nodes, t=0.0, box=None):
+        self.grid, self.nodes, self.t, self.box = grid, nodes, t, box or occupied_box(nodes)
 
     def validate(self):
         expected = (self.grid.n_vnodes,) + self.grid.x_shape
@@ -280,7 +262,7 @@ def occupied_box(nodes):
 
 def field_from_compact(grid, compact, t=0.0):
     """Field from values at the masked velocity nodes, shape x_shape + (K,)."""
-    return DistributionField.from_nodes(grid, np.ascontiguousarray(np.moveaxis(compact, -1, 0)), t)
+    return DistributionField(grid, np.ascontiguousarray(np.moveaxis(compact, -1, 0)), t)
 
 
 @dataclass

@@ -23,24 +23,26 @@ block copy does that gather, so no gathered copy of the input is made.
 
 A shift's plan (integer parts, cubic weights, pad starts, row blocks and
 pad runs) depends only on the cells per row, the source rows, the row
-shape, the axis and the dtype, and a stack's rows only on the velocity
-nodes and the kind of input, so each is built once and kept in a table
-of at most _PLANS entries (functools.lru_cache, _row_plan and
-_stack_plan). A plan holds per-row arrays only; the work buffers are made
-per call.
+shape, the axis and the dtype, and the rows of a spatial field's stack
+only on the velocity nodes, so each is built once and kept in a table of
+at most _PLANS entries (functools.lru_cache, _row_plan and _stack_plan).
+A plan holds per-row arrays only; the work buffers are made per call.
 
 Per-velocity-node stacks are node-first, (K,) + x_shape, the layout of
 DistributionField's state: position axis a of a stack is array axis a + 1.
-A stack is one per-row axis_shift call per position axis. It reads
-nothing past stack_reach cells a side, and the stack of a field that is
-+0.0 outside a box is +0.0 past stack_spread cells a side of it (the
-clamp of a limited shift between two +0.0 cells is +0.0), so each call
-works only on the box that its axis reaches, bit for bit the whole-grid
-stack there:
-- a node-first input that is +0.0 outside a box (velocity_offset_stack's
-  box) shifts axis a reading that box grown by the reach along axis a,
-  and writes it grown by the spread along axes 0..a only (axis_shift's
-  keep); +0.0 is the stack everywhere else;
+There is one entry per kind of input: velocity_offset_stack for a
+node-first array, whose row j shifts by node j, and stack_on_box for a
+spatial field, whose rows share the shifts of their common prefixes. A
+stack is one per-row axis_shift call per position axis. It reads nothing
+past stack_reach cells a side, and the stack of a field that is +0.0
+outside a box is +0.0 outside that box grown by stack_spread cells a side
+(written_box; the clamp of a limited shift between two +0.0 cells is
++0.0), so each call works only on the box that its axis reaches, bit for
+bit the whole-grid stack there:
+- velocity_offset_stack, given a box outside which its input is +0.0,
+  shifts axis a reading that box grown by the reach along axis a, and
+  writes it grown by the spread along axes 0..a only (axis_shift's keep);
+  +0.0 is the stack everywhere else;
 - stack_on_box, the stack of a spatial field on a box, reads the field on
   the box grown by the reach, and cuts each axis to the box as it shifts
   it (axis_shift's keep), so it returns a box-shaped array.
@@ -292,59 +294,54 @@ def shift_spatial(values, disp, dx):
 
 
 def velocity_offset_stack(values, vnodes, factor, dx, out=None, box=None):
-    """Per-node limited shifted copies out[j](x) = values(x - factor * v_j), node-first.
+    """Per-node limited shifted copies out[j](x) = values[j](x - factor * v_j),
+    of a node-first array values, (K,) + x_shape, row j shifted by node j.
+    Each row gets the axis shifts of shift_spatial in the same order, so
+    the result is bit-identical to shifting node by node. The stack of a
+    spatial field is stack_on_box.
 
-    values: a spatial array x_shape, or a node-first array (K,) + x_shape.
-    A spatial input gives stack_on_box(values, ...) on the whole grid. Each
-    node gets the axis shifts of shift_spatial in the same order, so the
-    result is bit-identical to shifting node by node.
-
-    A node-first input gives a (K,) + x_shape array: `out` when given,
-    which may be `values` itself (its rows map one to one onto the
-    stack's, so every axis shifts in place), else a new array. `box`, when
-    given, is a box of positions outside which `values` is +0.0. Position
-    axis a is then read on the box grown by stack_reach along axis a, as
-    the periodic pad needs, and written on the box grown by stack_spread
-    (axis_shift's keep), along axes 0..a only (grid.grow_box): the stack
-    is +0.0 past the spread, which `out` must already hold there. A new
-    array starts as zeros unless box is the whole grid.
+    The result is `out` when given, which may be `values` itself (row j
+    reads row j, so every axis shifts in place), else a new array. `box`,
+    when given, is a box of positions outside which `values` is +0.0.
+    Position axis a is then read on the box grown by stack_reach along axis
+    a, as the periodic pad needs, and written on written_box(box, ...)
+    along axes 0..a only (axis_shift's keep): the stack is +0.0 past the
+    spread, which `out` must already hold there. A new array starts as
+    zeros unless box is the whole grid.
     """
     K, d = vnodes.shape
-    if values.ndim == d:
-        if out is not None or box is not None:
-            raise ValueError("out and box need a node-first input")
-        return stack_on_box(values, vnodes, factor, dx, (slice(None),) * d)
     if values.ndim != d + 1 or values.shape[0] != K:
-        raise ValueError("values must be x_shape or (K,) + x_shape")
+        raise ValueError("values must be a node-first array, (K,) + x_shape")
     whole = (slice(None),) * d
     box = whole if box is None else box
     if out is None:
         out = (np.empty if box == whole else np.zeros)(values.shape, dtype=values.dtype)
-    written = grow_box(box, stack_spread(vnodes, factor, dx), values.shape[1:])
+    written = written_box(box, vnodes, factor, dx, values.shape[1:])
     read, keep = nest_box(written, _MARGIN, values.shape[1:])
-    axes, _ = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d, False)
     src = values
-    for a, (comps, parent) in enumerate(axes):
+    for a in range(d):
         # the first axis reads `values`, the others shift `out` in place;
         # the axes before a are +0.0 past the written box, the axes after a
         # past the input's box
         done, todo = (slice(None),) + written[:a], box[a + 1:]
-        axis_shift(src[done + (read[a],) + todo], factor * comps, dx, axis=a + 1, rows=parent,
+        axis_shift(src[done + (read[a],) + todo], factor * vnodes[:, a], dx, axis=a + 1,
                    out=out[done + (written[a],) + todo], keep=keep[a])
         src = out
     return out
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _stack_plan(vnodes, K, d, spatial):
-    """The rows of an offset stack, from the bytes of the (K, d) float64
-    nodes and whether the input is spatial (one row) or node-first: per axis
-    a, (each new row's component v_a, its parent row in the previous
-    stack), and the row of each node in the last stack (None when row j is
-    node j). A spatial input is shifted once per distinct prefix
-    (v_0, ..., v_a) of the nodes, not once per node."""
+def _stack_plan(vnodes, K, d):
+    """The rows of the offset stack of a spatial field, from the bytes of
+    the (K, d) float64 nodes: per axis a, (each new row's component v_a,
+    its parent row in the previous stack). The field is shifted once per
+    distinct prefix (v_0, ..., v_a) of the nodes, not once per node. The
+    rows of each stack are in lexicographic order of their prefixes, and
+    build_grid lists the nodes in C order of the lattice, which is
+    lexicographic order of their coordinates: row j of the last stack is
+    node j."""
     vnodes = np.frombuffer(vnodes).reshape(K, d)
-    owner = np.zeros(K, dtype=int) if spatial else np.arange(K)
+    owner = np.zeros(K, dtype=int)
     axes = []
     for a in range(d):
         comps, col = np.unique(vnodes[:, a], return_inverse=True)
@@ -354,10 +351,7 @@ def _stack_plan(vnodes, K, d, spatial):
         axes.append((comps[comp], parent))
     for comps, parent in axes:
         comps.flags.writeable = parent.flags.writeable = False
-    if np.array_equal(owner, np.arange(K)):
-        return tuple(axes), None
-    owner.flags.writeable = False
-    return tuple(axes), owner
+    return tuple(axes)
 
 
 def stack_spread(vnodes, factor, dx):
@@ -377,6 +371,13 @@ def stack_reach(vnodes, factor, dx):
     return _MARGIN + stack_spread(vnodes, factor, dx)
 
 
+def written_box(box, vnodes, factor, dx, shape):
+    """The box outside which the offset stack of a field that is +0.0
+    outside `box` is +0.0: `box` grown by stack_spread (grid.grow_box), on
+    a grid of `shape`."""
+    return grow_box(box, stack_spread(vnodes, factor, dx), shape)
+
+
 def stack_on_box(values, vnodes, factor, dx, box):
     """The offset stack of a spatial field on a box of positions, a new
     (K,) + box shape array, bit for bit the whole grid's stack on the box.
@@ -389,11 +390,11 @@ def stack_on_box(values, vnodes, factor, dx, box):
     """
     K, d = vnodes.shape
     grown, inner = nest_box(box, stack_reach(vnodes, factor, dx), values.shape)
-    axes, owner = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d, True)
+    axes = _stack_plan(np.ascontiguousarray(vnodes, dtype=np.float64).tobytes(), K, d)
     rows = values[grown][None]
     for a, (comps, parent) in enumerate(axes):
         rows = axis_shift(rows, factor * comps, dx, axis=a + 1, rows=parent, keep=inner[a])
-    return rows if owner is None else rows[owner]
+    return rows
 
 
 def interp_point(values, x0, dx, points, limit=True):

@@ -78,9 +78,6 @@ class KernelSpec:
     active: tuple = (True, True, True, True)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         # the `not x >= 0` form rejects NaN too
@@ -369,7 +366,7 @@ def scattering_apply(f: DistributionField, spec: KernelSpec, fields, dt: float,
     np.multiply(rate, f_box, out=out_box)
     gain *= dt
     out_box += gain
-    return f if in_place else DistributionField.from_nodes(grid, out, t=f.t, box=f.box)
+    return f if in_place else DistributionField(grid, out, t=f.t, box=f.box)
 
 
 def kernel_mixed_norm(spec: KernelSpec, fields, grid: PhaseGrid, p1, p2, p3) -> float:

@@ -25,9 +25,6 @@ class NormSpec:
     q: float
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for e in (self.p, self.q):
             if not (e == INF or e >= 1):
                 raise ValueError(f"exponent {e} must be >= 1 or inf")

@@ -55,6 +55,9 @@ class Simulation:
         self.step_count = 0
         self.rho = density(self.f)
         self.mass0 = field_mass(self.rho)
+        excess = self._rim_excess(self.rho)
+        if excess:
+            raise ValueError(f"the initial data already reach the box boundary ({excess})")
         self.fields = self._solve_fields_for(self.rho)
         self.monitors = []
 
@@ -62,16 +65,13 @@ class Simulation:
         monitor.start(self)
         self.monitors.append(monitor)
 
-    def _check_wrap(self, rho):
-        """Abort when rho's rim, WRAP_WIDTH = 2 cells a side, holds over
-        WRAP_TOL = 1e-6 of M; the message names self.t, the last valid time."""
-        if self.mass0 <= 0:
-            return
+    def _rim_excess(self, rho):
+        """The wrap guard's rule, on f0 and after each step: a note of rho's
+        mass in its rim, WRAP_WIDTH = 2 cells a side, when that holds over
+        WRAP_TOL = 1e-6 of M, else ''."""
         shell = shell_mass(rho)
-        if shell > WRAP_TOL * self.mass0:
-            raise GuardAbort(
-                f"support reached the box boundary in the step after t={self.t:.6g} "
-                f"(shell mass {shell:.3e} > {WRAP_TOL:.1e} * M)", self.t)
+        over = shell > WRAP_TOL * self.mass0
+        return f"shell mass {shell:.3e} > {WRAP_TOL:.1e} * M" if over else ""
 
     def step(self):
         # the first half-step makes a new field, the step's only copy of the
@@ -93,7 +93,11 @@ class Simulation:
             raise GuardAbort(f"{exc}, in the step after t={self.t:.6g}", self.t) from exc
         transport_step(f, half, in_place=True)
         rho = density(f)
-        self._check_wrap(rho)
+        excess = self._rim_excess(rho)
+        if excess:
+            # the message names self.t, the last valid time
+            raise GuardAbort(f"support reached the box boundary in the step after "
+                             f"t={self.t:.6g} ({excess})", self.t)
         f.t = self.t + dt
         self.f = f
         self.t += dt

@@ -8,16 +8,17 @@ velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
 the dense array. The step shifts each axis only on the box that f carries,
 grown along the axes shifted so far by the cells a shift can write (the
-spread), and its result carries the box it wrote. Its slab sums are
-taken on boxes too, by a rule that gives every box the whole array's bits.
+spread), and its result carries the box it wrote (interp.written_box).
+Its slab sums are taken on boxes too, by a rule that gives every box the
+whole array's bits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid, grow_box
-from runtumble.interp import stack_spread, velocity_offset_stack
+from runtumble.grid import DistributionField, PhaseGrid
+from runtumble.interp import velocity_offset_stack, written_box
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,9 @@ class SeparableData:
     def __post_init__(self):
         if self.kind not in ("gaussian", "cube"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        # the `not x >= 0` form rejects NaN too
+        if not self.amplitude >= 0:
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if not self.width > 0:
             raise ValueError(f"width must be > 0, got {self.width}")
 
@@ -70,14 +74,7 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
             profile = (np.abs(xa) <= f0.width).astype(float)
         g = g * profile[col].reshape((K,) + (1,) * a + (nx,) + (1,) * (d - a - 1))
     g *= f0.amplitude
-    return DistributionField.from_nodes(grid, g, t=float(t))
-
-
-def _transport_box(grid, box, dt):
-    """The box that a transport step by dt writes when f is +0.0 outside
-    `box`: `box` grown by the spread of one step of motion (stack_spread,
-    grid.grow_box)."""
-    return grow_box(box, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)
+    return DistributionField(grid, g, t=float(t))
 
 
 def slab_sums(nodes, box):
@@ -117,7 +114,7 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
     Position axis a is read on f.box grown by the reach of the shift along
     axis a, and written on f.box grown by its spread along axes 0..a
     (velocity_offset_stack's box); the result carries f.box grown by the
-    spread along every axis (_transport_box). Past the spread the full
+    spread along every axis (interp.written_box). Past the spread the full
     sweep writes +0.0, which is what the box path leaves there: the
     result is bit for bit the full sweep's wherever f's zeros are +0.0,
     as in every state the solver makes. A new array is zeroed first unless
@@ -129,7 +126,7 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
         raise ValueError("dt must be positive")
     grid = f.grid
     before = slab_sums(f.nodes, f.box)
-    box = _transport_box(grid, f.box, dt)
+    box = written_box(f.box, grid.vnodes, dt, grid.dx, grid.x_shape)
     out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx,
                                 out=f.nodes if in_place else None, box=f.box)
     after = slab_sums(out, box)
@@ -137,6 +134,6 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
     moved = out[(slice(None),) + box]
     moved *= scale.reshape((-1,) + (1,) * grid.dim)  # +0.0 * scale is +0.0 where f is
     if not in_place:
-        return DistributionField.from_nodes(grid, out, t=f.t + dt, box=box)
+        return DistributionField(grid, out, t=f.t + dt, box=box)
     f.t, f.box = f.t + dt, box
     return f

@@ -1,5 +1,6 @@
-"""Shared pytest wiring: verdict lines for the acceptance criteria, and
-the bit comparison that the tests share.
+"""Shared pytest wiring: verdict lines for the acceptance criteria, the
+bit comparison that the tests share, and the node-first array of dense
+test data.
 
 The acceptance tests register one human-readable pass/fail line each; the
 terminal-summary hook prints them after the run, outside output capture, so
@@ -26,3 +27,9 @@ def same_bits(x, y):
         return False
     x, y = (np.ascontiguousarray(a, dtype=np.float64) for a in (x, y))
     return np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def node_array(grid, dense):
+    """The node-first state, (K,) + x_shape, of a dense x_shape + v_shape
+    array: its values at the masked velocity nodes, in grid.vnodes order."""
+    return np.ascontiguousarray(np.moveaxis(dense[(Ellipsis,) + grid.vindex], -1, 0))

@@ -138,7 +138,8 @@ def test_criterion_02_dispersion_decay():
     for i in range(100):
         raw = rng.random(grid.x_shape + grid.v_shape)
         smooth = gaussian_filter(raw, sigma=(2.0, 0.0), mode="wrap")
-        f = DistributionField(grid, smooth * envelope[:, None] * grid.vmask)
+        dense = smooth * envelope[:, None] * grid.vmask
+        f = DistributionField(grid, conftest.node_array(grid, dense))
         p, q = exponents[i % len(exponents)]
         k = 1 + (i % 2)
         out = dispersion_inequality_check(f, p, q, k_align=k)
@@ -241,7 +242,7 @@ def test_criterion_07_scattering(mass_run, gronwall_run, term_run, bootstrap_run
     rho_vals = rng.random(grid.x_shape) * np.exp(-grid.x_mesh()[0] ** 2)
     fields = solve_field(SpatialField(grid, rho_vals), want=("S", "grad", "hess"))
     fvals = rng.random(grid.x_shape + grid.v_shape) * grid.vmask
-    f = DistributionField(grid, fvals)
+    f = DistributionField(grid, conftest.node_array(grid, fvals))
     oracle_err = 0.0
     neutral_err = 0.0
     dt = 0.01

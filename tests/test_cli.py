@@ -53,6 +53,27 @@ def test_parse_norm_list_and_signs():
         parse_signs("+,-")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["simulate"], "the following arguments are required: config"),
+    (["exponents", "region", "--step", "abc"], "invalid float value: 'abc'"),
+    (["exponents", "solve", "2"], "q = 2.0 outside (1, 3/2)"),
+    (["exponents", "region", "--step", "0"], "step must be positive")])
+def test_bad_invocation_is_config_error(capsys, argv, message):
+    # a usage error (argparse's own code for it, 2, is a guard abort's here)
+    # and an argument that the exponent tools reject exit 1 with one line
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK and "usage: runtumble" in capsys.readouterr().out
+
+
 def test_parse_config_strictness(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, BASE_CONFIG + "bogus_key = 1\n"))
@@ -99,10 +120,12 @@ def test_simulate_rejects_bad_config_exit_code(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("init_width", "0"), ("init_width", "nan"), ("init_amplitude", "inf"), ("kernel_C", "nan"),
     ("memory_epsilon", "nan"), ("t_end", "-1"), ("dt", "inf"), ("dt", "nan"), ("t_end", "nan"),
-    ("box_half_length", "nan"), ("r_max", "nan")])
+    ("box_half_length", "nan"), ("r_max", "nan"), ("init_width", "7.9")])
 def test_simulate_rejects_non_finite_and_empty_runs(tmp_path, key, value):
-    # each of these once wrote a NaN series, ran no step, or ended in a
-    # traceback; now it is a config error that leaves no output directory
+    # each of these once wrote a NaN series, ran no step, ended in a
+    # traceback, or (init_width = 7.9: f0 already holds 4.8% of M in the
+    # 2-cell rim) wrote a t = 0 row before the wrap guard tripped; now it
+    # is a config error that leaves no output directory
     lines = [line for line in BASE_CONFIG.splitlines() if not line.startswith(key + " ")]
     cfg = "\n".join(lines + [f"{key} = {value}", f"output_dir = {tmp_path / 'o'}"]) + "\n"
     assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -114,6 +137,8 @@ def test_simulate_rejects_non_finite_and_empty_runs(tmp_path, key, value):
      "unknown kind 'ring'"),
     ("simulate", "kernel_C = -1", "kernel_family, kernel_C, memory_epsilon, kernel_signs",
      "coefficient must be >= 0"),
+    ("simulate", "init_amplitude = -1", "init_kind, init_amplitude, init_width",
+     "amplitude must be >= 0"),
     ("dispersion", "init_width = 0", "init_amplitude, init_width, r_max, dimension",
      "sigma must be > 0")])
 def test_config_errors_name_the_config_keys(tmp_path, capsys, command, line, keys, message):
@@ -171,18 +196,20 @@ def test_duplicate_monitor_is_config_error(tmp_path, capsys):
 
 
 def test_simulate_guard_abort_exit_code(tmp_path):
-    cfg = BASE_CONFIG.replace("init_width = 0.8", "init_width = 7.9")
+    # the support reaches the rim in the step after t = 0.06
+    cfg = BASE_CONFIG.replace("init_width = 0.8", "init_width = 7.0")
     cfg += f"output_dir = {tmp_path / 'g'}\n"
     rc = main(["simulate", write_config(tmp_path, cfg)])
     assert rc == EXIT_GUARD
     # the partial time series is still written
-    assert (tmp_path / "g" / "timeseries.csv").exists()
+    lines = (tmp_path / "g" / "timeseries.csv").read_text().splitlines()
+    assert len(lines) == 5 and float(lines[-1].split(",")[0]) == pytest.approx(0.06)
 
 
 def test_simulate_gronwall_abort_at_first_step(tmp_path):
     # the wrap guard trips at the first step: the Gronwall monitor has no
     # completed step to calibrate on, and only t = 0 is certified
-    cfg = BASE_CONFIG.replace("init_width = 0.8", "init_width = 7.9")
+    cfg = BASE_CONFIG.replace("init_width = 0.8", "init_width = 7.4")
     cfg += "monitors = gronwall_thm2\n" + f"output_dir = {tmp_path / 'g'}\n"
     assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_GUARD
     lines = (tmp_path / "g" / "timeseries.csv").read_text().splitlines()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import node_array
 from scipy.integrate import quad
 from scipy.optimize import nnls
 
@@ -14,7 +15,7 @@ from runtumble.freeflow import GaussianBallData
 from runtumble.fields import newtonian_potential, split_short_long
 import runtumble.grid as grid_module
 from runtumble.grid import DistributionField, GridSpec, build_grid, density, grow_box, support_box
-from runtumble.interp import stack_reach, velocity_offset_stack
+from runtumble.interp import stack_on_box, stack_reach, velocity_offset_stack
 from runtumble.kernels import KernelSpec
 from runtumble.norms import NormSpec, mixed_norm, spatial_norm
 from runtumble.simulate import Simulation
@@ -66,7 +67,7 @@ def test_grid_inequality_check_on_smooth_random_fields():
     for _ in range(10):
         raw = rng.random(grid.x_shape + grid.v_shape)
         smooth = gaussian_filter(raw, sigma=(2.0, 0.0), mode="wrap")
-        f = DistributionField(grid, smooth * envelope[:, None] * grid.vmask)
+        f = DistributionField(grid, node_array(grid, smooth * envelope[:, None] * grid.vmask))
         out = dispersion_inequality_check(f, INF, 1.0, k_align=1)
         assert out["passed"], out
 
@@ -233,7 +234,8 @@ def _tracker_reference(grid, mon, states):
     """H, fnorm and each evaluation's term norms from the full-array formulas
     with fresh arrays: every history summand shifted over the whole grid."""
     vn, dx, dt, w = grid.vnodes, grid.dx, grid.spec.dt, grid.hv**3
-    H = [w * np.sum(velocity_offset_stack(S, vn, 1.0, dx) * nodes, axis=0)
+    whole = (slice(None),) * 3
+    H = [w * np.sum(stack_on_box(S, vn, 1.0, dx, whole) * nodes, axis=0)
          for nodes, _, S, _, _ in states]
     fnorm = [_mixed_norm_of_copies(np.moveaxis(nodes, 0, -1), grid, mon.p, mon.q)
              for nodes, *_ in states]
@@ -246,11 +248,11 @@ def _tracker_reference(grid, mon, states):
         for m in range(n):
             s_mid = (m + 0.5) * dt
             _, rho, _, s_short, g_short = states[n - 1 - m]
-            w1 = velocity_offset_stack(s_short, vn, -1.0, dx) * rho
-            w3 = velocity_offset_stack(g_short, vn, -1.0, dx) * rho
+            w1 = stack_on_box(s_short, vn, -1.0, dx, whole) * rho
+            w3 = stack_on_box(g_short, vn, -1.0, dx, whole) * rho
             f1 += dt * velocity_offset_stack(w1, vn, s_mid, dx)
             f3 += dt * velocity_offset_stack(w3, vn, s_mid, dx)
-            f2 += dt * velocity_offset_stack(H[n - 1 - m], vn, s_mid, dx)
+            f2 += dt * stack_on_box(H[n - 1 - m], vn, s_mid, dx, whole)
         norms.append([_mixed_norm_of_copies(np.moveaxis(f, 0, -1), grid, mon.p, mon.q)
                       for f in (f1, f2, f3)])
     return H, fnorm, norms
@@ -271,9 +273,9 @@ def test_term_tracker_H_is_taken_at_the_end_of_each_step():
     # potential of f_n's own density, not the step's mid-point field
     grid, mon, states = _tracked_hyp1_run(3, stride=3)
     for (nodes, *_), (*_, stored_H, _) in zip(states, mon.history):
-        S = newtonian_potential(density(DistributionField.from_nodes(grid, nodes))).values
-        H = grid.hv**3 * np.sum(velocity_offset_stack(S, grid.vnodes, 1.0, grid.dx) * nodes,
-                                axis=0)
+        S = newtonian_potential(density(DistributionField(grid, nodes))).values
+        stack = stack_on_box(S, grid.vnodes, 1.0, grid.dx, (slice(None),) * 3)
+        H = grid.hv**3 * np.sum(stack * nodes, axis=0)
         assert np.array_equal(stored_H.view(np.int64), H.view(np.int64))
 
 
@@ -284,15 +286,15 @@ def test_term_tracker_on_one_cell_equals_full_grid_sums():
     grid = build_grid(GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.02))
     f0 = np.zeros((grid.n_vnodes,) + grid.x_shape)
     f0[:, 16, 16, 16] = 0.5 * np.exp(-np.sum(grid.vnodes**2, axis=1) / (2.0 * 0.4**2))
-    f0 = DistributionField.from_nodes(grid, f0)
+    f0 = DistributionField(grid, f0)
     sim = Simulation(grid, f0, KernelSpec(family="hyp1", coefficient=0.2), beta=0)
     mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0)
     sim.attach(mon)
     nodes = sim.f.nodes
     assert np.count_nonzero(np.any(nodes, axis=0)) == 1
     assert len(np.unique(nodes[:, 16, 16, 16])) > 1
-    H = grid.hv**3 * np.sum(velocity_offset_stack(sim.fields["S"].values, grid.vnodes, 1.0,
-                                                  grid.dx) * nodes, axis=0)
+    stack = stack_on_box(sim.fields["S"].values, grid.vnodes, 1.0, grid.dx, (slice(None),) * 3)
+    H = grid.hv**3 * np.sum(stack * nodes, axis=0)
     assert np.array_equal(mon.history[0][3].view(np.int64), H.view(np.int64))
     a = np.abs(nodes)
     for p, q in ((9 / 5, 9 / 7), (1.5, 1.2), (3, 2)):

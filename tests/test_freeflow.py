@@ -69,7 +69,8 @@ def test_free_norm_rejects_bad_arguments():
     (SeparableData, {"width": -1.0}), (SeparableData, {"kind": "ring"}),
     (SeparableData, {"width": 0.0}), (SeparableData, {"width": math.nan}),
     (GaussianBallData, {"amplitude": 0.0}), (GaussianBallData, {"sigma": -1.0}),
-    (GaussianBallData, {"R": math.nan}), (GaussianBallData, {"d": 4})])
+    (GaussianBallData, {"R": math.nan}), (GaussianBallData, {"d": 4}),
+    (SeparableData, {"amplitude": -1.0}), (SeparableData, {"amplitude": math.nan})])
 def test_initial_data_descriptors_reject_bad_parameters(make, kwargs):
     with pytest.raises(ValueError):
         make(**kwargs)

@@ -2,11 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import same_bits
+from conftest import node_array, same_bits
 
 from runtumble.fields import solve_field
 from runtumble.grid import DistributionField, GridSpec, SpatialField, build_grid, density
-from runtumble.interp import velocity_offset_stack
+from runtumble.interp import stack_on_box
 from runtumble.kernels import (KernelSpec, PositivityError, evaluate_kernel, kernel_components,
                                kernel_mixed_norm, loss_rate, mixed_norm_bound_report,
                                scattering_apply)
@@ -20,22 +20,22 @@ def make_scene(dim=1, L=4.0, nx=16, nv=2, seed=0):
     rho_vals = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in mesh))
     fields = solve_field(SpatialField(grid, rho_vals), want=("S", "grad", "hess"))
     f_vals = rng.random(grid.x_shape + grid.v_shape) * grid.vmask
-    f = DistributionField(grid, f_vals)
+    f = DistributionField(grid, node_array(grid, f_vals))
     return grid, fields, f, rng
 
 
 def test_spec_validation():
-    KernelSpec(family="hyp3", signs=(1, -1, 1, -1)).validate()
+    KernelSpec(family="hyp3", signs=(1, -1, 1, -1))
     with pytest.raises(ValueError):
-        KernelSpec(family="nope").validate()
+        KernelSpec(family="nope")
     with pytest.raises(ValueError):
-        KernelSpec(coefficient=-1.0).validate()
+        KernelSpec(coefficient=-1.0)
     with pytest.raises(ValueError):
-        KernelSpec(family="hyp3", signs=(1, 2, 1, -1)).validate()
+        KernelSpec(family="hyp3", signs=(1, 2, 1, -1))
     nan = float("nan")
     for bad in (dict(coefficient=nan), dict(epsilon=nan)):
         with pytest.raises(ValueError):
-            KernelSpec(family="hyp1", **bad).validate()
+            KernelSpec(family="hyp1", **bad)
 
 
 _HYP3_MASKS = [(True, True, True, True), (True, False, True, False), (False, True, False, True),
@@ -133,8 +133,8 @@ def _hyp3_reference(spec, fields, grid):
     A, B = np.zeros(shape), np.zeros(shape)
     for i, (values, part) in enumerate(((Sabs, A), (Sabs, B), (gmag, A), (gmag, B))):
         if spec.active[i]:
-            part += velocity_offset_stack(values, grid.vnodes, -spec.signs[i] * spec.epsilon,
-                                          grid.dx)
+            part += stack_on_box(values, grid.vnodes, -spec.signs[i] * spec.epsilon,
+                                 grid.dx, (slice(None),) * grid.dim)
     A, B = spec.coefficient * A, spec.coefficient * B
     return np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1)
 
@@ -167,7 +167,8 @@ def _hyp12_reference(spec, fields, grid):
     C = spec.coefficient
 
     def stack(values, sign):
-        return velocity_offset_stack(values, grid.vnodes, -sign * spec.epsilon, grid.dx)
+        return stack_on_box(values, grid.vnodes, -sign * spec.epsilon, grid.dx,
+                            (slice(None),) * grid.dim)
 
     S = fields["S"].values
     if spec.family == "hyp1":
@@ -282,14 +283,14 @@ def test_scattering_bit_identical_to_fresh_temporaries(dim, nx, nv, r_max):
     rho = rng.random(grid.x_shape) * np.exp(-sum(m**2 for m in grid.x_mesh()))
     fields = solve_field(SpatialField(grid, rho), want=("S", "grad", "hess"))
     nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
-    f = DistributionField.from_nodes(grid, nodes, t=0.25)
+    f = DistributionField(grid, nodes, t=0.25)
     before = nodes.copy()
     for spec in _SCATTER_SPECS:
         ref = _scatter_reference(f, spec, fields, 0.02)
         fresh = scattering_apply(f, spec, fields, 0.02)
         assert same_bits(fresh.nodes, ref) and fresh.t == f.t, spec
         assert same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, nodes)
-        g = DistributionField.from_nodes(grid, nodes.copy(), t=0.25)
+        g = DistributionField(grid, nodes.copy(), t=0.25)
         inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), in_place=True)
         assert inplace is g and same_bits(g.nodes, ref), spec
 
@@ -395,7 +396,7 @@ def _compact_scene(dim, nx, r_max=1.0, seed=0):
     nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
     cube = (slice(None),) + (slice(nx // 2 - 1, nx // 2 + 2),) * dim
     nodes[cube] = rng.random(nodes[cube].shape)
-    return grid, fields, DistributionField.from_nodes(grid, nodes, t=0.5)
+    return grid, fields, DistributionField(grid, nodes, t=0.5)
 
 
 def _box_spy(monkeypatch):
@@ -439,7 +440,7 @@ def test_scattering_box_path_bit_identical_to_full_path(monkeypatch, dim, nx, r_
     assert grid.hv ** dim * 5e-324 == 0.0
     on_box = _box_spy(monkeypatch)
     for nodes in (f.nodes, subnormal):
-        f = DistributionField.from_nodes(grid, nodes, t=0.5)
+        f = DistributionField(grid, nodes, t=0.5)
         before = nodes.copy()
         for spec in _BOX_SPECS:
             expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
@@ -447,7 +448,7 @@ def test_scattering_box_path_bit_identical_to_full_path(monkeypatch, dim, nx, r_
             fresh = scattering_apply(f, spec, fields, 0.02)
             assert on_box == [True] and same_bits(fresh.nodes, expect), spec
             assert fresh.t == f.t and same_bits(f.nodes, before)
-            g = DistributionField.from_nodes(grid, nodes.copy(), t=f.t)
+            g = DistributionField(grid, nodes.copy(), t=f.t)
             inplace = scattering_apply(g, spec, fields, 0.02, rho=density(g), in_place=True)
             assert inplace is g and same_bits(g.nodes, expect), spec
 
@@ -468,7 +469,7 @@ def test_scattering_on_a_whole_grid_or_one_cell_box_takes_the_full_path(monkeypa
         nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
         for cell in cells:
             nodes[(slice(None),) + cell] = rng.random(grid.n_vnodes)
-        f = DistributionField.from_nodes(grid, nodes)
+        f = DistributionField(grid, nodes)
         for family in ("hyp1", "hyp3"):
             spec = KernelSpec(family=family, coefficient=0.4, epsilon=1.3)
             expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
@@ -487,7 +488,7 @@ def test_scattering_on_a_box_over_a_quarter_of_the_grid_takes_the_full_path(monk
     for rows, box_path in ((8, True), (9, False)):
         nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
         nodes[:, 4:4 + rows, 4:12] = rng.random((grid.n_vnodes, rows, 8))
-        f = DistributionField.from_nodes(grid, nodes)
+        f = DistributionField(grid, nodes)
         expect = _full_path(monkeypatch, f, spec, fields, 0.02).nodes
         on_box.clear()
         assert same_bits(scattering_apply(f, spec, fields, 0.02).nodes, expect)

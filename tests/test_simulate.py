@@ -85,6 +85,18 @@ def test_wrap_guard_aborts_with_valid_time():
     assert sim.rho is rho and f.box == box and sim.step_count == len(times)
 
 
+def test_initial_data_in_the_rim_is_rejected():
+    # the wrap guard's rule on f0: a cube of half-width 7.9 on [-8, 8)
+    # starts with 4.8% of M in the 2-cell rim, which no step may hold, so
+    # the run is refused before any state is recorded; 7.0 starts clean
+    with pytest.raises(ValueError, match="initial data already reach the box boundary"):
+        make_sim(dim=1, nx=64, width=7.9)
+    sim = make_sim(dim=1, nx=64, width=7.0)
+    assert sim.t == 0.0 and sim.mass0 > 0.0
+    # f0 = 0 has no mass to guard
+    assert make_sim(dim=1, nx=64, amplitude=0.0, width=7.9).mass0 == 0.0
+
+
 def test_scattering_guard_becomes_guard_abort():
     # huge kernel coefficient violates dt * sup rate < 1; the aborted step
     # leaves the state, its time and box, and the monitors as they were
@@ -156,7 +168,7 @@ def _reference_step(sim):
     dt = sim.grid.spec.dt
 
     def bare(f):
-        return DistributionField.from_nodes(sim.grid, f.nodes, f.t)
+        return DistributionField(sim.grid, f.nodes, f.t)
 
     f = transport_step(bare(sim.f), dt / 2.0)
     rho = density(bare(f))
@@ -296,7 +308,7 @@ def test_step_takes_the_box_from_the_unscaled_node_sum():
     nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
     nodes[:, 14:17, 14:17, 14:17] = 1.0
     nodes[-1, 20:22, 20:22, 20:22] = 5e-324
-    sim = Simulation(grid, DistributionField.from_nodes(grid, nodes),
+    sim = Simulation(grid, DistributionField(grid, nodes),
                      KernelSpec(family="constant", coefficient=0.01))
     for _ in range(2):
         lone = np.any(sim.f.nodes, axis=0) & (sim.rho.values == 0.0)

@@ -20,7 +20,8 @@ from runtumble.fields import solve_field
 from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, density,
                             field_from_compact, field_mass, grow_box, occupied_box,
                             support_box)
-from runtumble.interp import stack_on_box, stack_reach, stack_spread, velocity_offset_stack
+from runtumble.interp import (stack_on_box, stack_reach, stack_spread, velocity_offset_stack,
+                              written_box)
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
 from runtumble.transport import SeparableData, exact_free_solution, slab_sums, transport_step
@@ -146,7 +147,7 @@ def test_transport_box_path_bit_identical_to_full_sweep(dim):
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
         expect = _full_transport(nodes, grid, dt)
-        f = DistributionField.from_nodes(grid, nodes.copy())
+        f = DistributionField(grid, nodes.copy())
         assert same_bits(transport_step(f, dt).nodes, expect), name
         assert same_bits(f.nodes, nodes), name
         assert same_bits(transport_step(f, dt, in_place=True).nodes, expect), name
@@ -199,8 +200,9 @@ def test_whole_cell_rows_keep_the_written_box(dim):
                                          box=box) is in_place
             assert same_bits(in_place, expect), (name, factor)
             written = grow_box(box, stack_spread(vn, factor, dx), grid.x_shape)
-            assert _zero_outside_box(DistributionField.from_nodes(grid, expect, box=written))
-        f = DistributionField.from_nodes(grid, nodes.copy())
+            assert written_box(box, vn, factor, dx, grid.x_shape) == written
+            assert _zero_outside_box(DistributionField(grid, expect, box=written))
+        f = DistributionField(grid, nodes.copy())
         assert same_bits(transport_step(f, aligned).nodes,
                          _full_transport(nodes, grid, aligned)), name
         assert same_bits(transport_step(f, aligned, in_place=True).nodes,
@@ -222,9 +224,9 @@ def test_box_comes_from_f_not_from_its_density():
     # them (a whole-cell shift is an exact roll)
     grid = build_grid(GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.3))
     nodes = _states(grid)["subnormal"]
-    rho = density(DistributionField.from_nodes(grid, nodes)).values
+    rho = density(DistributionField(grid, nodes)).values
     lone = np.any(nodes, axis=0) & (rho == 0.0)
-    assert lone.sum() == 8 and field_mass(density(DistributionField.from_nodes(
+    assert lone.sum() == 8 and field_mass(density(DistributionField(
         grid, np.where(lone, nodes, 0.0)))) == 0.0
     dt = grid.alignment_time()
     expect = _full_transport(nodes, grid, dt)
@@ -233,7 +235,7 @@ def test_box_comes_from_f_not_from_its_density():
     outside = np.ones(expect.shape, dtype=bool)
     outside[rho_box] = False
     assert np.any(expect[outside] == SUBNORMAL)
-    f = DistributionField.from_nodes(grid, nodes)
+    f = DistributionField(grid, nodes)
     assert same_bits(transport_step(f, dt).nodes, expect)
 
 
@@ -266,16 +268,15 @@ def test_grow_box_is_support_box_with_more_margin():
 
 
 def test_stack_on_box_is_the_whole_stack_on_the_box():
-    # a whole box gives the plain stack, a new array; a partial one the
-    # plain stack's part on the box, also where its growth wraps on an axis
+    # a whole box gives the whole stack, a new array; a partial one the
+    # whole stack's part on the box, also where its growth wraps on an axis
     for dim, nx in ((1, 64), (2, 32), (3, 16)):
         grid = _grid(dim)
         rng = np.random.default_rng(dim)
         values = rng.random(grid.x_shape)
         for factor in (0.7, -1.3, 2.0):
-            full = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
-            whole = stack_on_box(values, grid.vnodes, factor, grid.dx, (slice(None),) * dim)
-            assert same_bits(whole, full) and whole.base is None
+            full = stack_on_box(values, grid.vnodes, factor, grid.dx, (slice(None),) * dim)
+            assert full.shape == (grid.n_vnodes,) + grid.x_shape and full.base is None
             for box in (tuple(slice(nx // 2 - 2, nx // 2 + 1) for _ in range(dim)),
                         (slice(0, 3),) + (slice(5, 9),) * (dim - 1)):
                 got = stack_on_box(values, grid.vnodes, factor, grid.dx, box)
@@ -316,7 +317,7 @@ def test_each_axis_is_shifted_only_on_the_box_it_reaches(monkeypatch):
     grid = _grid(3)
     nx, K, dt = grid.spec.nx, grid.n_vnodes, grid.spec.dt
     nodes = _states(grid)["compact"]
-    f = DistributionField.from_nodes(grid, nodes)
+    f = DistributionField(grid, nodes)
     assert f.box == (slice(nx // 2 - 2, nx // 2 + 1),) * 3
     b = 3
     r = b + 2 * stack_reach(grid.vnodes, dt, grid.dx)
@@ -338,7 +339,7 @@ def test_each_axis_is_shifted_only_on_the_box_it_reaches(monkeypatch):
     assert calls == [((1, g, g, g), (rows[0], b, g, g)), ((rows[0], b, g, g), (rows[1], b, b, g)),
                      ((rows[1], b, b, g), (rows[2], b, b, b))]
     assert stack.shape == (K, b, b, b) and stack.flags.c_contiguous
-    full = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+    full = stack_on_box(values, grid.vnodes, factor, grid.dx, (slice(None),) * 3)
     assert same_bits(stack, full[(slice(None),) + f.box])
 
 
@@ -366,7 +367,7 @@ def test_density_carries_the_occupied_box(dim):
     # whole-grid bits
     grid = _grid(dim)
     for name, nodes in _states(grid).items():
-        f = DistributionField.from_nodes(grid, nodes)
+        f = DistributionField(grid, nodes)
         rho = density(f)
         assert f.box == occupied_box(nodes), name
         assert same_bits(rho.values, grid.hv ** dim * nodes.sum(axis=0)), name
@@ -374,7 +375,7 @@ def test_density_carries_the_occupied_box(dim):
             part = grow_box(support_box(np.any(nodes, axis=0)), margin, grid.x_shape)
             if part == (slice(None),) * dim or nodes[0][part].size < 2:
                 continue
-            on_part = DistributionField.from_nodes(grid, nodes, box=part)
+            on_part = DistributionField(grid, nodes, box=part)
             assert same_bits(density(on_part).values, rho.values), name
             assert on_part.box == f.box, name
 
@@ -384,8 +385,7 @@ def test_fields_are_made_with_their_occupied_box(dim):
     # every way of making a field without a box gives it occupied_box(nodes)
     grid = _grid(dim)
     for name, nodes in _states(grid).items():
-        dense = DistributionField.from_nodes(grid, nodes).values
-        for f in (DistributionField(grid, dense), DistributionField.from_nodes(grid, nodes),
+        for f in (DistributionField(grid, nodes),
                   field_from_compact(grid, np.moveaxis(nodes, 0, -1))):
             assert f.box == occupied_box(f.nodes) and same_bits(f.nodes, nodes), name
     # a cube's support is a box of part of the grid; a Gaussian's is the whole grid
@@ -406,14 +406,14 @@ def test_in_place_writers_return_their_input_with_the_written_box_and_time(dim):
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
         rho, fields = _scatter_fields(grid, nodes)
-        f = DistributionField.from_nodes(grid, nodes, t=0.5)
+        f = DistributionField(grid, nodes, t=0.5)
         calls = [lambda g, **kw: transport_step(g, dt, **kw)]
         calls += [lambda g, spec=spec, **kw: scattering_apply(g, spec, fields, SCATTER_DT,
                                                               rho=rho, **kw)
                   for spec in SCATTER_KERNELS]
         for i, call in enumerate(calls):
             new = call(f)
-            g = DistributionField.from_nodes(grid, nodes.copy(), t=0.5)
+            g = DistributionField(grid, nodes.copy(), t=0.5)
             array = g.nodes
             assert call(g, in_place=True) is g and g.nodes is array, (name, i)
             assert g.box == new.box and g.t == new.t and same_bits(g.nodes, new.nodes), (name, i)
@@ -422,7 +422,7 @@ def test_in_place_writers_return_their_input_with_the_written_box_and_time(dim):
 
 def _scatter_fields(grid, nodes):
     """density(f) and the beta = 1 fields that both SCATTER_KERNELS read."""
-    rho = density(DistributionField.from_nodes(grid, nodes))
+    rho = density(DistributionField(grid, nodes))
     return rho, solve_field(rho, want=("S", "grad", "hess"))
 
 
@@ -446,13 +446,13 @@ def test_writers_carry_a_box_outside_which_f_is_zero(dim):
         occupied = occupied_box(nodes)
         boxes = [grow_box(occupied, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)] * 2
         boxes += [occupied] * (2 * len(SCATTER_KERNELS))
-        f = DistributionField.from_nodes(grid, nodes)
+        f = DistributionField(grid, nodes)
         results = [transport_step(f, dt),
-                   transport_step(DistributionField.from_nodes(grid, nodes.copy()), dt,
+                   transport_step(DistributionField(grid, nodes.copy()), dt,
                                   in_place=True)]
         rho, fields = _scatter_fields(grid, nodes)
         for spec in SCATTER_KERNELS:
-            in_place = DistributionField.from_nodes(grid, nodes.copy())
+            in_place = DistributionField(grid, nodes.copy())
             results += [scattering_apply(f, spec, fields, SCATTER_DT, rho=rho),
                         scattering_apply(in_place, spec, fields, SCATTER_DT, rho=rho,
                                          in_place=True)]
@@ -474,10 +474,10 @@ def test_a_field_made_without_a_box_gives_the_bits_of_one_with_a_wider_box(dim):
         box = grow_box(occupied, 2, grid.x_shape)
 
         def bare():
-            return DistributionField.from_nodes(grid, nodes)
+            return DistributionField(grid, nodes)
 
         def known():
-            return DistributionField.from_nodes(grid, nodes, box=box)
+            return DistributionField(grid, nodes, box=box)
 
         assert bare().box == occupied, name
         assert same_bits(transport_step(bare(), dt).nodes,

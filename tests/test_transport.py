@@ -4,7 +4,7 @@ from conftest import same_bits
 
 from runtumble import interp
 from runtumble.grid import DistributionField, GridSpec, build_grid, total_mass
-from runtumble.interp import (_BLOCK, axis_shift, interp_point, shift_spatial,
+from runtumble.interp import (_BLOCK, axis_shift, interp_point, shift_spatial, stack_on_box,
                               velocity_offset_stack)
 from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
@@ -203,12 +203,18 @@ def test_cached_stack_plans_give_the_cold_bits(dim, L, nx, nv):
     rng = np.random.default_rng(dim)
     spatial = rng.random(grid.x_shape)
     nodes = rng.random((grid.n_vnodes,) + grid.x_shape)
+    vn, dx, whole = grid.vnodes, grid.dx, (slice(None),) * dim
     for factor in (0.01, -1.0):
-        for values in (spatial, nodes):
-            cold = _cold(velocity_offset_stack, values, grid.vnodes, factor, grid.dx)
-            hits = interp._stack_plan.cache_info().hits
-            warm = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
-            assert same_bits(warm, cold) and interp._stack_plan.cache_info().hits > hits
+        # a spatial field's stack takes its rows from the stack-plan table,
+        # a node-first stack (row j shifted by node j) its shifts' plans from
+        # the row-plan table
+        for table, stack, args in (
+                (interp._stack_plan, stack_on_box, (spatial, vn, factor, dx, whole)),
+                (interp._row_plan, velocity_offset_stack, (nodes, vn, factor, dx))):
+            cold = _cold(stack, *args)
+            hits = table.cache_info().hits
+            warm = stack(*args)
+            assert same_bits(warm, cold) and table.cache_info().hits > hits
         cold = nodes.copy()
         _cold(velocity_offset_stack, cold, grid.vnodes, factor, grid.dx, out=cold)
         warm = nodes.copy()
@@ -219,15 +225,16 @@ def test_cached_stack_plans_give_the_cold_bits(dim, L, nx, nv):
 def test_shift_plan_tables_stay_within_their_bound():
     grid = make_grid(dim=2, nx=16, nv=4)
     a = np.random.default_rng(8).random(grid.x_shape)
+    whole = (slice(None),) * 2
     interp._stack_plan.cache_clear()
     for i in range(3 * interp._PLANS):
-        velocity_offset_stack(a, grid.vnodes, 0.01 * (i + 1), grid.dx)
-        velocity_offset_stack(a[:4 + i % 9], grid.vnodes, 0.01 * (i + 1), grid.dx)
+        stack_on_box(a, grid.vnodes, 0.01 * (i + 1), grid.dx, whole)
+        stack_on_box(a[:4 + i % 9], grid.vnodes, 0.01 * (i + 1), grid.dx, whole)
     for table in (interp._row_plan, interp._stack_plan):
         info = table.cache_info()
         assert info.maxsize == interp._PLANS and info.currsize <= interp._PLANS
     assert interp._row_plan.cache_info().currsize == interp._PLANS
-    # one stack plan: it depends on the nodes and the kind of input only
+    # one stack plan: it depends on the nodes only
     assert interp._stack_plan.cache_info().currsize == 1
 
 
@@ -241,18 +248,32 @@ def test_shift_spatial_two_axes():
 
 
 def test_velocity_offset_stack_matches_per_node_shifts():
-    # a spatial input shares the shifts of common velocity prefixes, yet each
-    # node gets exactly the axis shifts of shift_spatial, in the same order
+    # the stack of a spatial field (stack_on_box) shares the shifts of common
+    # velocity prefixes, yet each node gets exactly the axis shifts of
+    # shift_spatial, in the same order. build_grid lists the masked nodes in
+    # C order of the lattice, which is the order of the stack plan's rows
+    # after the last axis, so row j is node j with no gather after it; on
+    # ball and shell lattices in d = 1, 2 and 3
     rng = np.random.default_rng(2)
-    for dim, nx, nv in ((2, 16, 4), (3, 8, 4)):
-        grid = make_grid(dim=dim, nx=nx, nv=nv)
+    for dim, nx, nv, shape, r_min in ((2, 16, 4, "ball", 0.0), (3, 8, 4, "ball", 0.0),
+                                      (1, 16, 8, "ball", 0.0), (1, 16, 8, "shell", 0.5),
+                                      (2, 16, 8, "shell", 0.5), (3, 8, 8, "shell", 0.5)):
+        grid = build_grid(GridSpec(dim=dim, box_half_length=4.0, nx=nx, nv=nv,
+                                   velocity_shape=shape, r_min=r_min))
+        vn = grid.vnodes
+        # each row's coordinates, read back through its parent rows
+        rows = np.zeros((1, 0))
+        plan = interp._stack_plan(np.ascontiguousarray(vn, dtype=np.float64).tobytes(), *vn.shape)
+        for comps, parent in plan:
+            rows = np.column_stack([rows[parent], comps])
+        assert same_bits(rows, vn), (dim, shape)
         a = rng.random(grid.x_shape)
         for factor in (0.173, -1.0):
-            out = velocity_offset_stack(a, grid.vnodes, factor, grid.dx)
+            out = stack_on_box(a, vn, factor, grid.dx, (slice(None),) * dim)
             assert out.shape == (grid.n_vnodes,) + grid.x_shape
             for j in range(grid.n_vnodes):
-                ref = shift_spatial(a, factor * grid.vnodes[j], grid.dx)
-                assert np.array_equal(out[j], ref)
+                ref = shift_spatial(a, factor * vn[j], grid.dx)
+                assert same_bits(out[j], ref), (dim, shape, factor, j)
 
 
 def test_velocity_offset_stack_per_node_input():
@@ -282,7 +303,10 @@ def test_velocity_offset_stack_on_preset_lattices(dim, L, nx, nv):
     nodes.reshape(-1)[::97] = -0.0
     for factor in (0.01, 0.025, -1.0, 1.0):
         for values in (spatial, nodes):
-            out = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+            if values is spatial:
+                out = stack_on_box(values, grid.vnodes, factor, grid.dx, (slice(None),) * dim)
+            else:
+                out = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
             for j in range(grid.n_vnodes):
                 row = values if values.ndim == dim else values[j]
                 assert same_bits(out[j], shift_spatial(row, factor * grid.vnodes[j], grid.dx))
@@ -304,7 +328,7 @@ def test_velocity_offset_stack_stays_within_the_input_range(dim, nx):
         lo, hi = values.min(), values.max()
         # fractional and whole-cell displacements, of either sign
         for factor in (0.173, -0.61, 1.3, grid.dx / grid.hv * 2.0, -grid.dx / grid.hv * 4.0):
-            stack = velocity_offset_stack(values, grid.vnodes, factor, grid.dx)
+            stack = stack_on_box(values, grid.vnodes, factor, grid.dx, (slice(None),) * dim)
             assert stack.min() >= lo and stack.max() <= hi, (trial, factor)
             nodes = velocity_offset_stack(stack, grid.vnodes, -factor, grid.dx)
             assert nodes.min() >= lo and nodes.max() <= hi, (trial, factor)
@@ -415,14 +439,13 @@ def test_velocity_offset_stack_and_transport_step_write_into_out():
             velocity_offset_stack(inplace, grid.vnodes, factor, grid.dx, out=inplace)
             assert same_bits(out, fresh) and same_bits(inplace, fresh)
 
-        f = DistributionField.from_nodes(grid, nodes, t=0.5)
+        f = DistributionField(grid, nodes, t=0.5)
         before = nodes.copy()
         fresh = transport_step(f, grid.spec.dt)
         assert same_bits(f.nodes, before) and not np.shares_memory(fresh.nodes, f.nodes)
-        g = DistributionField.from_nodes(grid, nodes.copy(), t=0.5)
+        g = DistributionField(grid, nodes.copy(), t=0.5)
         stepped = transport_step(g, grid.spec.dt, in_place=True)
         assert stepped is g and g.t == fresh.t and g.box == fresh.box
         assert same_bits(g.nodes, fresh.nodes)
     with pytest.raises(ValueError, match="node-first"):
-        velocity_offset_stack(rng.random(grid.x_shape), grid.vnodes, 0.1, grid.dx,
-                              out=np.empty((grid.n_vnodes,) + grid.x_shape))
+        velocity_offset_stack(rng.random(grid.x_shape), grid.vnodes, 0.1, grid.dx)
