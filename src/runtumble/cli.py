@@ -20,7 +20,7 @@ from fractions import Fraction
 from runtumble.estimator import (BootstrapMonitor, GronwallMonitor, TermTracker,
                                  dispersion_decay_fit)
 from runtumble.exponents import (ExponentQuadruple, admissible_region, exponent_ge,
-                                 solve_numerology, strichartz_admissible)
+                                 is_exponent, solve_numerology, strichartz_admissible)
 from runtumble.freeflow import GaussianBallData
 from runtumble.grid import GridSpec, build_grid, field_mass
 from runtumble.kernels import KernelSpec
@@ -336,7 +336,7 @@ def run_exponents_region(args):
     try:
         qs, ps, mask = admissible_region(step=args.step)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--step: {exc}") from exc
     header = ["q_prime", "p_prime", "in_region"]
     rows = [(q, p, int(mask[i, j])) for i, q in enumerate(qs) for j, p in enumerate(ps)]
     write_csv(args.output, header, rows)
@@ -346,8 +346,15 @@ def run_exponents_region(args):
 
 
 def run_exponents_check(args):
-    quad = ExponentQuadruple(r=parse_exponent(args.r), p=parse_exponent(args.p),
-                             q=parse_exponent(args.q), a=parse_exponent(args.a), d=args.dim)
+    values = {}
+    for name in ("r", "p", "q", "a"):
+        token = getattr(args, name)
+        values[name] = parse_exponent(token)
+        if not is_exponent(values[name]):
+            raise ConfigError(f"{name} = {token} must be >= 1 or inf")
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be >= 1, got {args.dim}")
+    quad = ExponentQuadruple(d=args.dim, **values)
     ok, diag = strichartz_admissible(quad)
     print("admissible" if ok else "not admissible")
     for key, val in sorted(diag.items()):

@@ -22,10 +22,16 @@ _FLOAT_TOL = 1e-12
 NUMEROLOGY_TOL = 1e-12  # bracket width at which solve_numerology's bisection stops
 REGION_Q_PRIME_MAX = 8.0  # extent of the (q', p') lattice of admissible_region
 REGION_P_PRIME_MAX = 5.0
+REGION_MAX_POINTS = 10**6  # largest lattice admissible_region makes (a step of 0.0053 or more)
 
 
 def _is_exact(*values):
     return all(isinstance(v, (Fraction, int)) or v == INF for v in values)
+
+
+def is_exponent(e):
+    """True for a Lebesgue exponent: inf or a number >= 1 (NaN is not one)."""
+    return e == INF or e >= 1
 
 
 def inv(p):
@@ -225,10 +231,18 @@ def admissible_region(step=0.05):
     q' in [1, REGION_Q_PRIME_MAX = 8] and p' in [1, REGION_P_PRIME_MAX = 5].
 
     Returns (q_grid, p_grid, mask) with mask[i, j] true when
-    (q_grid[i], p_grid[j]) lies in the region.
+    (q_grid[i], p_grid[j]) lies in the region. A step that is not positive
+    and finite, or that gives more than REGION_MAX_POINTS = 10^6 lattice
+    points, is rejected before anything is allocated.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    # np.arange's length, ceil((stop - start) / step), for each axis
+    n_q, n_p = (math.ceil((top + step / 2 - 1.0) / step)
+                for top in (REGION_Q_PRIME_MAX, REGION_P_PRIME_MAX))
+    if n_q * n_p > REGION_MAX_POINTS:
+        raise ValueError(f"step {step} gives {n_q} x {n_p} lattice points, "
+                         f"over {REGION_MAX_POINTS}")
     qs = np.arange(1.0, REGION_Q_PRIME_MAX + step / 2, step)
     ps = np.arange(1.0, REGION_P_PRIME_MAX + step / 2, step)
     mask = region_member(qs[:, None], ps[None, :])

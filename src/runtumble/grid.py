@@ -25,6 +25,7 @@ that writes f's nodes changes it, and density(f) narrows it to f's
 occupied box, found from the node sum it forms anyway.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,10 +239,17 @@ def support_box(mask):
     return grow_box(box, 0, mask.shape)
 
 
+def carried_box(box, shape):
+    """occupied_box's rule on a box of a grid of `shape`: the box itself,
+    or the whole grid when the box is a single cell or holds more than
+    BOX_SHARE of the grid."""
+    cells = math.prod(len(range(n)[s]) for s, n in zip(box, shape))
+    return box if 1 < cells <= BOX_SHARE * math.prod(shape) else (slice(None),) * len(shape)
+
+
 def _occupied(mask):
     """occupied_box's rule on the position mask of f's nonzero positions."""
-    box = support_box(mask)
-    return box if 1 < mask[box].size <= BOX_SHARE * mask.size else (slice(None),) * mask.ndim
+    return carried_box(support_box(mask), mask.shape)
 
 
 def occupied_box(nodes):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from runtumble.exponents import is_exponent
 from runtumble.grid import DistributionField, occupied_box
 
 INF = math.inf
@@ -26,7 +27,7 @@ class NormSpec:
 
     def __post_init__(self):
         for e in (self.p, self.q):
-            if not (e == INF or e >= 1):
+            if not is_exponent(e):
                 raise ValueError(f"exponent {e} must be >= 1 or inf")
 
 

@@ -8,7 +8,11 @@ velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
 the dense array. The step shifts each axis only on the box that f carries,
 grown along the axes shifted so far by the cells a shift can write (the
-spread), and its result carries the box it wrote (interp.written_box).
+spread). A limited shift writes a nonzero value one spread past its
+input's support, so the numerical support would grow by a cell every
+half-step while the continuum's grows at max |v| only: the step flushes to
++0.0 the tail of the box it wrote whose node sum is at most FLOOR times
+the largest, and its result carries the box that is left (the floor box).
 Its slab sums are taken on boxes too, by a rule that gives every box the
 whole array's bits.
 """
@@ -17,8 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.grid import DistributionField, PhaseGrid
+from runtumble.grid import DistributionField, PhaseGrid, carried_box, support_box
 from runtumble.interp import velocity_offset_stack, written_box
+
+# Relative floor of a transport half-step: the positions whose node sum is
+# at most FLOOR times the largest node sum over K are set to +0.0. f >= 0,
+# so each value set to 0 is at most FLOOR * max f; FLOOR = 0 flushes nothing.
+FLOOR = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,31 @@ def slab_sums(nodes, box):
     return total
 
 
+def _flush_tail(nodes, box):
+    """Set to +0.0 the positions of `box` in a node-first array, +0.0
+    outside `box`, that lie outside the floor box, and return the floor box.
+
+    The floor box is the bounding box (grid.support_box) of the positions
+    of `box` whose node sum exceeds FLOOR * (its largest node sum) / K; it
+    is `box` when no position does. The zeros go in by two slice writes an
+    axis, on the rims of `box` below and above the floor box. With FLOOR = 0
+    the floor box is the bounding box of the nonzero positions, so only
+    +0.0 is written.
+    """
+    inside = nodes[(slice(None),) + box]
+    total = inside.sum(axis=0)
+    keep = support_box(total > FLOOR * total.max() / len(nodes))
+    floor_box = []
+    for a, (b, k) in enumerate(zip(box, keep)):
+        lo, hi, _ = k.indices(total.shape[a])
+        lead = (slice(None),) * (a + 1)
+        inside[lead + (slice(None, lo),)] = 0.0
+        inside[lead + (slice(hi, None),)] = 0.0
+        start = b.indices(nodes.shape[a + 1])[0]
+        floor_box.append(b if k == slice(None) else slice(start + lo, start + hi))
+    return tuple(floor_box)
+
+
 def transport_step(f: DistributionField, dt: float, in_place=False) -> DistributionField:
     """Semi-Lagrangian update f_new(x, v) = Interp(f)(x - dt v, v).
 
@@ -113,22 +147,32 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
 
     Position axis a is read on f.box grown by the reach of the shift along
     axis a, and written on f.box grown by its spread along axes 0..a
-    (velocity_offset_stack's box); the result carries f.box grown by the
-    spread along every axis (interp.written_box). Past the spread the full
-    sweep writes +0.0, which is what the box path leaves there: the
-    result is bit for bit the full sweep's wherever f's zeros are +0.0,
-    as in every state the solver makes. A new array is zeroed first unless
-    f.box is the whole grid, when the first axis writes every element.
-    The slab sums (slab_sums) are taken on f.box and on the written box,
-    with the bits of the same rule on the whole array.
+    (velocity_offset_stack's box), so the shifted state is +0.0 outside
+    f.box grown by the spread along every axis (interp.written_box). Past
+    the spread the full sweep writes +0.0, which is what the box path
+    leaves there: the result is bit for bit the full sweep's wherever f's
+    zeros are +0.0, as in every state the solver makes. A new array is
+    zeroed first unless f.box is the whole grid, when the first axis
+    writes every element.
+
+    Before the rescale, the positions of the written box outside its floor
+    box (_flush_tail: node sum above FLOOR times the largest over K) are
+    set to +0.0, each a value of at most FLOOR * max f, and the result
+    carries the floor box under occupied_box's rule (grid.carried_box).
+    The slab sums (slab_sums) are taken on f.box and on that box, with the
+    bits of the same rule on the whole array, so the rescale restores the
+    mass of each slab, flushed values included. With FLOOR = 0 the state
+    is bit for bit the unfloored step's, and the box is the bounding box
+    of its nonzero positions before the rescale, under that rule.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = f.grid
     before = slab_sums(f.nodes, f.box)
-    box = written_box(f.box, grid.vnodes, dt, grid.dx, grid.x_shape)
+    written = written_box(f.box, grid.vnodes, dt, grid.dx, grid.x_shape)
     out = velocity_offset_stack(f.nodes, grid.vnodes, dt, grid.dx,
                                 out=f.nodes if in_place else None, box=f.box)
+    box = carried_box(_flush_tail(out, written), grid.x_shape)
     after = slab_sums(out, box)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
     moved = out[(slice(None),) + box]

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -59,10 +60,16 @@ def test_parse_norm_list_and_signs():
     (["simulate"], "the following arguments are required: config"),
     (["exponents", "region", "--step", "abc"], "invalid float value: 'abc'"),
     (["exponents", "solve", "2"], "q = 2.0 outside (1, 3/2)"),
-    (["exponents", "region", "--step", "0"], "step must be positive")])
+    (["exponents", "region", "--step", "0"], "step must be positive"),
+    (["exponents", "check", "3", "9/5", "0", "3/2"], "q = 0 must be >= 1 or inf"),
+    (["exponents", "check", "3", "9/5", "9/7", "1/2"], "a = 1/2 must be >= 1 or inf"),
+    (["exponents", "check", "0.5", "9/5", "9/7", "3/2"], "r = 0.5 must be >= 1 or inf"),
+    (["exponents", "check", "3", "9/5", "9/7", "3/2", "--dim", "0"], "--dim must be >= 1")])
 def test_bad_invocation_is_config_error(capsys, argv, message):
     # a usage error (argparse's own code for it, 2, is a guard abort's here)
-    # and an argument that the exponent tools reject exit 1 with one line
+    # and an argument that the exponent tools reject exit 1 with one line;
+    # an exponent of the check below 1 (q = 0 once ended in a
+    # ZeroDivisionError) or a dimension below 1 is rejected before a verdict
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
@@ -405,6 +412,23 @@ def test_exponents_region(tmp_path, capsys):
     lines = open(out_path).read().splitlines()
     assert lines[0] == "q_prime,p_prime,in_region"
     assert any(line.endswith(",1") for line in lines[1:])
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-1", "1e-9"])
+def test_exponents_region_rejects_a_step_before_making_the_lattice(tmp_path, capsys, step):
+    # a step that is not positive and finite, or whose lattice would hold
+    # over REGION_MAX_POINTS points (1e-9 once asked for 52 GiB), is a
+    # config error naming --step, raised before the lattice is allocated
+    out = tmp_path / "region.csv"
+    tracemalloc.start()
+    try:
+        code = main(["exponents", "region", "--step", step, "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and err.startswith("config error: --step") and "Traceback" not in err
+    assert peak < 1 << 20 and not out.exists()
 
 
 def test_dispersion_subcommand(tmp_path, capsys):

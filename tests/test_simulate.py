@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import runtumble.simulate
+from runtumble import transport
 from runtumble.estimator import BootstrapMonitor, GronwallMonitor, TermTracker
-from runtumble.grid import (DistributionField, GridSpec, build_grid, density, grow_box,
-                            occupied_box, support_box, total_mass)
+from runtumble.grid import (DistributionField, GridSpec, build_grid, density, field_mass,
+                            grow_box, occupied_box, support_box, total_mass)
 from runtumble.interp import stack_spread
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.simulate import GuardAbort, Simulation
@@ -232,7 +233,8 @@ def test_step_allocates_few_state_sizes(family, dim, beta, bound):
 def _check_step_boxes(monkeypatch):
     """Wrap the writers that Simulation.step calls so that each call checks
     the box its field carries: a transport result carries its input's box
-    grown by the spread of the shift, a scattering result its input's box,
+    grown by the spread of the shift and narrowed to the floor box, which
+    is the result's occupied box, a scattering result its input's box,
     an in-place write returns its input, density narrows f.box to f's
     occupied box, and f is +0.0 outside the box after every call."""
     def zero_outside(f):
@@ -246,8 +248,9 @@ def _check_step_boxes(monkeypatch):
         box = f.box
         g = transport_step(f, dt, in_place=in_place)
         assert (g is f) == in_place
-        assert g.box == grow_box(box, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)
-        assert zero_outside(g)
+        written = grow_box(box, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)
+        assert g.box == occupied_box(g.nodes) and zero_outside(g)
+        assert zero_outside(DistributionField(grid, g.nodes, box=written))
         return g
 
     def scatter(f, *args, in_place=False, **kwargs):
@@ -270,10 +273,12 @@ def _check_step_boxes(monkeypatch):
 @pytest.mark.parametrize("family, dim, beta", [("hyp2", 2, 1), ("hyp3", 3, 1), ("hyp1", 3, 0)])
 def test_carried_box_is_the_occupied_box(family, dim, beta, monkeypatch):
     # on the preset lattices, with the preset's monitor attached, the box
-    # that the state carries is f's occupied box after every step, through
-    # the step at which it becomes the whole grid, and the step keeps the
-    # bits of the step of fresh arrays. Within each step, every writer's
-    # result carries the box it should (_check_step_boxes)
+    # that the state carries is f's occupied box after every step, and the
+    # step keeps the bits of the step of fresh arrays: with the floor, over
+    # 12 steps in which the box stays a part of the grid, then with no
+    # floor (FLOOR = 0), through the step at which it becomes the whole
+    # grid. Within each step, every writer's result carries the box it
+    # should (_check_step_boxes)
     _check_step_boxes(monkeypatch)
     if dim == 2:
         spec = GridSpec(dim=2, box_half_length=16.0, nx=64, nv=16, dt=0.02)
@@ -287,6 +292,12 @@ def test_carried_box_is_the_occupied_box(family, dim, beta, monkeypatch):
     sim.attach(monitor)
     whole = (slice(None),) * dim
     assert sim.f.box == occupied_box(sim.f.nodes) != whole
+    for _ in range(12):
+        ref = _reference_step(sim)
+        sim.step()
+        assert np.array_equal(sim.f.nodes.view(np.int64), ref.nodes.view(np.int64))
+        assert sim.f.box == occupied_box(sim.f.nodes) != whole
+    monkeypatch.setattr(transport, "FLOOR", 0.0)
     filled = 0
     while filled < 2:
         ref = _reference_step(sim)
@@ -297,11 +308,13 @@ def test_carried_box_is_the_occupied_box(family, dim, beta, monkeypatch):
     assert sim.step_count > 3
 
 
-def test_step_takes_the_box_from_the_unscaled_node_sum():
+def test_step_takes_the_box_from_the_unscaled_node_sum(monkeypatch):
     # a few cells hold only subnormal f, whose node sums are subnormal and
     # nonzero, while hv^d times them is 0: rho is 0 there, yet the carried
     # box holds them, and a step moves them as the step of fresh arrays
-    # does. Each half-step is an exact roll (1 or 3 cells), so they survive
+    # does. Each half-step is an exact roll (1 or 3 cells), so with no
+    # floor they survive; the floor flushes them, and the mass is kept
+    monkeypatch.setattr(transport, "FLOOR", 0.0)
     spec = GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=6.0)
     grid = build_grid(spec)
     assert spec.dt / 2.0 == grid.alignment_time()
@@ -317,3 +330,10 @@ def test_step_takes_the_box_from_the_unscaled_node_sum():
         ref = _reference_step(sim)
         sim.step()
         assert np.array_equal(sim.f.nodes.view(np.int64), ref.nodes.view(np.int64))
+    monkeypatch.undo()
+    sim = Simulation(grid, DistributionField(grid, nodes),
+                     KernelSpec(family="constant", coefficient=0.01))
+    sim.step()
+    assert not np.any(np.any(sim.f.nodes, axis=0) & (sim.rho.values == 0.0))
+    assert sim.f.box == occupied_box(sim.f.nodes) == support_box(sim.rho.values != 0.0)
+    assert abs(field_mass(sim.rho) - sim.mass0) <= 1e-15 * sim.mass0

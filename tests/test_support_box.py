@@ -6,7 +6,8 @@ the box that f carries (DistributionField.box), which is f's occupied box
 for bit (int64 views) with the sweeps over the whole array that they
 replace, check that every writer's result is +0.0 outside the box it
 carries, and check the box arithmetic (grid.grow_box, interp.stack_on_box)
-that they build on.
+that they build on. The transport step flushes a tail below a relative
+floor (transport.FLOOR), and its frozen full sweep takes the same floor.
 """
 
 import math
@@ -15,15 +16,16 @@ import numpy as np
 import pytest
 from conftest import same_bits
 
-from runtumble import interp
+from runtumble import interp, transport
 from runtumble.fields import solve_field
-from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, build_grid, density,
-                            field_from_compact, field_mass, grow_box, occupied_box,
+from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, SpatialField, build_grid,
+                            density, field_from_compact, field_mass, grow_box, occupied_box,
                             support_box)
 from runtumble.interp import (stack_on_box, stack_reach, stack_spread, velocity_offset_stack,
                               written_box)
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.norms import NormSpec, compact_mixed_norm, mixed_norm, spatial_norm
+from runtumble.simulate import Simulation
 from runtumble.transport import SeparableData, exact_free_solution, slab_sums, transport_step
 
 INF = math.inf
@@ -46,11 +48,19 @@ def _full_slab_sums(nodes):
     return total
 
 
-def _full_transport(nodes, grid, dt):
-    """transport_step as a sweep over the whole array."""
+def _full_transport(nodes, grid, dt, floor=None):
+    """transport_step as a sweep over the whole array, with the floor
+    `floor` (transport.FLOOR when None): +0.0 at every position outside the
+    bounding box of the positions whose node sum exceeds floor times the
+    largest node sum over K, before the rescale."""
+    floor = transport.FLOOR if floor is None else floor
     before = _full_slab_sums(nodes)
     out = velocity_offset_stack(nodes, grid.vnodes, dt, grid.dx)
     np.clip(out, 0.0, None, out=out)
+    total = out.sum(axis=0)
+    kept = np.zeros(grid.x_shape, dtype=bool)
+    kept[support_box(total > floor * total.max() / len(out))] = True
+    out[:, ~kept] = 0.0
     after = _full_slab_sums(out)
     scale = np.where(after > 0.0, before / np.where(after > 0.0, after, 1.0), 1.0)
     out *= scale.reshape((-1,) + (1,) * grid.dim)
@@ -218,10 +228,13 @@ def test_mixed_norm_box_path_bit_identical_to_full_sweep(dim):
             assert same_bits(got, _full_mixed_norm(nodes, grid, p, q)), (name, p, q)
 
 
-def test_box_comes_from_f_not_from_its_density():
+def test_box_comes_from_f_not_from_its_density(monkeypatch):
     # hv^d * 5e-324 is 0, so the subnormal cells carry no density; a box
     # taken from rho would leave them unmoved, while the full sweep moves
-    # them (a whole-cell shift is an exact roll)
+    # them (a whole-cell shift is an exact roll). With no floor they
+    # survive the step; the floor flushes them and the rescale keeps each
+    # slab's mass
+    monkeypatch.setattr(transport, "FLOOR", 0.0)
     grid = build_grid(GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.3))
     nodes = _states(grid)["subnormal"]
     rho = density(DistributionField(grid, nodes)).values
@@ -237,6 +250,13 @@ def test_box_comes_from_f_not_from_its_density():
     assert np.any(expect[outside] == SUBNORMAL)
     f = DistributionField(grid, nodes)
     assert same_bits(transport_step(f, dt).nodes, expect)
+    monkeypatch.undo()
+    floored = transport_step(f, dt)
+    assert same_bits(floored.nodes, _full_transport(nodes, grid, dt))
+    assert not np.any(floored.nodes == SUBNORMAL) and not np.any(floored.nodes[outside])
+    assert floored.box == occupied_box(expect - np.where(expect == SUBNORMAL, expect, 0.0))
+    np.testing.assert_allclose(slab_sums(floored.nodes, floored.box), slab_sums(nodes, f.box),
+                               rtol=1e-14, atol=0.0)
 
 
 def _random_masks(rng):
@@ -437,14 +457,19 @@ def _zero_outside_box(f):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_writers_carry_a_box_outside_which_f_is_zero(dim):
     # transport_step and scattering_apply (into a new array or in place)
-    # return fields that are +0.0 outside the box they carry: f's occupied
-    # box grown by the spread of the shift, or f's occupied box itself.
-    # density narrows that box to the result's occupied box
+    # return fields that are +0.0 outside the box they carry: for a
+    # transport step, f's occupied box grown by the spread of the shift
+    # narrowed to the floor box, which is the result's occupied box; for
+    # scattering, f's occupied box itself. density narrows that box to the
+    # result's occupied box
     grid = _grid(dim)
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
         occupied = occupied_box(nodes)
-        boxes = [grow_box(occupied, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)] * 2
+        written = grow_box(occupied, stack_spread(grid.vnodes, dt, grid.dx), grid.x_shape)
+        expect = _full_transport(nodes, grid, dt)
+        assert _zero_outside_box(DistributionField(grid, expect, box=written)), name
+        boxes = [occupied_box(expect)] * 2
         boxes += [occupied] * (2 * len(SCATTER_KERNELS))
         f = DistributionField(grid, nodes)
         results = [transport_step(f, dt),
@@ -492,3 +517,107 @@ def test_a_field_made_without_a_box_gives_the_bits_of_one_with_a_wider_box(dim):
         for p, q in NORM_PAIRS:
             spec = NormSpec(p=p, q=q)
             assert same_bits(mixed_norm(bare(), spec), mixed_norm(known(), spec)), (name, p, q)
+
+
+def _preset(family, dim, beta, nodes=None):
+    """A run on the grid, kernel and cube data of an acceptance preset:
+    2-D hyp2 (64², K = 208), 3-D hyp3 and hyp1 (32³, K = 32; beta = 0 for
+    hyp1), started from `nodes` when given."""
+    if dim == 2:
+        spec = GridSpec(dim=2, box_half_length=16.0, nx=64, nv=16, dt=0.02)
+    else:
+        spec = GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=0.05 if beta else 0.02)
+    grid = build_grid(spec)
+    f0 = (SeparableData(amplitude=0.5, width=1.0, kind="cube") if nodes is None
+          else DistributionField(grid, nodes))
+    return Simulation(grid, f0, KernelSpec(family=family, coefficient=0.3), beta=beta)
+
+
+def _full_step(sim, floor):
+    """Simulation.step as whole-array sweeps: the two transport half-steps
+    are _full_transport with `floor`, and the density a whole-array node sum."""
+    grid, dt = sim.grid, sim.grid.spec.dt
+    nodes = _full_transport(sim.f.nodes, grid, dt / 2.0, floor)
+    rho = SpatialField(grid, nodes.sum(axis=0) * grid.hv ** grid.dim)
+    fields = sim._solve_fields_for(rho)
+    f = scattering_apply(DistributionField(grid, nodes), sim.kernel, fields, dt, rho=rho)
+    return _full_transport(f.nodes, grid, dt / 2.0, floor)
+
+
+@pytest.mark.parametrize("family, dim, beta", [("hyp2", 2, 1), ("hyp3", 3, 1), ("hyp1", 3, 0)])
+def test_no_floor_gives_the_unfloored_full_sweep(family, dim, beta, monkeypatch):
+    # with FLOOR = 0, a half-step and a whole step on the box paths give
+    # the bits of the sweeps of the whole array that flush nothing
+    monkeypatch.setattr(transport, "FLOOR", 0.0)
+    sim = _preset(family, dim, beta)
+    half = sim.grid.spec.dt / 2.0
+    for _ in range(3):
+        got = transport_step(sim.f, half)
+        assert same_bits(got.nodes, _full_transport(sim.f.nodes, sim.grid, half, floor=0.0))
+        expect = _full_step(sim, floor=0.0)
+        sim.step()
+        assert same_bits(sim.f.nodes, expect)
+
+
+def test_flushed_values_are_below_the_floor():
+    # every value that a half-step sets to +0.0 is at most FLOOR times the
+    # largest value of the shifted state, on the test states and along a
+    # 2-D hyp2 preset run, whose shifts leave a tail a cell further out
+    # each half-step
+    grid = _grid(2)
+    cases = [(grid, nodes) for nodes in _states(grid).values()]
+    sim = _preset("hyp2", 2, 1)
+    for _ in range(6):
+        cases.append((sim.grid, sim.f.nodes))
+        sim.step()
+    flushed_any = False
+    for grid, nodes in cases:
+        dt = grid.spec.dt / 2.0
+        shifted = velocity_offset_stack(nodes, grid.vnodes, dt, grid.dx)
+        flushed = (shifted != 0.0) & (transport_step(DistributionField(grid, nodes), dt).nodes
+                                      == 0.0)
+        if np.any(flushed):
+            flushed_any = True
+            assert shifted[flushed].max() <= transport.FLOOR * shifted.max()
+    assert flushed_any
+
+
+def test_a_blob_far_below_the_other_survives_the_floor(monkeypatch):
+    # the floor is relative to the largest node sum, so a second blob 1e-10
+    # times as large as the first keeps its values, well above the floor,
+    # and its mass over 20 steps, inside the box that f carries
+    grid = _preset("hyp2", 2, 1).grid
+    big, small = (exact_free_solution(SeparableData(amplitude=a, width=1.0, kind="cube",
+                                                    center=(c, 0.0)), grid, 0.0).nodes
+                  for a, c in ((0.5, -3.0), (0.5e-10, 3.0)))
+    right = grid.x > 0.0
+    floored, runs = transport.FLOOR, {}
+    for floor in (floored, 0.0):
+        monkeypatch.setattr(transport, "FLOOR", floor)
+        sim = _preset("hyp2", 2, 1, nodes=big + small)
+        mass = field_mass(SpatialField(grid, np.where(right[:, None], sim.rho.values, 0.0)))
+        sim.run(20)
+        assert (sim.f.box != (slice(None),) * 2) == (floor > 0.0)
+        inside = np.zeros(grid.x_shape, dtype=bool)
+        inside[sim.f.box] = True
+        assert np.all(inside[sim.rho.values > 0.0]) and np.any(inside & right[:, None])
+        runs[floor] = field_mass(SpatialField(grid, np.where(right[:, None], sim.rho.values,
+                                                             0.0)))
+        # the per-slab rescale moves 1.5% of the small blob's mass either way
+        assert abs(runs[floor] - mass) <= 0.05 * mass
+    assert abs(runs[floored] - runs[0.0]) <= 1e-6 * runs[0.0]
+
+
+def test_an_all_zero_state_still_steps():
+    # no node sum exceeds the floor: nothing is flushed, no slab is
+    # rescaled, and the state stays +0.0 with the whole grid as its box
+    for dim in (1, 2, 3):
+        grid = _grid(dim)
+        zeros = np.zeros((grid.n_vnodes,) + grid.x_shape)
+        for in_place in (False, True):
+            f = transport_step(DistributionField(grid, zeros.copy()), grid.spec.dt,
+                               in_place=in_place)
+            assert same_bits(f.nodes, zeros) and f.box == (slice(None),) * dim
+    sim = _preset("hyp3", 3, 1, nodes=np.zeros((32, 32, 32, 32)))
+    sim.run(2)
+    assert same_bits(sim.f.nodes, np.zeros_like(sim.f.nodes)) and sim.mass0 == 0.0
