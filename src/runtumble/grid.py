@@ -21,7 +21,9 @@ f is +0.0 outside a box around its support, and the state carries that
 box (DistributionField.box), which work on f reads to skip the zeros
 outside it. A field is made with its box: the caller's, or f's occupied
 box (occupied_box) when the caller gives none. After that only the code
-that writes f's nodes changes it, and density(f) narrows it to f's
+that writes f's nodes changes it: a transport step sets the box that is
+left once it has flushed the tail below its floor (transport.FLOOR), under
+occupied_box's rule (carried_box), and density(f) narrows it to f's
 occupied box, found from the node sum it forms anyway.
 """
 
@@ -287,9 +289,10 @@ def density(f: DistributionField) -> SpatialField:
 
     The node sum runs on f.box only, and rho is +0.0 outside it, as w
     times a sum of +0.0 is. f.box is a box of more than one cell or the
-    whole grid (a transport step's box, or an occupied box), and on more
-    than one cell NumPy adds the node rows one by one, as on the whole
-    grid, so rho is bit for bit the whole-grid density.
+    whole grid (the floor box a transport step carries, or an occupied
+    box, both under carried_box's rule), and on more than one cell NumPy
+    adds the node rows one by one, as on the whole grid, so rho is bit for
+    bit the whole-grid density.
 
     f >= 0, so the node sum is nonzero exactly where some node is: f.box
     becomes the occupied box of that sum, taken before it is scaled by w,

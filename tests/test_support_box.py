@@ -582,6 +582,25 @@ def test_flushed_values_are_below_the_floor():
     assert flushed_any
 
 
+def test_the_floor_is_relative_to_the_largest_node_sum_over_k():
+    # a position whose node sum is twice FLOOR * (the largest node sum) / K
+    # keeps its value and one whose sum is half of it is flushed; whole-cell
+    # shifts (1 or 3 cells) move both exactly, and the middle of the block
+    # keeps a node sum of K
+    grid = _grid(1)
+    K = grid.n_vnodes
+    nodes = np.zeros((K,) + grid.x_shape)
+    nodes[:, 28:36] = 1.0
+    nodes[0, 50] = 2.0 * transport.FLOOR
+    nodes[0, 10] = 0.5 * transport.FLOOR
+    dt = grid.alignment_time()
+    shifted = velocity_offset_stack(nodes, grid.vnodes, dt, grid.dx)
+    got = transport_step(DistributionField(grid, nodes), dt).nodes
+    assert np.all(got[shifted == 2.0 * transport.FLOOR] > 0.0)
+    assert np.all(got[shifted == 0.5 * transport.FLOOR] == 0.0)
+    assert np.count_nonzero(shifted == 0.5 * transport.FLOOR) == 1
+
+
 def test_a_blob_far_below_the_other_survives_the_floor(monkeypatch):
     # the floor is relative to the largest node sum, so a second blob 1e-10
     # times as large as the first keeps its values, well above the floor,
