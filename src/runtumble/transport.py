@@ -12,7 +12,8 @@ spread). A limited shift writes a nonzero value one spread past its
 input's support, so the numerical support would grow by a cell every
 half-step while the continuum's grows at max |v| only: the step flushes to
 +0.0 the tail of the box it wrote whose node sum is at most FLOOR times
-the largest, and its result carries the box that is left (the floor box).
+the largest over K, and its result carries the box that is left (the
+floor box).
 Its slab sums are taken on boxes too, by a rule that gives every box the
 whole array's bits.
 """
