@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from runtumble.exponents import exponent_ge, strichartz_admissible, theorem3_exponents
+from runtumble.exponents import exponent_ge, is_exponent, strichartz_admissible, theorem3_exponents
 from runtumble.fields import newton_parts
 from runtumble.freeflow import GaussianBallData, decay_rate, free_mixed_norm
 from runtumble.grid import DistributionField, density, nest_box
@@ -193,6 +193,8 @@ class GronwallMonitor:
     """
 
     def __init__(self, p):
+        if not is_exponent(p):
+            raise ValueError(f"p must be an exponent (>= 1 or inf), got {p}")
         self.p = p
         self.records = []
 

@@ -20,11 +20,11 @@ its mirror -v.
 f is +0.0 outside a box around its support, and the state carries that
 box (DistributionField.box), which work on f reads to skip the zeros
 outside it. A field is made with its box: the caller's, or f's occupied
-box (occupied_box) when the caller gives none. After that only the code
-that writes f's nodes changes it: a transport step sets the box that is
-left once it has flushed the tail below its floor (transport.FLOOR), under
-occupied_box's rule (carried_box), and density(f) narrows it to f's
-occupied box, found from the node sum it forms anyway.
+box (occupied_box) when the caller gives none. After that only a
+transport step changes it: it sets the box that is left once it has
+flushed the tail below its floor (transport.FLOOR), under occupied_box's
+rule (carried_box). Readers of f (density and the masses) write nothing
+to it.
 """
 
 import math
@@ -59,10 +59,11 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.box_half_length <= 0:
-            raise ValueError("box_half_length must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # the `not x > 0` form rejects NaN too
+        if not (self.box_half_length > 0 and math.isfinite(self.box_half_length)):
+            raise ValueError(f"box_half_length must be > 0 and finite, got {self.box_half_length}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be > 0 and finite, got {self.dt}")
         if not _is_power_of_two(self.nx):
             raise ValueError(f"nx must be a power of two, got {self.nx}")
         if not _is_power_of_two(self.nv):
@@ -71,8 +72,8 @@ class GridSpec:
             raise ValueError(f"unknown velocity_shape {self.velocity_shape!r}")
         if self.velocity_shape == "ball" and self.r_min != 0.0:
             raise ValueError("ball velocity set requires r_min = 0")
-        if self.r_min < 0 or self.r_max <= self.r_min:
-            raise ValueError(f"need 0 <= r_min < r_max, got ({self.r_min}, {self.r_max})")
+        if not (0 <= self.r_min < self.r_max and math.isfinite(self.r_max)):
+            raise ValueError(f"need 0 <= r_min < r_max < inf, got ({self.r_min}, {self.r_max})")
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,8 @@ class DistributionField:
 
     `box` is a tuple of position slices outside which the nodes are +0.0:
     the caller's, or occupied_box(nodes) when none is given. The writers
-    (transport_step, scattering_apply) update it with the nodes they
-    write, and density(f) narrows it to f's occupied box. A write into
-    `nodes` behind the field's back leaves it stale.
+    (transport_step, scattering_apply) keep it true of the nodes they
+    write. A write into `nodes` behind the field's back leaves it stale.
     """
 
     def __init__(self, grid: PhaseGrid, nodes, t=0.0, box=None):
@@ -181,8 +181,8 @@ class DistributionField:
         expected = (self.grid.n_vnodes,) + self.grid.x_shape
         if self.nodes.shape != expected:
             raise ValueError(f"node array shape {self.nodes.shape} != {expected}")
-        if self.t < 0:
-            raise ValueError("timestamp must be nonnegative")
+        if not 0 <= self.t < math.inf:  # rejects NaN too
+            raise ValueError(f"timestamp must be nonnegative and finite, got {self.t}")
         if not np.all(np.isfinite(self.nodes)):
             raise ValueError("distribution values must be finite")
         if np.any(self.nodes < 0):
@@ -249,11 +249,6 @@ def carried_box(box, shape):
     return box if 1 < cells <= BOX_SHARE * math.prod(shape) else (slice(None),) * len(shape)
 
 
-def _occupied(mask):
-    """occupied_box's rule on the position mask of f's nonzero positions."""
-    return carried_box(support_box(mask), mask.shape)
-
-
 def occupied_box(nodes):
     """The box on which work on a node-first array may skip its zeros.
 
@@ -264,10 +259,9 @@ def occupied_box(nodes):
     more cells it adds the K rows one by one, as a sweep of the whole grid
     does; arithmetic on a box's strided views costs about twice as much a
     cell as on whole arrays. A field is made with this box unless its
-    maker gives one, and density(f) narrows f.box to it without reducing f
-    again.
+    maker gives one.
     """
-    return _occupied(np.any(nodes, axis=0))
+    return carried_box(support_box(np.any(nodes, axis=0)), nodes.shape[1:])
 
 
 def field_from_compact(grid, compact, t=0.0):
@@ -285,7 +279,7 @@ class SpatialField:
 
 def density(f: DistributionField) -> SpatialField:
     """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node
-    weight w. It mutates its argument: f.box is set to f's occupied box.
+    weight w. It reads f and writes nothing to it.
 
     The node sum runs on f.box only, and rho is +0.0 outside it, as w
     times a sum of +0.0 is. f.box is a box of more than one cell or the
@@ -293,22 +287,12 @@ def density(f: DistributionField) -> SpatialField:
     box, both under carried_box's rule), and on more than one cell NumPy
     adds the node rows one by one, as on the whole grid, so rho is bit for
     bit the whole-grid density.
-
-    f >= 0, so the node sum is nonzero exactly where some node is: f.box
-    becomes the occupied box of that sum, taken before it is scaled by w,
-    which flushes a sum of subnormals to 0 (occupied_box's rule, on no
-    second reduction of f).
     """
     grid = f.grid
-    box = f.box
-    total = f.nodes[(slice(None),) + box].sum(axis=0)
-    if box != (slice(None),) * grid.dim:
-        values = np.zeros(grid.x_shape)
-        values[box] = total
-        total = values
-    f.box = _occupied(total != 0.0)
-    total *= grid.hv ** grid.dim
-    return SpatialField(grid, total)
+    rho = np.zeros(grid.x_shape)
+    rho[f.box] = f.nodes[(slice(None),) + f.box].sum(axis=0)
+    rho *= grid.hv ** grid.dim
+    return SpatialField(grid, rho)
 
 
 def field_mass(rho: SpatialField) -> float:
@@ -325,11 +309,11 @@ def shell_mass(rho: SpatialField) -> float:
 
 
 def total_mass(f: DistributionField) -> float:
-    """M = sum_ij wx_i w_j f(x_i, v_j). Sets f.box, as density does."""
+    """M = sum_ij wx_i w_j f(x_i, v_j)."""
     return field_mass(density(f))
 
 
 def boundary_shell_mass(f: DistributionField) -> float:
     """Mass carried by the outermost WRAP_WIDTH position cells (wrap-detection
-    monitor). Sets f.box, as density does."""
+    monitor)."""
     return shell_mass(density(f))

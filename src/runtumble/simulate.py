@@ -51,7 +51,6 @@ class Simulation:
         self.f0_descriptor = f0 if isinstance(f0, SeparableData) else None
         self.f = f0 if self.f0_descriptor is None else exact_free_solution(f0, grid, 0.0)
         self.f.validate()
-        self.t = 0.0
         self.step_count = 0
         self.rho = density(self.f)
         self.mass0 = field_mass(self.rho)
@@ -60,6 +59,11 @@ class Simulation:
             raise ValueError(f"the initial data already reach the box boundary ({excess})")
         self.fields = self._solve_fields_for(self.rho)
         self.monitors = []
+
+    @property
+    def t(self):
+        """The time of the state: f's own."""
+        return self.f.t
 
     def attach(self, monitor):
         monitor.start(self)
@@ -77,11 +81,11 @@ class Simulation:
         # the first half-step makes a new field, the step's only copy of the
         # state (self.f is left as it is); scattering and the second
         # half-step update that field in place. It carries its box: each
-        # half-step shifts its box and sets the box it wrote, each density
-        # sums the box and narrows it to f's occupied box, and scattering,
-        # which writes +0.0 wherever f(x, .) = 0, keeps it. Either guard
-        # raises before the run takes the new state, so an aborted step
-        # leaves the state, its time and the monitors as they were
+        # half-step shifts its box and sets the floor box it wrote, density
+        # sums on that box, and scattering, which writes +0.0 wherever
+        # f(x, .) = 0, keeps it. Either guard raises before the run takes
+        # the new state, so an aborted step leaves the state, its time and
+        # the monitors as they were
         dt = self.grid.spec.dt
         half = dt / 2.0
         f = transport_step(self.f, half)
@@ -100,7 +104,6 @@ class Simulation:
                              f"t={self.t:.6g} ({excess})", self.t)
         f.t = self.t + dt
         self.f = f
-        self.t += dt
         self.step_count += 1
         self.rho = rho
         self.fields = fields

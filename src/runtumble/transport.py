@@ -166,8 +166,8 @@ def transport_step(f: DistributionField, dt: float, in_place=False) -> Distribut
     is bit for bit the unfloored step's, and the box is the bounding box
     of its nonzero positions before the rescale, under that rule.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
     grid = f.grid
     before = slab_sums(f.nodes, f.box)
     written = written_box(f.box, grid.vnodes, dt, grid.dx, grid.x_shape)

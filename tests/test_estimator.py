@@ -137,6 +137,10 @@ def test_gronwall_monitor_rejects_wrong_setup():
         sim.attach(GronwallMonitor(p=1.5))
     with pytest.raises(ValueError):
         GronwallMonitor(p=1.2).start(sim)  # d/p' = 2/6 fine but family wrong anyway
+    # p < 1 gives lam < 0 (p = 0.5: lam = -2 in 2-D), a quantity that is not a norm
+    for p in (0.5, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="exponent"):
+            GronwallMonitor(p=p)
 
 
 def test_term_tracker_validates_exponents():

@@ -23,6 +23,15 @@ def make_grid(dim=1, L=4.0, nx=16, nv=4, shape="ball", r_min=0.0, r_max=1.0, dt=
     dict(dim=1, box_half_length=1.0, nx=16, nv=4, velocity_shape="shell",
          r_min=0.8, r_max=0.5),
     dict(dim=1, box_half_length=1.0, nx=16, nv=4, dt=0.0),
+    # NaN and infinite values, which `x <= 0` checks let through
+    dict(dim=1, box_half_length=1.0, nx=16, nv=4, dt=float("nan")),
+    dict(dim=1, box_half_length=1.0, nx=16, nv=4, dt=float("inf")),
+    dict(dim=1, box_half_length=float("nan"), nx=16, nv=4),
+    dict(dim=1, box_half_length=float("inf"), nx=16, nv=4),
+    dict(dim=1, box_half_length=1.0, nx=16, nv=4, r_max=float("nan")),  # K = 0 nodes
+    dict(dim=1, box_half_length=1.0, nx=16, nv=4, r_max=float("inf")),
+    dict(dim=1, box_half_length=1.0, nx=16, nv=4, velocity_shape="shell",
+         r_min=float("nan")),
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(ValueError):
@@ -116,8 +125,10 @@ def test_field_validation():
         DistributionField(grid, -np.ones(shape)).validate()
     with pytest.raises(ValueError, match="shape"):
         DistributionField(grid, np.ones((grid.n_vnodes, 4))).validate()
-    with pytest.raises(ValueError, match="timestamp"):
-        DistributionField(grid, np.ones(shape), t=-1.0).validate()
+    # the field's time is the run's (Simulation.t), so NaN and inf are refused too
+    for t in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="timestamp"):
+            DistributionField(grid, np.ones(shape), t=t).validate()
     for bad in (np.nan, np.inf):
         nodes = np.ones(shape)
         nodes[1, 2] = bad

@@ -13,7 +13,7 @@ from runtumble.grid import (DistributionField, GridSpec, build_grid, density, fi
 from runtumble.interp import stack_spread
 from runtumble.kernels import KernelSpec, scattering_apply
 from runtumble.simulate import GuardAbort, Simulation
-from runtumble.transport import SeparableData, transport_step
+from runtumble.transport import SeparableData, exact_free_solution, transport_step
 
 
 def make_sim(dim=2, L=8.0, nx=32, nv=8, dt=0.02, family="hyp2", C=0.5, beta=1,
@@ -30,6 +30,23 @@ def test_mass_conserved_over_run():
     assert abs(total_mass(sim.f) - m0) / m0 < 1e-12
     assert sim.f.values.min() >= 0.0
     assert sim.t == pytest.approx(25 * 0.02, rel=1e-12)
+
+
+def test_time_is_the_fields_own():
+    # a run started from a field at t0 = 0.5 reports f's own time: t0, then
+    # t0 + dt added once a step; sim.t is read-only
+    grid = build_grid(GridSpec(dim=1, box_half_length=8.0, nx=32, nv=8, dt=0.02))
+    f0 = exact_free_solution(SeparableData(width=0.8, kind="cube"), grid, 0.5)
+    sim = Simulation(grid, f0, KernelSpec(family="constant", coefficient=0.5))
+    t = 0.5
+    assert sim.t == sim.f.t == t
+    for _ in range(3):
+        sim.step()
+        t += grid.spec.dt
+        assert sim.t == sim.f.t == t
+    assert sim.t == pytest.approx(0.5 + 3 * 0.02, rel=1e-12)
+    with pytest.raises(AttributeError):
+        sim.t = 0.0
 
 
 def test_beta0_restricted_to_d3():
@@ -235,8 +252,8 @@ def _check_step_boxes(monkeypatch):
     the box its field carries: a transport result carries its input's box
     grown by the spread of the shift and narrowed to the floor box, which
     is the result's occupied box, a scattering result its input's box,
-    an in-place write returns its input, density narrows f.box to f's
-    occupied box, and f is +0.0 outside the box after every call."""
+    an in-place write returns its input, density leaves f.box as it was,
+    f's occupied box, and f is +0.0 outside the box after every call."""
     def zero_outside(f):
         inside = np.zeros(f.grid.x_shape, dtype=bool)
         inside[f.box] = True
@@ -260,14 +277,15 @@ def _check_step_boxes(monkeypatch):
         assert g.box == box and zero_outside(g)
         return g
 
-    def narrow(f):
+    def read(f):
+        box = f.box
         rho = density(f)
-        assert f.box == occupied_box(f.nodes) and zero_outside(f)
+        assert f.box == box == occupied_box(f.nodes) and zero_outside(f)
         return rho
 
     monkeypatch.setattr(runtumble.simulate, "transport_step", transport)
     monkeypatch.setattr(runtumble.simulate, "scattering_apply", scatter)
-    monkeypatch.setattr(runtumble.simulate, "density", narrow)
+    monkeypatch.setattr(runtumble.simulate, "density", read)
 
 
 @pytest.mark.parametrize("family, dim, beta", [("hyp2", 2, 1), ("hyp3", 3, 1), ("hyp1", 3, 0)])
@@ -310,9 +328,10 @@ def test_carried_box_is_the_occupied_box(family, dim, beta, monkeypatch):
 
 def test_step_takes_the_box_from_the_unscaled_node_sum(monkeypatch):
     # a few cells hold only subnormal f, whose node sums are subnormal and
-    # nonzero, while hv^d times them is 0: rho is 0 there, yet the carried
-    # box holds them, and a step moves them as the step of fresh arrays
-    # does. Each half-step is an exact roll (1 or 3 cells), so with no
+    # nonzero, while hv^d times them is 0: rho is 0 there, yet the box that
+    # the field is made with and that each transport half-step sets (from
+    # the node sum before any hv^d factor) holds them, and a step moves
+    # them as the step of fresh arrays does. Each half-step is an exact roll (1 or 3 cells), so with no
     # floor they survive; the floor flushes them, and the mass is kept
     monkeypatch.setattr(transport, "FLOOR", 0.0)
     spec = GridSpec(dim=3, box_half_length=12.0, nx=32, nv=4, dt=6.0)

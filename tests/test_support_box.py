@@ -18,9 +18,9 @@ from conftest import same_bits
 
 from runtumble import interp, transport
 from runtumble.fields import solve_field
-from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, SpatialField, build_grid,
-                            density, field_from_compact, field_mass, grow_box, occupied_box,
-                            support_box)
+from runtumble.grid import (BOX_SHARE, DistributionField, GridSpec, SpatialField,
+                            boundary_shell_mass, build_grid, density, field_from_compact,
+                            field_mass, grow_box, occupied_box, support_box, total_mass)
 from runtumble.interp import (stack_on_box, stack_reach, stack_spread, velocity_offset_stack,
                               written_box)
 from runtumble.kernels import KernelSpec, scattering_apply
@@ -382,9 +382,9 @@ def test_occupied_box_rule():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_density_carries_the_occupied_box(dim):
-    # density(f) narrows f.box to occupied_box(f.nodes), summed on the whole
-    # grid (no box) or only on a box outside which f is zero, with the
-    # whole-grid bits
+    # a field made without a box carries occupied_box(f.nodes); density(f),
+    # summed on that box or only on another box outside which f is zero,
+    # gives the whole-grid bits and keeps the box it summed on
     grid = _grid(dim)
     for name, nodes in _states(grid).items():
         f = DistributionField(grid, nodes)
@@ -397,7 +397,24 @@ def test_density_carries_the_occupied_box(dim):
                 continue
             on_part = DistributionField(grid, nodes, box=part)
             assert same_bits(density(on_part).values, rho.values), name
-            assert on_part.box == f.box, name
+            assert on_part.box == part, name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_and_the_masses_write_nothing_to_f(dim):
+    # density(f), total_mass(f) and boundary_shell_mass(f) read f: its nodes
+    # (bit for bit), its box and its time are as they were, with f's
+    # occupied box and with that box grown by 2
+    grid = _grid(dim)
+    for name, nodes in _states(grid).items():
+        occupied = occupied_box(nodes)
+        for box in (occupied, grow_box(occupied, 2, grid.x_shape)):
+            for read in (density, total_mass, boundary_shell_mass):
+                before = nodes.copy()
+                f = DistributionField(grid, nodes, t=0.5, box=box)
+                read(f)
+                assert f.nodes is nodes and same_bits(nodes, before), (name, read.__name__)
+                assert f.box == box and f.t == 0.5, (name, read.__name__)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -459,9 +476,8 @@ def test_writers_carry_a_box_outside_which_f_is_zero(dim):
     # transport_step and scattering_apply (into a new array or in place)
     # return fields that are +0.0 outside the box they carry: for a
     # transport step, f's occupied box grown by the spread of the shift
-    # narrowed to the floor box, which is the result's occupied box; for
-    # scattering, f's occupied box itself. density narrows that box to the
-    # result's occupied box
+    # narrowed to the floor box; for scattering, f's occupied box itself.
+    # Each is the result's occupied box, and density keeps it
     grid = _grid(dim)
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
@@ -482,15 +498,15 @@ def test_writers_carry_a_box_outside_which_f_is_zero(dim):
                         scattering_apply(in_place, spec, fields, SCATTER_DT, rho=rho,
                                          in_place=True)]
         for i, (g, box) in enumerate(zip(results, boxes)):
-            assert g.box == box and _zero_outside_box(g), (name, i)
+            assert g.box == box == occupied_box(g.nodes) and _zero_outside_box(g), (name, i)
             density(g)
-            assert g.box == occupied_box(g.nodes), (name, i)
+            assert g.box == box, (name, i)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_a_field_made_without_a_box_gives_the_bits_of_one_with_a_wider_box(dim):
     # a field made without a box carries f's occupied box, and gives the
-    # bits that a field made with a wider box gives
+    # bits that a field made with a wider box gives; density keeps each box
     grid = _grid(dim)
     dt = grid.spec.dt
     for name, nodes in _states(grid).items():
@@ -509,7 +525,7 @@ def test_a_field_made_without_a_box_gives_the_bits_of_one_with_a_wider_box(dim):
                          transport_step(known(), dt).nodes), name
         f, g = bare(), known()
         assert same_bits(density(f).values, density(g).values), name
-        assert f.box == g.box == occupied, name
+        assert f.box == occupied and g.box == box, name
         for spec in SCATTER_KERNELS:
             assert same_bits(scattering_apply(bare(), spec, fields, SCATTER_DT, rho=rho).nodes,
                              scattering_apply(known(), spec, fields, SCATTER_DT,

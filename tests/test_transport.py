@@ -417,10 +417,13 @@ def test_transport_step_converges_to_free_solution():
 
 
 def test_transport_step_rejects_bad_dt():
+    # a NaN or infinite step is a ValueError that names dt, not a failed
+    # integer conversion or an overflow inside the shift
     grid = make_grid(dim=1, nx=16, nv=4)
     f = exact_free_solution(SeparableData(), grid, 0.0)
-    with pytest.raises(ValueError):
-        transport_step(f, -0.1)
+    for dt in (-0.1, 0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="dt"):
+            transport_step(f, dt)
 
 
 def test_velocity_offset_stack_and_transport_step_write_into_out():
