@@ -17,6 +17,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from runtumble.estimator import (BootstrapMonitor, GronwallMonitor, TermTracker,
                                  dispersion_decay_fit)
 from runtumble.exponents import (ExponentQuadruple, admissible_region, exponent_ge,
@@ -227,15 +229,23 @@ def _snapshot_coordinates(grid):
 
 
 def _snapshot(sim, coordinates, step, outdir):
-    """Write the density at one state; `coordinates` is _snapshot_coordinates(sim.grid)."""
+    """Write the density at one state; `coordinates` is _snapshot_coordinates(sim.grid).
+
+    Only the cells of f's box are formatted: the density is +0.0 outside
+    it (grid.density), so every other row is its coordinates and "0".
+    """
     grid = sim.grid
     d = grid.dim
+    rows = [c + "0\n" for c in coordinates]
+    box = sim.f.box
+    cells = np.arange(len(rows)).reshape(grid.x_shape)[box].ravel().tolist()
+    for i, r in zip(cells, sim.rho.values[box].ravel().tolist()):
+        rows[i] = coordinates[i] + _fmt(r) + "\n"
     path = os.path.join(outdir, f"snapshot_{step:06d}.csv")
     with open(path, "w", newline="") as fh:
         fh.write(f"# t={_fmt(sim.t)} dimension={d} nx={grid.spec.nx} field=rho\n")
         fh.write(",".join([f"x_{a}" for a in range(d)] + ["rho"]) + "\n")
-        fh.write("".join(c + _fmt(r) + "\n"
-                         for c, r in zip(coordinates, sim.rho.values.ravel().tolist())))
+        fh.write("".join(rows))
 
 
 def run_simulate(config_path):

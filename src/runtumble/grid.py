@@ -200,9 +200,11 @@ class DistributionField:
         return np.moveaxis(self.nodes, 0, -1)
 
     def extrema(self):
-        """(min, max) of the dense values, counting the zeros outside V."""
-        lo, hi = float(self.nodes.min()), float(self.nodes.max())
-        if self.grid.n_vnodes < self.grid.vmask.size:
+        """(min, max) of the dense values, counting the zeros outside V and
+        outside the box. Only the box is read."""
+        inside = self.nodes[(slice(None),) + self.box]
+        lo, hi = float(inside.min()), float(inside.max())
+        if inside.size < self.grid.vmask.size * math.prod(self.grid.x_shape):
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         return lo, hi
 
@@ -281,16 +283,26 @@ def density(f: DistributionField) -> SpatialField:
     """Velocity integral rho(x) = sum_j w_j f(x, v_j), with the uniform node
     weight w. It reads f and writes nothing to it.
 
-    The node sum runs on f.box only, and rho is +0.0 outside it, as w
-    times a sum of +0.0 is. f.box is a box of more than one cell or the
-    whole grid (the floor box a transport step carries, or an occupied
-    box, both under carried_box's rule), and on more than one cell NumPy
-    adds the node rows one by one, as on the whole grid, so rho is bit for
-    bit the whole-grid density.
+    The node sum runs on f.box only (box_density). f.box is a box of more
+    than one cell or the whole grid (the floor box a transport step
+    carries, or an occupied box, both under carried_box's rule), so rho is
+    bit for bit the whole-grid density.
     """
-    grid = f.grid
+    return box_density(f.grid, f.nodes[(slice(None),) + f.box], f.box)
+
+
+def box_density(grid, block, box) -> SpatialField:
+    """The density of a node-first block, (K,) + the shape of `box`, of a
+    state that is +0.0 outside `box`: w times the block's node sum on the
+    box, and +0.0 outside it, as w times a sum of +0.0 is.
+
+    `box` must be a box of more than one cell or the whole grid (carried_box's
+    rule). There NumPy adds the node rows one by one, as on the whole grid,
+    so rho is bit for bit the density of the whole state; on a single cell it
+    reduces a (K, 1, ..., 1) array pairwise.
+    """
     rho = np.zeros(grid.x_shape)
-    rho[f.box] = f.nodes[(slice(None),) + f.box].sum(axis=0)
+    rho[box] = block.sum(axis=0)
     rho *= grid.hv ** grid.dim
     return SpatialField(grid, rho)
 

@@ -6,9 +6,11 @@ f0(x - t v, v), which we exploit twice: closed-form initial data are
 sampled exactly at the shifted points, and the per-step update shifts each
 velocity slab by dt * v with monotonized cubic interpolation. Both work on
 the node-first state of DistributionField, (K,) + x_shape, and never build
-the dense array. The step shifts each axis only on the box that f carries,
-grown along the axes shifted so far by the cells a shift can write (the
-spread). A limited shift writes a nonzero value one spread past its
+the dense array. The closed-form data are sampled only on the box where
+every axis profile is nonzero (free_block): the initial state and the
+Gronwall C0 are made from that block. The step shifts each axis only on
+the box that f carries, grown along the axes shifted so far by the cells a
+shift can write (the spread). A limited shift writes a nonzero value one spread past its
 input's support, so the numerical support would grow by a cell every
 half-step while the continuum's grows at max |v| only: the step flushes to
 +0.0 the tail of the box it wrote whose node sum is at most FLOOR times
@@ -56,25 +58,31 @@ class SeparableData:
             raise ValueError(f"width must be > 0, got {self.width}")
 
 
-def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> DistributionField:
-    """Sample f(t, x, v) = f0(x - t v, v) exactly on the grid (periodic wrap in x).
+def free_block(f0: SeparableData, grid: PhaseGrid, t: float):
+    """(box, block): f(t, x, v) = f0(x - t v, v) sampled exactly (periodic
+    wrap in x) on `box`, a box outside which it is +0.0, as the node-first
+    block (K,) + the shape of box.
 
-    Both descriptor kinds factorize over position axes, so the per-node
-    spatial factor is an outer product of one-dimensional profiles; only
-    the distinct velocity components along each axis need evaluating. The
-    amplitude is multiplied into that product in place, so the node-first
-    state is the one state-sized array made.
+    Both descriptor kinds factorize over position axes, so each node's
+    values are an outer product of one-dimensional profiles; only the
+    distinct velocity components along each axis need evaluating. On each
+    axis the box is the bounding range of the columns where some profile
+    is nonzero (so a support across the periodic edge gives the whole
+    axis), under carried_box's rule, so it is more than one cell or the
+    whole grid and the block's node sum has the whole grid's bits. The
+    product is formed on the box only, in axis order, and the amplitude
+    multiplied into it in place: each value has the bits of the same
+    product on the whole grid, which is +0.0 outside the box.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    d, K, nx = grid.dim, grid.n_vnodes, grid.spec.nx
+    d, K = grid.dim, grid.n_vnodes
     if len(f0.center) not in (0, d):
         raise ValueError(f"center has {len(f0.center)} entries on a {d}-D grid, need 0 or {d}")
     L = grid.spec.box_half_length
     center = f0.center if f0.center else (0.0,) * d
 
-    # g[j] = product over axes of node j's 1-d profile, multiplied in axis order
-    g = np.ones((K,) + (1,) * d)
+    profiles = []
     for a in range(d):
         comps, col = np.unique(grid.vnodes[:, a], return_inverse=True)
         xa = np.mod(grid.x - t * comps[:, None] - center[a] + L, 2.0 * L) - L
@@ -82,9 +90,35 @@ def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> Distrib
             profile = np.exp(-(xa**2) / (2.0 * f0.width**2))
         else:
             profile = (np.abs(xa) <= f0.width).astype(float)
-        g = g * profile[col].reshape((K,) + (1,) * a + (nx,) + (1,) * (d - a - 1))
-    g *= f0.amplitude
-    return DistributionField(grid, g, t=float(t))
+        profiles.append(profile[col])
+    box = carried_box(tuple(support_box(np.any(p, axis=0))[0] for p in profiles), grid.x_shape)
+    # block[j] = product over axes of node j's 1-d profile on the box
+    block = np.ones((K,) + (1,) * d)
+    for a, (profile, s) in enumerate(zip(profiles, box)):
+        block = block * profile[:, s].reshape((K,) + (1,) * a + (-1,) + (1,) * (d - a - 1))
+    block *= f0.amplitude
+    return box, block
+
+
+def exact_free_solution(f0: SeparableData, grid: PhaseGrid, t: float) -> DistributionField:
+    """The field of f(t, x, v) = f0(x - t v, v), sampled exactly on the grid
+    (periodic wrap in x): free_block's block put into zeros, or the block
+    itself when its box is the whole grid.
+
+    The field's box is the bounding box of the block's nonzero positions
+    under carried_box's rule: occupied_box of the nodes, found without a
+    pass over the whole state.
+    """
+    box, block = free_block(f0, grid, t)
+    if box == (slice(None),) * grid.dim:
+        nodes = block
+    else:
+        nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+        nodes[(slice(None),) + box] = block
+    mask = np.zeros(grid.x_shape, dtype=bool)
+    mask[box] = np.any(block, axis=0)
+    return DistributionField(grid, nodes, t=float(t),
+                             box=carried_box(support_box(mask), grid.x_shape))
 
 
 def slab_sums(nodes, box):

@@ -383,16 +383,24 @@ def _snapshot_of_rows(sim, path):
 
 @pytest.mark.parametrize("dim, nx, nv", [(1, 64, 8), (2, 32, 8), (3, 8, 4)])
 def test_snapshot_bytes_match_row_by_row_formatting(tmp_path, dim, nx, nv):
-    # a box whose coordinates need all 17 digits
+    # a box whose coordinates need all 17 digits; the snapshot formats only
+    # the cells of f's box: a compact one for the cube after a step, and the
+    # whole grid for the Gaussian's initial state
     grid = build_grid(GridSpec(dim=dim, box_half_length=7.3, nx=nx, nv=nv, dt=0.02))
-    sim = Simulation(grid, SeparableData(width=0.8, kind="cube"),
-                     KernelSpec(family="constant", coefficient=0.5))
-    sim.step()
-    _snapshot(sim, _snapshot_coordinates(grid), 1, str(tmp_path))
-    _snapshot_of_rows(sim, tmp_path / "reference.csv")
-    got = (tmp_path / "snapshot_000001.csv").read_bytes()
-    assert got == (tmp_path / "reference.csv").read_bytes()
-    assert got.count(b"\n") == 2 + nx**dim
+    for kind, width in (("cube", 0.8), ("gaussian", 0.4)):
+        sim = Simulation(grid, SeparableData(width=width, kind=kind),
+                         KernelSpec(family="constant", coefficient=0.5))
+        whole = []
+        for step in (0, 1):
+            if step:
+                sim.step()
+            whole.append(sim.f.box == (slice(None),) * dim)
+            _snapshot(sim, _snapshot_coordinates(grid), step, str(tmp_path))
+            _snapshot_of_rows(sim, tmp_path / "reference.csv")
+            got = (tmp_path / f"snapshot_{step:06d}.csv").read_bytes()
+            assert got == (tmp_path / "reference.csv").read_bytes(), (kind, step)
+            assert got.count(b"\n") == 2 + nx**dim
+        assert whole[0] if kind == "gaussian" else not whole[1]
 
 
 def test_exponents_solve_and_check(capsys):

@@ -1,8 +1,10 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import node_array
+from conftest import node_array, same_bits
 from scipy.integrate import quad
 from scipy.optimize import nnls
 
@@ -193,6 +195,28 @@ def test_q1_norms_are_density_norms_bit_for_bit():
         t, _, c0 = mon.records[n]
         assert t == pytest.approx(n * grid.spec.dt, rel=1e-12)
         assert c0 == mixed_norm(exact_free_solution(f0, grid, t), NormSpec(p=1.5, q=1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gronwall_c0_is_the_norm_of_the_free_solutions_density(dim):
+    # after_step takes C0(t) from the free data's block on its box and makes
+    # no state: the bits of the L^p norm of the density of
+    # exact_free_solution at the run's time. Cube and Gaussian data, widths
+    # below one cell (0.3 dx), supports that wrap the periodic edge,
+    # amplitude 0, early and late times
+    grid = build_grid(GridSpec(dim=dim, box_half_length=6.0, nx=16, nv=4, dt=0.02))
+    edge = 6.0 - 0.2 * grid.dx
+    mon = GronwallMonitor(p=1.5)
+    expect = []
+    for kind, width, center, amplitude, t in itertools.product(
+            ("cube", "gaussian"), (0.3 * grid.dx, 1.0), (0.0, edge), (0.0, 0.7),
+            (0.0, 0.02, 0.5, 3.0, 10.0)):
+        f0 = SeparableData(amplitude=amplitude, width=width, kind=kind, center=(center,) * dim)
+        rho = density(exact_free_solution(f0, grid, t))
+        mon.after_step(SimpleNamespace(grid=grid, rho=rho, f0_descriptor=f0, t=t))
+        expect.append((t, spatial_norm(rho.values, grid, 1.5)))
+    for (t, lhs, c0), (t_free, norm) in zip(mon.records, expect, strict=True):
+        assert t == t_free and same_bits(c0, norm) and same_bits(lhs, norm), t
 
 
 def _mixed_norm_of_copies(compact, grid, p, q):

@@ -114,6 +114,17 @@ def test_compact_roundtrip():
     back = field_from_compact(grid, np.ascontiguousarray(f.compact()))
     assert np.array_equal(back.values, f.values)
     assert f.extrema() == (float(vals.min()), float(vals.max()))
+    # extrema reads only f's box and counts the +0.0 outside it: on a 1-D
+    # grid every velocity node is in V, and f is strictly positive on a
+    # compact box, so only the box supplies the 0.0 minimum
+    grid = make_grid(dim=1, nx=16, nv=4)
+    assert grid.n_vnodes == grid.vmask.size
+    nodes = np.zeros((grid.n_vnodes,) + grid.x_shape)
+    nodes[:, 5:9] = 0.5 + rng.random((grid.n_vnodes, 4))
+    f = DistributionField(grid, nodes)
+    assert f.box == (slice(5, 9),)
+    dense = f.values
+    assert f.extrema() == (0.0, float(nodes.max())) == (float(dense.min()), float(dense.max()))
 
 
 def test_field_validation():

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import same_bits
 
 from runtumble import interp
-from runtumble.grid import DistributionField, GridSpec, build_grid, total_mass
+from runtumble.grid import DistributionField, GridSpec, build_grid, occupied_box, total_mass
 from runtumble.interp import (_BLOCK, axis_shift, interp_point, shift_spatial, stack_on_box,
                               velocity_offset_stack)
-from runtumble.transport import SeparableData, exact_free_solution, transport_step
+from runtumble.transport import SeparableData, exact_free_solution, free_block, transport_step
 
 
 def make_grid(dim=1, L=4.0, nx=64, nv=8, dt=0.01):
@@ -360,6 +362,58 @@ def test_exact_free_solution_needs_no_center_or_one_entry_per_axis():
     for center in ((1.0,), (1.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
         with pytest.raises(ValueError, match="center has"):
             exact_free_solution(SeparableData(kind="cube", center=center), grid, 0.5)
+
+
+def _free_product(f0, grid, t):
+    """The closed-form data sampled on the whole grid: the product of the
+    per-axis profiles at every position, in axis order, times the
+    amplitude last (the formula before sampling kept to the support box)."""
+    d, K, nx = grid.dim, grid.n_vnodes, grid.spec.nx
+    L = grid.spec.box_half_length
+    center = f0.center if f0.center else (0.0,) * d
+    g = np.ones((K,) + (1,) * d)
+    for a in range(d):
+        comps, col = np.unique(grid.vnodes[:, a], return_inverse=True)
+        xa = np.mod(grid.x - t * comps[:, None] - center[a] + L, 2.0 * L) - L
+        if f0.kind == "gaussian":
+            profile = np.exp(-(xa**2) / (2.0 * f0.width**2))
+        else:
+            profile = (np.abs(xa) <= f0.width).astype(float)
+        g = g * profile[col].reshape((K,) + (1,) * a + (nx,) + (1,) * (d - a - 1))
+    g *= f0.amplitude
+    return g
+
+
+@pytest.mark.parametrize("dim, nx, nv", [(1, 64, 8), (2, 32, 8), (3, 16, 4)])
+def test_free_data_sampled_on_their_box_have_the_whole_grid_bits(dim, nx, nv):
+    # exact_free_solution is the whole-grid product bit for bit, with
+    # occupied_box(nodes) as its box; free_block's block is that product on
+    # a box of more than one cell or the whole grid, outside which it is
+    # +0.0. Widths below one cell (0.3 dx: one cell or none), supports
+    # that wrap the periodic edge, amplitude 0 and late times included
+    grid = make_grid(dim=dim, nx=nx, nv=nv)
+    L, dx, whole = grid.spec.box_half_length, grid.dx, (slice(None),) * dim
+    boxes = set()
+    for kind, width, center, amplitude, t in itertools.product(
+            ("cube", "gaussian"), (0.3 * dx, 0.1, 1.0), (0.0, L - 0.2 * dx), (0.0, 0.7),
+            (0.0, 0.02, 0.5, 3.0, 10.0)):
+        f0 = SeparableData(amplitude=amplitude, width=width, kind=kind, center=(center,) * dim)
+        case = (kind, width, center, amplitude, t)
+        expect = _free_product(f0, grid, t)
+        f = exact_free_solution(f0, grid, t)
+        assert same_bits(f.nodes, expect) and f.t == t, case
+        assert f.box == occupied_box(f.nodes), case
+        box, block = free_block(f0, grid, t)
+        assert same_bits(block, expect[(slice(None),) + box]), case
+        outside = expect.copy()
+        outside[(slice(None),) + box] = 0.0
+        assert same_bits(outside, np.zeros_like(expect)), case
+        cells = np.zeros(grid.x_shape)[box].size
+        assert box == whole or 1 < cells <= 0.25 * grid.spec.nx**dim, case
+        boxes.add((box == whole, f.box == whole))
+    # compact blocks and fields, whole-grid ones, and compact blocks with no
+    # nonzero value (amplitude 0), whose fields take the whole grid
+    assert boxes == {(True, True), (False, False), (False, True)}
 
 
 def test_exact_free_solution_matches_direct_sampling():
