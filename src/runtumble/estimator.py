@@ -341,9 +341,10 @@ class TermTracker:
         self._store(sim)
         n = sim.step_count
         if n % self.stride == 0:
-            self.evaluations.append(self._evaluate(n))
+            self.evaluations.append(self._evaluate(n, sim.t))
 
-    def _evaluate(self, n):
+    def _evaluate(self, n, t):
+        """The terms and their bounds after step n, at the state's time t."""
         grid = self.grid
         dt = grid.spec.dt
         vn, dx = grid.vnodes, grid.dx
@@ -385,7 +386,7 @@ class TermTracker:
         # single-weight bound
         integrals = {"shifted": shifted, "plain": plain,
                      "K": float(dt * np.sum(hist)) + plain + shifted}
-        return {"step": n, "t": n * dt, "norms": norms, "integrals": integrals}
+        return {"step": n, "t": t, "norms": norms, "integrals": integrals}
 
     def certify(self):
         """Calibrate the three constants early, assert the bounds everywhere.

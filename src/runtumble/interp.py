@@ -10,10 +10,19 @@ Whole-array shifts work block by block, in blocks of about _BLOCK elements:
 whole rows of array axis 0, or parts of one row along an axis other than
 the shifted one, so that a block's wrap-padded copy and its work buffers
 stay in cache; the arithmetic is done in place in those buffers, and the
-result is bit-identical to the unblocked formula. axis_shift writes into a
-caller's array when given `out=`, and `out` may be the input itself: a
-block is copied out before its part of `out` is written, and it reads no
-other block.
+result is bit-identical to the unblocked formula. In a block's padded copy
+each of the four stencil nodes is one flat slice across all the block's
+rows, one line apart from the next, so the adds, minima and maxima run
+once a block on contiguous slices; only the four weight multiplies, whose
+weights differ row by row, run on a (rows, padded row) view of them. The
+three lines past each padded set of lines read the next set (of the same
+row or the next, or three lines of zeroed slack after the block) and give
+values that are never kept, so every kept value comes from the same IEEE
+operations, in the same order, as the row-by-row formula.
+
+axis_shift writes into a caller's array when given `out=`, and `out` may
+be the input itself: a block is copied out before its part of `out` is
+written, and it reads no other block.
 
 axis_shift also has a per-row form: one displacement per row of array axis
 0, each row with its own integer part and cubic weights, and an optional
@@ -58,6 +67,7 @@ from runtumble.grid import grow_box, nest_box
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 _PLANS = 64       # entries of each shift-plan table (_row_plan, _stack_plan)
 _MARGIN = 1       # cells a shift reads past its spread: the outer node of the 4-point stencil
+_ROW_BUFSIZE = 16  # NumPy's ufunc buffer, in elements, during a shift's weight multiplies
 
 
 def _cubic_weights(u):
@@ -178,43 +188,42 @@ def _shift_rows(a, s, out, axis, limit, src, keep):
     if not blocks:
         return
 
-    pbuf, rbuf, tbuf = (np.empty(buffer, dtype=out.dtype) for _ in range(3))
+    # the pad is followed by three lines of slack, zeroed per part, which
+    # the last row's three extra lines read
+    pbuf = np.empty(buffer + 3 * math.prod(a.shape[axis + 1:]), dtype=out.dtype)
+    rbuf, tbuf = (np.empty(buffer, dtype=out.dtype) for _ in range(2))
     lead = (slice(None),) * axis
-    for i0, i1, (wm1, w0, w1, w2), runs in blocks:
-        k = i1 - i0
-        for part in parts:
-            blk = (slice(None),) + part
-            dst = out[i0:i1][blk]
-            pshape = dst.shape[:axis] + (n + 3,) + dst.shape[axis + 1:]
-            size = math.prod(pshape)
-            P, T = size // k, math.prod(pshape[axis + 1:])  # per padded row; per line index
-
-            def lines(buf):
-                return buf[:size].reshape(pshape)[lead + (slice(lo, hi),)]
-
-            pad = pbuf[:size].reshape(pshape)
-            for j, jend, rows, start in runs:
-                _wrap_pad(a[rows][blk], pad[j:jend], start, axis)
-            # in each padded row the four stencil nodes are flat slices, one
-            # line apart; the three extra lines compute unused values
-            span = P - 3 * T
-            below, base, upper, above = (pbuf[:size].reshape(k, P)[:, j * T:j * T + span]
-                                         for j in range(4))
-            r, tmp = (buf[:size].reshape(k, P)[:, :span] for buf in (rbuf, tbuf))
-            np.multiply(below, wm1, out=r)
-            r += np.multiply(base, w0, out=tmp)
-            r += np.multiply(upper, w1, out=tmp)
-            r += np.multiply(above, w2, out=tmp)
-            if limit:
-                np.maximum(r, np.minimum(base, upper, out=tmp), out=r)
-                np.maximum(base, upper, out=tmp)
-                if axis == 1:  # each row's lines are one contiguous run
-                    np.minimum(lines(rbuf), lines(tbuf), out=dst)
-                    continue
-                # strided lines: a flat minimum and one strided copy beat a
-                # strided minimum
-                np.minimum(r, tmp, out=r)
-            np.copyto(dst, lines(rbuf))
+    with np.errstate():
+        # NumPy 2.4 buffers a broadcast or strided operand across rows when
+        # several rows fit in its ufunc buffer (8192 elements): that tripled
+        # a weight multiply's time on 74 rows of 399 elements and on 11 of
+        # 3380 (2-core x86 VM). A buffer shorter than a row keeps each row
+        # unbuffered; no operand here needs a buffer to cast
+        np.setbufsize(_ROW_BUFSIZE)
+        for i0, i1, (wm1, w0, w1, w2), runs in blocks:
+            k = i1 - i0
+            for part in parts:
+                blk = (slice(None),) + part
+                dst = out[i0:i1][blk]
+                pshape = dst.shape[:axis] + (n + 3,) + dst.shape[axis + 1:]
+                size, T = math.prod(pshape), math.prod(pshape[axis + 1:])  # T: per line index
+                pad = pbuf[:size].reshape(pshape)
+                for j, jend, rows, start in runs:
+                    _wrap_pad(a[rows][blk], pad[j:jend], start, axis)
+                pbuf[size:size + 3 * T] = 0.0
+                # the four stencil nodes: flat slices of the block, one line
+                # apart; the values of the three lines past each set of n + 3
+                # are never kept
+                below, base, upper, above = (pbuf[j * T:j * T + size] for j in range(4))
+                r, tmp = rbuf[:size], tbuf[:size]
+                np.multiply(below.reshape(k, -1), wm1, out=r.reshape(k, -1))
+                for node, w in ((base, w0), (upper, w1), (above, w2)):
+                    np.multiply(node.reshape(k, -1), w, out=tmp.reshape(k, -1))
+                    r += tmp
+                if limit:
+                    np.maximum(r, np.minimum(base, upper, out=tmp), out=r)
+                    np.minimum(r, np.maximum(base, upper, out=tmp), out=r)
+                np.copyto(dst, r.reshape(pshape)[lead + (slice(lo, hi),)])
 
 
 def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None, keep=slice(None)):

@@ -20,6 +20,7 @@ Its slab sums are taken on boxes too, by a rule that gives every box the
 whole array's bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,11 @@ class SeparableData:
     def __post_init__(self):
         if self.kind not in ("gaussian", "cube"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        # the `not x >= 0` form rejects NaN too
-        if not self.amplitude >= 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not self.width > 0:
-            raise ValueError(f"width must be > 0, got {self.width}")
+        # a comparison with NaN is False, so these reject NaN too
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be >= 0 and finite, got {self.amplitude}")
+        if not 0 < self.width < math.inf:
+            raise ValueError(f"width must be > 0 and finite, got {self.width}")
 
 
 def free_block(f0: SeparableData, grid: PhaseGrid, t: float):
@@ -74,8 +75,8 @@ def free_block(f0: SeparableData, grid: PhaseGrid, t: float):
     multiplied into it in place: each value has the bits of the same
     product on the whole grid, which is +0.0 outside the box.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:  # rejects NaN too
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     d, K = grid.dim, grid.n_vnodes
     if len(f0.center) not in (0, d):
         raise ValueError(f"center has {len(f0.center)} entries on a {d}-D grid, need 0 or {d}")

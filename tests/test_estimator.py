@@ -162,6 +162,23 @@ def test_term_tracker_rejects_a_stride_that_is_not_a_positive_int(stride):
         TermTracker(p=9.0 / 5.0, q=9.0 / 7.0, stride=stride)
 
 
+def test_term_tracker_time_is_the_states_own():
+    # a run started from a field at t0 = 0.5: each evaluation carries sim.t
+    # of its step, t0 + n dt, not the n dt since the run's start
+    grid = build_grid(GridSpec(dim=3, box_half_length=6.0, nx=16, nv=4, dt=0.02))
+    f0 = exact_free_solution(SeparableData(amplitude=0.5, width=1.0, kind="cube"), grid, 0.5)
+    sim = Simulation(grid, f0, KernelSpec(family="hyp1", coefficient=0.2), beta=0)
+    mon = TermTracker(p=9.0 / 5.0, q=9.0 / 7.0, stride=5)
+    sim.attach(mon)
+    times = {}
+    for _ in range(10):
+        sim.step()
+        times[sim.step_count] = sim.t
+    assert [ev["step"] for ev in mon.evaluations] == [5, 10]
+    assert [ev["t"] for ev in mon.evaluations] == [times[5], times[10]]
+    assert times[5] == pytest.approx(0.6, rel=1e-12) and times[10] == pytest.approx(0.7, rel=1e-12)
+
+
 def test_bootstrap_monitor_smoke():
     grid = build_grid(GridSpec(dim=3, box_half_length=6.0, nx=16, nv=4, dt=0.05))
     f0 = SeparableData(amplitude=0.1, width=0.8, kind="cube")

@@ -163,6 +163,40 @@ def test_axis_shift_per_row_matches_row_by_row_formula(limit):
         axis_shift(a, np.zeros(len(a)), dx, axis=1, rows=np.zeros(len(a), dtype=int), out=a)
 
 
+@pytest.mark.parametrize("limit", [True, False])
+def test_axis_shift_on_blocks_of_short_rows_matches_row_by_row_formula(limit):
+    # node-first stacks of compact boxes, 2-D hyp2 (K = 208) and 3-D (K = 32):
+    # a block holds many short rows, each with its own integer part and
+    # weights, with a whole-cell row now and then, and keep cuts the axis
+    rng = np.random.default_rng(8)
+    dx = 0.5
+    for shape in ((208, 23, 19), (32, 17, 13, 13), (32, 15, 15, 17)):
+        a = rng.random(shape)
+        R = a.shape[0]
+        for axis in range(1, a.ndim):
+            n = a.shape[axis]
+            keep = slice(1, n - 1)
+            cut = (slice(None),) * (axis - 1) + (keep,)
+            for rows in (None, np.repeat(np.arange(R), 2)):  # each row, and a fan-in
+                src = np.arange(R) if rows is None else rows
+                cells = rng.uniform(-3.0, 3.0, len(src))
+                cells[::17] = np.round(cells[::17])
+                disp = dx * cells
+                ref = np.stack([_reference_axis_shift(a[j], disp[i], dx, axis=axis - 1,
+                                                      limit=limit)[cut]
+                                for i, j in enumerate(src)])
+                got = axis_shift(a, disp, dx, axis=axis, limit=limit, rows=rows, keep=keep)
+                assert same_bits(got, ref), (shape, axis, rows is None)
+            # in place: out is the cells of keep of a itself
+            aliased = a.copy()
+            out = aliased[(slice(None),) * axis + (keep,)]
+            assert axis_shift(aliased, disp[::2], dx, axis=axis, limit=limit, out=out,
+                              keep=keep) is out
+            assert same_bits(out, ref[::2]), (shape, axis)
+            edges = (slice(None),) * axis + ([0, n - 1],)
+            assert same_bits(aliased[edges], a[edges])
+
+
 def _cold(fn, *args, **kwargs):
     """fn(*args, **kwargs) with the shift-plan tables emptied first, so that
     every plan it uses is built anew."""
@@ -362,6 +396,25 @@ def test_exact_free_solution_needs_no_center_or_one_entry_per_axis():
     for center in ((1.0,), (1.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
         with pytest.raises(ValueError, match="center has"):
             exact_free_solution(SeparableData(kind="cube", center=center), grid, 0.5)
+
+
+@pytest.mark.parametrize("field, value", [("amplitude", np.inf), ("amplitude", np.nan),
+                                          ("width", np.inf), ("width", np.nan)])
+def test_separable_data_rejects_a_non_finite_amplitude_or_width(field, value):
+    # an infinite amplitude once gave NaN (inf * 0) wherever the cube is 0,
+    # with no error
+    with pytest.raises(ValueError, match=field):
+        SeparableData(kind="cube", **{field: value})
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -0.5])
+def test_free_data_reject_a_time_that_is_not_nonnegative_and_finite(t):
+    # t = NaN once gave NaN Gaussian data and all-zero cube data, with no error
+    grid = make_grid(dim=1, nx=64, nv=8)
+    f0 = SeparableData(kind="cube")
+    for sample in (free_block, exact_free_solution):
+        with pytest.raises(ValueError, match="t must be"):
+            sample(f0, grid, t)
 
 
 def _free_product(f0, grid, t):
