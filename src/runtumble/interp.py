@@ -12,13 +12,14 @@ the shifted one, so that a block's wrap-padded copy and its work buffers
 stay in cache; the arithmetic is done in place in those buffers, and the
 result is bit-identical to the unblocked formula. In a block's padded copy
 each of the four stencil nodes is one flat slice across all the block's
-rows, one line apart from the next, so the adds, minima and maxima run
-once a block on contiguous slices; only the four weight multiplies, whose
-weights differ row by row, run on a (rows, padded row) view of them. The
-three lines past each padded set of lines read the next set (of the same
-row or the next, or three lines of zeroed slack after the block) and give
-values that are never kept, so every kept value comes from the same IEEE
-operations, in the same order, as the row-by-row formula.
+rows, one line apart from the next and ending three lines before the
+block does, so the adds, minima and maxima run once a block on contiguous
+slices; only the four weight multiplies, whose weights differ row by row,
+run on a (rows, lines) view of the same lines. The values at the last
+three padded lines of each row but the last mix two rows, like those at
+the three extra lines of each set along a later axis, and are never kept,
+so every kept value comes from the same IEEE operations, in the same
+order, as the row-by-row formula.
 
 axis_shift writes into a caller's array when given `out=`, and `out` may
 be the input itself: a block is copied out before its part of `out` is
@@ -188,17 +189,18 @@ def _shift_rows(a, s, out, axis, limit, src, keep):
     if not blocks:
         return
 
-    # the pad is followed by three lines of slack, zeroed per part, which
-    # the last row's three extra lines read
-    pbuf = np.empty(buffer + 3 * math.prod(a.shape[axis + 1:]), dtype=out.dtype)
-    rbuf, tbuf = (np.empty(buffer, dtype=out.dtype) for _ in range(2))
+    pbuf = np.empty(buffer, dtype=out.dtype)
+    # the flat passes read the last three lines of each row but the last,
+    # which the per-row multiplies do not write: zeroed, so that every
+    # value they read has been written
+    rbuf, tbuf = (np.zeros(buffer, dtype=out.dtype) for _ in range(2))
     lead = (slice(None),) * axis
     with np.errstate():
-        # NumPy 2.4 buffers a broadcast or strided operand across rows when
-        # several rows fit in its ufunc buffer (8192 elements): that tripled
-        # a weight multiply's time on 74 rows of 399 elements and on 11 of
-        # 3380 (2-core x86 VM). A buffer shorter than a row keeps each row
-        # unbuffered; no operand here needs a buffer to cast
+        # NumPy 2.4 buffers a strided or broadcast operand across rows when
+        # several rows fit in its ufunc buffer (8192 elements): a weight
+        # multiply on 74 rows of 342 elements, 399 apart, took 30 us so and
+        # 8 us with a buffer shorter than a row, which leaves each row
+        # unbuffered (2-core x86 VM); no operand here needs a buffer to cast
         np.setbufsize(_ROW_BUFSIZE)
         for i0, i1, (wm1, w0, w1, w2), runs in blocks:
             k = i1 - i0
@@ -210,20 +212,33 @@ def _shift_rows(a, s, out, axis, limit, src, keep):
                 pad = pbuf[:size].reshape(pshape)
                 for j, jend, rows, start in runs:
                     _wrap_pad(a[rows][blk], pad[j:jend], start, axis)
-                pbuf[size:size + 3 * T] = 0.0
-                # the four stencil nodes: flat slices of the block, one line
-                # apart; the values of the three lines past each set of n + 3
-                # are never kept
-                below, base, upper, above = (pbuf[j * T:j * T + size] for j in range(4))
-                r, tmp = rbuf[:size], tbuf[:size]
-                np.multiply(below.reshape(k, -1), wm1, out=r.reshape(k, -1))
-                for node, w in ((base, w0), (upper, w1), (above, w2)):
-                    np.multiply(node.reshape(k, -1), w, out=tmp.reshape(k, -1))
+                # stencil node j of all the block's rows is one flat slice
+                # from line j on, ending three lines before the block; the
+                # values at the last three lines of each row but the last
+                # mix two rows and are never kept. The multiplies take the
+                # same lines row by row, span a row, each with its weights
+                flat, span = size - 3 * T, size // k - 3 * T
+                below, base, upper, above = (pbuf[j * T:j * T + flat] for j in range(4))
+                r, tmp = rbuf[:flat], tbuf[:flat]
+                nodes = pbuf[:size].reshape(k, -1)
+                r_rows, t_rows = (buf[:size].reshape(k, -1)[:, :span] for buf in (rbuf, tbuf))
+                np.multiply(nodes[:, :span], wm1, out=r_rows)
+                for j, w in ((1, w0), (2, w1), (3, w2)):
+                    np.multiply(nodes[:, j * T:j * T + span], w, out=t_rows)
                     r += tmp
+                r_kept, t_kept = (buf[:size].reshape(pshape)[lead + (slice(lo, hi),)]
+                                  for buf in (rbuf, tbuf))
                 if limit:
                     np.maximum(r, np.minimum(base, upper, out=tmp), out=r)
-                    np.minimum(r, np.maximum(base, upper, out=tmp), out=r)
-                np.copyto(dst, r.reshape(pshape)[lead + (slice(lo, hi),)])
+                    np.maximum(base, upper, out=tmp)
+                    if r_kept.flags.c_contiguous:
+                        # the kept lines are one run (a block of one row,
+                        # shifted along axis 1): one minimum into dst beats
+                        # a flat minimum and a copy
+                        np.minimum(r_kept, t_kept, out=dst)
+                        continue
+                    np.minimum(r, tmp, out=r)
+                np.copyto(dst, r_kept)
 
 
 def axis_shift(a, disp, dx, axis=0, limit=True, out=None, rows=None, keep=slice(None)):
