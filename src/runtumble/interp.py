@@ -68,7 +68,7 @@ from runtumble.grid import grow_box, nest_box
 _BLOCK = 1 << 15  # elements per block of axis_shift: its work buffers stay in L2
 _PLANS = 64       # entries of each shift-plan table (_row_plan, _stack_plan)
 _MARGIN = 1       # cells a shift reads past its spread: the outer node of the 4-point stencil
-_ROW_BUFSIZE = 16  # NumPy's ufunc buffer, in elements, during a shift's weight multiplies
+_ROW_BUFSIZE = 16  # NumPy's ufunc buffer, in elements, while a shift runs: shorter than a row
 
 
 def _cubic_weights(u):
@@ -190,10 +190,11 @@ def _shift_rows(a, s, out, axis, limit, src, keep):
         return
 
     pbuf = np.empty(buffer, dtype=out.dtype)
-    # the flat passes read the last three lines of each row but the last,
-    # which the per-row multiplies do not write: zeroed, so that every
-    # value they read has been written
-    rbuf, tbuf = (np.zeros(buffer, dtype=out.dtype) for _ in range(2))
+    # the flat passes read the last three lines of each row of a block but
+    # its last row, which the multiplies do not write: zeroed when a block
+    # has more than one row, so that every value they read has been written
+    alloc = np.zeros if any(i1 - i0 > 1 for i0, i1, _, _ in blocks) else np.empty
+    rbuf, tbuf = (alloc(buffer, dtype=out.dtype) for _ in range(2))
     lead = (slice(None),) * axis
     with np.errstate():
         # NumPy 2.4 buffers a strided or broadcast operand across rows when
@@ -214,9 +215,8 @@ def _shift_rows(a, s, out, axis, limit, src, keep):
                     _wrap_pad(a[rows][blk], pad[j:jend], start, axis)
                 # stencil node j of all the block's rows is one flat slice
                 # from line j on, ending three lines before the block; the
-                # values at the last three lines of each row but the last
-                # mix two rows and are never kept. The multiplies take the
-                # same lines row by row, span a row, each with its weights
+                # multiplies take the same lines row by row, each row with
+                # its own weights
                 flat, span = size - 3 * T, size // k - 3 * T
                 below, base, upper, above = (pbuf[j * T:j * T + flat] for j in range(4))
                 r, tmp = rbuf[:flat], tbuf[:flat]
